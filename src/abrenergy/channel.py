@@ -8,8 +8,13 @@ load from CSV.
 
 from __future__ import annotations
 
+import hashlib
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ._csvio import ParseError, data_rows, parse_float, parse_int
 from .prng import Lcg64
@@ -28,19 +33,39 @@ TRACE_HEADER = ["period", "bandwidth_bps"]
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """Bandwidth per period, each period lasting ``period_duration`` seconds."""
+    """Bandwidth per period, each period lasting ``period_duration`` seconds.
+
+    Bandwidths are stored as a tuple of floats; each must be positive and
+    finite.
+    """
 
     period_duration: float
     bandwidths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.period_duration <= 0:
-            raise ValueError(f"period_duration must be positive, got {self.period_duration}")
-        if not self.bandwidths:
+        if not math.isfinite(self.period_duration) or self.period_duration <= 0:
+            raise ValueError(
+                f"period_duration must be positive and finite, got {self.period_duration}"
+            )
+        values = np.array(self.bandwidths, dtype=float)
+        if not values.size:
             raise ValueError("trace must contain at least one period")
-        for i, bandwidth in enumerate(self.bandwidths):
-            if bandwidth <= 0:
-                raise ValueError(f"period {i}: bandwidth must be positive, got {bandwidth}")
+        bad = np.flatnonzero(~np.isfinite(values) | (values <= 0))
+        if bad.size:
+            i, bandwidth = int(bad[0]), float(values[bad[0]])
+            rule = "finite" if not math.isfinite(bandwidth) else "positive"
+            raise ValueError(f"period {i}: bandwidth must be {rule}, got {bandwidth}")
+        object.__setattr__(self, "bandwidths", tuple(values.tolist()))
+
+    @cached_property
+    def digest(self) -> str:
+        """Short sha256 of the duration and bandwidths.
+
+        Reports record it so that only sessions over the same trace are
+        compared; it is computed once per trace.
+        """
+        payload = repr(self.period_duration) + "|" + ",".join(map(repr, self.bandwidths))
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self.bandwidths)

@@ -27,7 +27,7 @@ from .channel import (
     staircase,
 )
 from .ladder import parse_ladder
-from .measurements import load_records, normalize, reference_consumption
+from .measurements import group_records, load_records, normalize, reference_consumption
 from .model import FitError, ModelParams, fit, preset
 from .policy import (
     AdaptiveConfig,
@@ -219,13 +219,15 @@ def _write_text(text: str, path: str) -> None:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     records = load_records(Path(args.input).read_text())
     groups = normalize(records)
+    grouped = group_records(records)
     combinations = []
     for combination in sorted(groups, key=lambda c: c.label):
         points = groups[combination]
+        reference = reference_consumption(grouped[combination], combination)
         combinations.append(
             {
                 "combination": combination.label,
-                "reference_current_ma": reference_consumption(records, combination),
+                "reference_current_ma": reference,
                 "n_points": len(points),
                 "n_flagged": sum(1 for p in points if p.flagged),
                 "points": [
@@ -338,6 +340,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 battery=battery,
                 quality=quality,
                 segment_duration=args.segment_duration,
+                include_segments=False,  # the comparison needs only the aggregates
             )
             for mode in modes
         ]
@@ -376,13 +379,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "segment,bandwidth_bps,gamma,selected,selected_bitrate_bps,threshold_bps,"
             "candidates,fallback,stalled,bw_rel,ec_rel,download_time_s,soc_after"
         )
-        for o in report.per_segment or ():
-            soc = "" if o.soc_after is None else repr(o.soc_after)
+        for (index, bw, gamma, rep, threshold, count, fallback, stalled, bw_rel, ec_rel, dt,
+             soc) in report.segment_rows():  # fmt: skip
             lines.append(
-                f"{o.index},{o.bandwidth!r},{o.gamma_used!r},{o.selected.name},"
-                f"{o.selected.bitrate},{o.decision.threshold!r},"
-                f"{o.decision.candidate_set_size},{int(o.decision.fallback_used)},"
-                f"{int(o.stalled)},{o.bw_rel!r},{o.ec_rel!r},{o.download_time!r},{soc}"
+                f"{index},{bw!r},{gamma!r},{rep.name},{rep.bitrate},{threshold!r},{count},"
+                f"{int(fallback)},{int(stalled)},{bw_rel!r},{ec_rel!r},{dt!r},"
+                f"{'' if soc is None else repr(soc)}"
             )
         _write_text("\n".join(lines) + "\n", args.per_segment)
     return 0

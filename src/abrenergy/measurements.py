@@ -150,18 +150,31 @@ def resolution_rank(label: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
+def group_records(
+    records: list[MeasurementRecord],
+) -> dict[Combination, list[MeasurementRecord]]:
+    """Records by (device, connection, codec), groups in first-seen order."""
+    grouped: dict[tuple[str, str, str], list[MeasurementRecord]] = defaultdict(list)
+    for record in records:
+        grouped[(record.device, record.connection, record.codec)].append(record)
+    return {Combination(*key): group for key, group in grouped.items()}
+
+
 def reference_consumption(records: list[MeasurementRecord], combination: Combination) -> float:
     """Mean current of the group's reference representation.
 
     The reference is the record set with the group's minimum bitrate; ties
     across distinct resolutions are broken by the lowest parseable
     resolution label.  Averaging tolerates repeated sessions of the same
-    representation.
+    representation.  Pass the group's own records (see ``group_records``)
+    when computing every group's reference: the scan is linear in
+    ``records``.
 
     Raises:
         ValueError: when the group has no records.
     """
-    group = [record for record in records if record.combination == combination]
+    key = (combination.device, combination.connection, combination.codec)
+    group = [r for r in records if (r.device, r.connection, r.codec) == key]
     if not group:
         raise ValueError(f"no records for combination {combination.label!r}")
     floor = min(record.bitrate for record in group)
@@ -174,8 +187,6 @@ def reference_consumption(records: list[MeasurementRecord], combination: Combina
     if ranked:
         best = min(rank for rank, _ in ranked)
         candidates = [record for rank, record in ranked if rank == best]
-    if not candidates:  # unreachable for non-empty groups; kept as a guard
-        raise ValueError(f"no reference representation in group {combination.label!r}")
     return sum(record.avg_current for record in candidates) / len(candidates)
 
 
@@ -186,11 +197,8 @@ def normalize(records: list[MeasurementRecord]) -> dict[Combination, list[Relati
     ``ec_rel`` near 1 by construction.  Scaling all currents of a group by
     a common factor leaves its points unchanged.
     """
-    grouped: dict[Combination, list[MeasurementRecord]] = defaultdict(list)
-    for record in records:
-        grouped[record.combination].append(record)
     result: dict[Combination, list[RelativePoint]] = {}
-    for combination, group in grouped.items():
+    for combination, group in group_records(records).items():
         reference = reference_consumption(group, combination)
         result[combination] = [
             RelativePoint(

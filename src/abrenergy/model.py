@@ -26,6 +26,13 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
+    """Shape ``a``, decay rate ``b`` and floor ``c`` of the consumption curve.
+
+    All three must be finite and non-negative, so predicted consumption is
+    never negative and a simulated battery never charges.  ``c = 0`` is
+    allowed.
+    """
+
     a: float
     b: float
     c: float = 1.0
@@ -35,6 +42,8 @@ class ModelParams:
             raise ValueError(f"a must be non-negative, got {self.a}")
         if self.b < 0:
             raise ValueError(f"b must be non-negative, got {self.b}")
+        if self.c < 0:
+            raise ValueError(f"c must be non-negative, got {self.c}")
         for name in ("a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -231,7 +240,7 @@ def fit(
 
     Raises:
         FitError: on too few usable points, unidentifiable data (all at
-            one bw_rel), or a non-finite objective.
+            one bw_rel), a non-finite objective, or a negative floor.
     """
     usable = [p for p in points if include_flagged or not p.flagged]
     n_excluded = len(points) - len(usable)
@@ -304,6 +313,11 @@ def fit(
             break
 
     a, b, c = unpack(theta)
+    if c < 0:
+        raise FitError(
+            f"floor c={c!r} is negative: predicted consumption would fall below zero"
+            " far out on the curve; fix the floor instead"
+        )
     params = ModelParams(a=a, b=b, c=c)
     predicted = np.array([evaluate(params, float(v)) for v in bw])
     diagnostics: list[str] = []

@@ -9,6 +9,7 @@ battery state of charge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,17 +60,27 @@ def adaptive_gamma(soc: float, config: AdaptiveConfig = AdaptiveConfig()) -> flo
     return STRICT_GAMMA
 
 
+def _check_gamma(gamma: float) -> None:
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if gamma < 1.0:
+        raise ValueError(f"gamma must be at least 1, got {gamma}")
+
+
 @dataclass(frozen=True)
 class EnergyMode:
-    """A named request mode; ``gamma`` applies to every fixed-intensity kind."""
+    """A named request mode; ``gamma`` applies to every fixed-intensity kind.
+
+    ``gamma`` is stored as a float and must be finite and at least 1.
+    """
 
     kind: ModeKind
     gamma: float = 1.0
     adaptive: AdaptiveConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be at least 1, got {self.gamma}")
+        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", float(self.gamma))
         if self.kind is ModeKind.ADAPTIVE and self.adaptive is None:
             object.__setattr__(self, "adaptive", AdaptiveConfig())
 
@@ -157,16 +168,18 @@ def select(ladder: QualityLadder, bandwidth: float, gamma: float) -> PolicyDecis
 
     Args:
         ladder: rungs ordered by increasing bitrate.
-        bandwidth: available bandwidth in bits per second; must be positive.
-        gamma: intensity divisor; must be at least 1.
+        bandwidth: available bandwidth in bits per second; must be positive
+            and finite.
+        gamma: intensity divisor; must be finite and at least 1.
 
     Returns:
         PolicyDecision with the chosen representation.
     """
+    if not math.isfinite(bandwidth):
+        raise ValueError(f"bandwidth must be finite, got {bandwidth}")
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be at least 1, got {gamma}")
+    _check_gamma(gamma)
     threshold = bandwidth / gamma
     selected: Representation | None = None
     candidates = 0

@@ -1,9 +1,11 @@
 """Session simulation: a request mode driven over a channel trace.
 
-One session walks a bandwidth trace segment by segment, applies the
-request policy, prices each download with the consumption model, and
-optionally drains a battery.  Sessions under different modes but identical
-conditions are then compared against the energy-saving-off baseline.
+One session applies the request policy to every segment of a bandwidth
+trace, prices each download with the consumption model, and optionally
+drains a battery.  It is computed as array operations over the trace, and
+its per-segment record is kept as columns.  Sessions under different modes
+but identical conditions are then compared against the energy-saving-off
+baseline.
 """
 
 from __future__ import annotations
@@ -12,15 +14,19 @@ import csv
 import hashlib
 import io
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from statistics import fmean
+import math
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+
+import numpy as np
 
 from ._csvio import ParseError, data_rows, parse_float
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
 from .model import ModelParams, evaluate
-from .policy import AdaptiveConfig, EnergyMode, ModeKind, PolicyDecision, select
+from .policy import AdaptiveConfig, EnergyMode, ModeKind, PolicyDecision
 
 DEFAULT_SEGMENT_DURATION_S = 6.0
 
@@ -47,6 +53,9 @@ class BatteryConfig:
     initial_soc: float = 100.0
 
     def __post_init__(self) -> None:
+        for name in ("capacity_mah", "reference_current_ma", "initial_soc"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.capacity_mah <= 0:
             raise ValueError(f"capacity_mah must be positive, got {self.capacity_mah}")
         if self.reference_current_ma <= 0:
@@ -127,11 +136,6 @@ def _ladder_digest(ladder: QualityLadder) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _trace_digest(trace: ChannelTrace) -> str:
-    payload = repr(trace.period_duration) + "|" + ",".join(repr(b) for b in trace.bandwidths)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class SegmentOutcome:
     """One simulated segment request and its cost."""
@@ -155,6 +159,54 @@ class SegmentOutcome:
         return self.decision.selected.bitrate > self.bandwidth
 
 
+@dataclass(frozen=True, eq=False)
+class SegmentColumns:
+    """The per-segment record of a session, one array per field.
+
+    ``rung`` indexes the report's ladder and ``candidates`` counts the rungs
+    that fit the budget (0 means the lowest rung was a fallback).
+    ``soc_after`` is None when no battery was simulated.  Whether a segment
+    fell back or stalled follows from these columns and the ladder.
+    """
+
+    bandwidth: np.ndarray
+    gamma: np.ndarray
+    rung: np.ndarray
+    threshold: np.ndarray
+    candidates: np.ndarray
+    bw_rel: np.ndarray
+    ec_rel: np.ndarray
+    download_time: np.ndarray
+    soc_after: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.bandwidth)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SegmentColumns):
+            return NotImplemented
+        for name in _COLUMN_NAMES:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if (mine is None) != (theirs is None):
+                return False
+            if mine is not None and not np.array_equal(mine, theirs):
+                return False
+        return True
+
+
+_COLUMN_NAMES = tuple(f.name for f in fields(SegmentColumns))
+
+#: JSON key of each float column of the per-segment record.
+_FLOAT_COLUMN_KEYS = {
+    "bandwidth": "bandwidth_bps",
+    "gamma": "gamma",
+    "threshold": "threshold_bps",
+    "bw_rel": "bw_rel",
+    "ec_rel": "ec_rel",
+    "download_time": "download_time_s",
+}
+
+
 @dataclass(frozen=True)
 class SessionReport:
     """Aggregates (and optionally the per-segment record) of one session."""
@@ -170,7 +222,62 @@ class SessionReport:
     fallback_count: int
     final_soc: float | None
     soc_depleted: bool
-    per_segment: tuple[SegmentOutcome, ...] | None
+    segments: SegmentColumns | None
+
+    def segment_rows(self) -> Iterator[tuple]:
+        """The per-segment record row by row, as plain Python values.
+
+        Each row is ``(index, bandwidth, gamma, selected, threshold,
+        candidates, fallback, stalled, bw_rel, ec_rel, download_time,
+        soc_after)``, with ``selected`` the chosen ``Representation``.
+        Columns go through ``tolist`` so that ``repr`` and JSON see ``float``
+        and ``int``, never numpy scalars.  Nothing is yielded when the
+        report carries no per-segment record.
+        """
+        cols = self.segments
+        if cols is None:
+            return iter(())
+        reps = self.ladder.representations
+        bitrates = np.array(self.ladder.bitrates, dtype=float)
+        return zip(
+            range(len(cols)),
+            cols.bandwidth.tolist(),
+            cols.gamma.tolist(),
+            [reps[rung] for rung in cols.rung.tolist()],
+            cols.threshold.tolist(),
+            cols.candidates.tolist(),
+            (cols.candidates == 0).tolist(),
+            (bitrates[cols.rung] > cols.bandwidth).tolist(),
+            cols.bw_rel.tolist(),
+            cols.ec_rel.tolist(),
+            cols.download_time.tolist(),
+            cols.soc_after.tolist() if cols.soc_after is not None else repeat(None),
+        )
+
+    @property
+    def per_segment(self) -> tuple[SegmentOutcome, ...] | None:
+        """The per-segment record as objects, built from the columns on each access."""
+        if self.segments is None:
+            return None
+        return tuple(
+            SegmentOutcome(
+                index=index,
+                bandwidth=bw,
+                gamma_used=gamma,
+                decision=PolicyDecision(
+                    selected=rep,
+                    threshold=threshold,
+                    candidate_set_size=count,
+                    fallback_used=fallback,
+                ),
+                bw_rel=bw_rel,
+                ec_rel=ec_rel,
+                download_time=dt,
+                soc_after=soc,
+            )
+            for (index, bw, gamma, rep, threshold, count, fallback, _, bw_rel, ec_rel, dt,
+                 soc) in self.segment_rows()
+        )
 
     def to_json_dict(self) -> dict:
         mode_dict: dict = {"kind": self.mode.kind.value, "gamma": self.mode.gamma}
@@ -180,23 +287,24 @@ class SessionReport:
                 "low_threshold": self.mode.adaptive.low_threshold,
             }
         segments = None
-        if self.per_segment is not None:
+        if self.segments is not None:
             segments = [
                 {
-                    "index": o.index,
-                    "bandwidth_bps": o.bandwidth,
-                    "gamma": o.gamma_used,
-                    "selected": o.selected.name,
-                    "threshold_bps": o.decision.threshold,
-                    "candidates": o.decision.candidate_set_size,
-                    "fallback": o.decision.fallback_used,
-                    "stalled": o.stalled,
-                    "bw_rel": o.bw_rel,
-                    "ec_rel": o.ec_rel,
-                    "download_time_s": o.download_time,
-                    "soc_after": o.soc_after,
+                    "index": index,
+                    "bandwidth_bps": bw,
+                    "gamma": gamma,
+                    "selected": rep.name,
+                    "threshold_bps": threshold,
+                    "candidates": count,
+                    "fallback": fallback,
+                    "stalled": stalled,
+                    "bw_rel": bw_rel,
+                    "ec_rel": ec_rel,
+                    "download_time_s": dt,
+                    "soc_after": soc,
                 }
-                for o in self.per_segment
+                for (index, bw, gamma, rep, threshold, count, fallback, stalled, bw_rel, ec_rel,
+                     dt, soc) in self.segment_rows()
             ]
         return {
             "mode": mode_dict,
@@ -255,7 +363,6 @@ class SessionReport:
                 for row in data["ladder"]
             )
         )
-        by_name = {rep.name: rep for rep in ladder}
         ctx = data["context"]
         context = SessionContext(
             params=ModelParams(ctx["params"]["a"], ctx["params"]["b"], ctx["params"]["c"]),
@@ -264,24 +371,18 @@ class SessionReport:
             trace_digest=ctx["trace_digest"],
         )
         segments = None
-        if data.get("per_segment") is not None:
-            segments = tuple(
-                SegmentOutcome(
-                    index=row["index"],
-                    bandwidth=row["bandwidth_bps"],
-                    gamma_used=row["gamma"],
-                    decision=PolicyDecision(
-                        selected=by_name[row["selected"]],
-                        threshold=row["threshold_bps"],
-                        candidate_set_size=row["candidates"],
-                        fallback_used=row["fallback"],
-                    ),
-                    bw_rel=row["bw_rel"],
-                    ec_rel=row["ec_rel"],
-                    download_time=row["download_time_s"],
-                    soc_after=row["soc_after"],
-                )
-                for row in data["per_segment"]
+        rows = data.get("per_segment")
+        if rows is not None:
+            rung_of = {rep.name: i for i, rep in enumerate(ladder)}
+            socs = [row["soc_after"] for row in rows]
+            segments = SegmentColumns(
+                **{
+                    name: np.array([row[key] for row in rows], dtype=float)
+                    for name, key in _FLOAT_COLUMN_KEYS.items()
+                },
+                rung=np.array([rung_of[row["selected"]] for row in rows], dtype=np.intp),
+                candidates=np.array([row["candidates"] for row in rows], dtype=np.intp),
+                soc_after=None if None in socs else np.array(socs, dtype=float),
             )
         return cls(
             mode=mode,
@@ -295,8 +396,31 @@ class SessionReport:
             fallback_count=data["fallback_count"],
             final_soc=data["final_soc"],
             soc_depleted=data["soc_depleted"],
-            per_segment=segments,
+            segments=segments,
         )
+
+
+def _fmean(column: np.ndarray) -> float:
+    # statistics.fmean's arithmetic: a correctly rounded sum over the count
+    return math.fsum(column.tolist()) / len(column)
+
+
+def _mean_scores(ladder: QualityLadder, rung: np.ndarray, quality: QualityMap) -> dict[str, float]:
+    return {
+        metric: _fmean(np.array([scores[rep.name] for rep in ladder], dtype=float)[rung])
+        for metric, scores in quality.metrics().items()
+    }
+
+
+def _price(params: ModelParams, bw_rel: np.ndarray) -> np.ndarray:
+    """``evaluate`` once per distinct relative bandwidth.
+
+    The scalar model (``math.exp``) prices every value; ``np.exp`` rounds
+    differently in the last place for a few percent of inputs and would
+    change the artifacts.
+    """
+    distinct, inverse = np.unique(bw_rel, return_inverse=True)
+    return np.array([evaluate(params, x) for x in distinct.tolist()], dtype=float)[inverse]
 
 
 def run_session(
@@ -316,6 +440,13 @@ def run_session(
     the model prices the download at the resulting relative bandwidth; the
     battery, when configured, drains linearly in the modeled current.  The
     session stops early if the battery empties.
+
+    The session is computed as array operations over the trace, one piece
+    per intensity in force.  Consumption is never negative, so the state of
+    charge never rises and the adaptive mode moves only towards stricter
+    bands: a piece ends at the first segment after which the mode asks for
+    another intensity.  Every value equals the segment-by-segment
+    computation bit for bit.
 
     Args:
         ladder: requestable representations.
@@ -348,15 +479,22 @@ def run_session(
     if quality is not None:
         quality.validate_for(ladder)
 
+    bitrates = np.array(ladder.bitrates, dtype=float)
+    bandwidth = np.array(trace.bandwidths, dtype=float)
     soc = battery.initial_soc if battery is not None else None
-    outcomes: list[SegmentOutcome] = []
+    pieces: list[tuple[np.ndarray, ...]] = []
+    played = 0
     depleted = False
-    for index, bandwidth in enumerate(trace.bandwidths):
+    while played < len(bandwidth) and not depleted:
         gamma = mode.gamma_for(soc)
-        decision = select(ladder, bandwidth, gamma)
-        bw_rel = bandwidth / decision.selected.bitrate
-        ec_rel = evaluate(params, bw_rel)
-        download_time = decision.selected.bitrate * segment_duration / bandwidth
+        bw = bandwidth[played:]
+        threshold = bw / gamma
+        candidates = np.searchsorted(bitrates, threshold, side="right")
+        rung = np.maximum(candidates - 1, 0)
+        bw_rel = bw / bitrates[rung]
+        ec_rel = _price(params, bw_rel)
+        end = len(bw)
+        soc_after = None
         if battery is not None:
             drain = (
                 100.0
@@ -366,48 +504,67 @@ def run_session(
                 / 3600.0
                 / battery.capacity_mah
             )
-            soc = max(soc - drain, 0.0)
-        outcomes.append(
-            SegmentOutcome(
-                index=index,
-                bandwidth=bandwidth,
-                gamma_used=gamma,
-                decision=decision,
-                bw_rel=bw_rel,
-                ec_rel=ec_rel,
-                download_time=download_time,
-                soc_after=soc,
+            # the same sequential subtractions as soc -= drain, segment by segment
+            soc_after = np.subtract.accumulate(np.concatenate(([soc], drain)))[1:]
+            empty = np.flatnonzero(soc_after <= 0.0)
+            if empty.size:
+                end = int(empty[0]) + 1
+                depleted = True
+            # SoC never rises, so once the mode asks for another intensity it
+            # keeps asking; the charge before the last segment decides nothing
+            switch = bisect_left(
+                range(end - 1), True, key=lambda i: mode.gamma_for(float(soc_after[i])) != gamma
             )
-        )
-        if battery is not None and soc <= 0.0:
-            depleted = True
-            break
+            if switch < end - 1:
+                end = switch + 1
+                depleted = False
+            soc_after = soc_after[:end]
+            if depleted:
+                soc_after[-1] = 0.0
+            soc = float(soc_after[-1])
+        pieces.append(
+            (np.full(end, gamma, dtype=float), threshold[:end], candidates[:end], rung[:end],
+             bw_rel[:end], ec_rel[:end], soc_after)
+        )  # fmt: skip
+        played += end
 
-    mean_quality = None
-    if quality is not None:
-        mean_quality = {
-            metric: fmean(scores[o.selected.name] for o in outcomes)
-            for metric, scores in quality.metrics().items()
-        }
+    gammas, thresholds, counts, rungs, bw_rels, ec_rels, socs = (
+        np.concatenate(parts) if parts[0] is not None else None for parts in zip(*pieces)
+    )
+    bandwidth = bandwidth[:played]
+    selected = bitrates[rungs]
     context = SessionContext(
         params=params,
         segment_duration=segment_duration,
         ladder_digest=_ladder_digest(ladder),
-        trace_digest=_trace_digest(trace),
+        trace_digest=trace.digest,
     )
+    segments = None
+    if include_segments:
+        segments = SegmentColumns(
+            bandwidth=bandwidth,
+            gamma=gammas,
+            rung=rungs,
+            threshold=thresholds,
+            candidates=counts,
+            bw_rel=bw_rels,
+            ec_rel=ec_rels,
+            download_time=selected * segment_duration / bandwidth,
+            soc_after=socs,
+        )
     return SessionReport(
         mode=mode,
         context=context,
         ladder=ladder,
-        n_segments=len(outcomes),
-        mean_ec_rel=fmean(o.ec_rel for o in outcomes),
-        mean_bitrate=fmean(o.selected.bitrate for o in outcomes),
-        mean_quality=mean_quality,
-        stall_count=sum(1 for o in outcomes if o.stalled),
-        fallback_count=sum(1 for o in outcomes if o.decision.fallback_used),
+        n_segments=played,
+        mean_ec_rel=_fmean(ec_rels),
+        mean_bitrate=_fmean(selected),
+        mean_quality=_mean_scores(ladder, rungs, quality) if quality is not None else None,
+        stall_count=int(np.count_nonzero(selected > bandwidth)),
+        fallback_count=int(np.count_nonzero(counts == 0)),
         final_soc=soc,
         soc_depleted=depleted,
-        per_segment=tuple(outcomes) if include_segments else None,
+        segments=segments,
     )
 
 
@@ -465,13 +622,10 @@ class ComparisonTable:
 def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[str, float] | None:
     if report.mean_quality is not None:
         return report.mean_quality
-    if quality is None or report.per_segment is None:
+    if quality is None or report.segments is None:
         return None
     quality.validate_for(report.ladder)
-    return {
-        metric: fmean(scores[o.selected.name] for o in report.per_segment)
-        for metric, scores in quality.metrics().items()
-    }
+    return _mean_scores(report.ladder, report.segments.rung, quality)
 
 
 def compare(

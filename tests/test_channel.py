@@ -161,3 +161,13 @@ def test_trace_invariants():
         ChannelTrace(6.0, ())
     with pytest.raises(ValueError):
         ChannelTrace(6.0, (1e6, 0.0))
+    with pytest.raises(ValueError, match="period_duration"):
+        ChannelTrace(float("nan"), (1e6,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="period 1: bandwidth must be finite"):
+            ChannelTrace(6.0, (1e6, bad))
+
+
+def test_trace_stores_floats():
+    trace = ChannelTrace(6.0, (1_000_000, 2.5e6))
+    assert [repr(b) for b in trace.bandwidths] == ["1000000.0", "2500000.0"]

@@ -186,6 +186,20 @@ class TestSimulateSingle:
         assert code == 2
         assert "--mode custom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--mode", "custom", "--gamma", "nan"], "gamma"),
+        (["--mode", "off", "--battery-capacity-mah", "nan",
+          "--reference-current-ma", "300"], "capacity_mah"),
+        (["--mode", "off", "--battery-capacity-mah", "3000",
+          "--reference-current-ma", "inf"], "reference_current_ma"),
+        (["--mode", "off", "--params", "a=1,b=1,c=-5"], "c must be non-negative"),
+    ])
+    def test_non_finite_or_negative_inputs_exit_two(self, ladder_file, capsys, flags, field):
+        argv = ["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                "--params", "overall", "--segments", "5", *flags]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+
     def test_adaptive_needs_battery(self, ladder_file, capsys):
         code = main([
             "simulate", "--ladder", ladder_file, "--channel", "constant:22M",

@@ -1,0 +1,113 @@
+"""Golden CLI artifacts: a fixed command set must keep writing the same bytes.
+
+The digests were recorded with the per-segment scalar loop that the column
+kernel replaced; any change to selection, pricing, battery drain,
+aggregation or serialization shows up here as a changed sha256.  Commands
+run inside ``tmp_path`` with relative paths, so the provenance blocks (which
+echo the paths) are identical on every machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from abrenergy.cli import main
+from conftest import STOCK_LADDER_CSV
+
+QUALITY_CSV = """\
+name,psnr,ssim,vmaf
+240p,31.25,0.9012,44.5
+480p,33.5,0.9104,50.25
+576p,35.0,0.9187,55.0
+720p,36.75,0.9241,59.5
+960p,38.0,0.9302,64.75
+1080p,39.5,0.9366,70.0
+1200p,40.25,0.9411,74.5
+1440p,41.5,0.9453,79.25
+1600p,42.0,0.9488,83.0
+2160p,43.25,0.9521,88.5
+"""
+
+
+def _trace_csv(n: int = 400) -> str:
+    """Blocks of 1-7 periods: off-menu values, repeats, and values below the
+    lowest rung, so some segments fall back and stall."""
+    rows = ["period,bandwidth_bps"]
+    period, block = 0, 0
+    while period < n:
+        value = 400_000.0 + (block * 2_654_435) % 24_000_000 + 0.25 * (block % 4)
+        for _ in range(1 + block % 7):
+            if period < n:
+                rows.append(f"{period},{value!r}")
+                period += 1
+        block += 1
+    return "\n".join(rows) + "\n"
+
+
+COMMANDS = [
+    ("simulate", "--ladder", "ladder.csv", "--channel", "random:seed=3", "--segments", "300",
+     "--mode", "all", "--params", "overall", "--quality", "quality.csv",
+     "--battery-capacity-mah", "240.0", "--reference-current-ma", "300.0",
+     "--output", "all.json", "--csv", "all.csv", "--dump-trace", "random.csv"),
+    ("simulate", "--ladder", "ladder.csv", "--channel", "trace:trace.csv", "--mode", "adaptive",
+     "--params", "overall", "--quality", "quality.csv",
+     "--battery-capacity-mah", "60.0", "--reference-current-ma", "500.0",
+     "--output", "adaptive.json", "--per-segment", "adaptive.csv"),
+    ("simulate", "--ladder", "ladder.csv", "--channel", "trace:trace.csv", "--mode", "custom",
+     "--gamma", "2.5", "--params", "SPC/4G/HEVC",
+     "--output", "custom.json", "--per-segment", "custom.csv"),
+    ("simulate", "--ladder", "ladder.csv", "--channel", "trace:trace.csv", "--mode", "off",
+     "--params", "overall", "--output", "off.json", "--per-segment", "off.csv"),
+    ("simulate", "--ladder", "ladder.csv", "--channel", "trace:trace.csv", "--mode", "strict",
+     "--params", "overall", "--output", "strict.json", "--per-segment", "strict.csv"),
+    ("compare", "--baseline", "off.json", "--candidate", "strict.json",
+     "--quality", "quality.csv", "--output", "cmp.json", "--csv", "cmp.csv"),
+]  # fmt: skip
+
+#: Recorded with the scalar session loop, before the column kernel.
+GOLDEN_SHA256 = {
+    'adaptive.csv': '52159228d2ffc24b4d3337aba6820603559d4756d9ed534d41e2ad332516adad',
+    'adaptive.json': 'b69958112c4f36bda11621260a2a655d77679379d97aa21d107f1c1efbc5ae1e',
+    'all.csv': '7b7df3c4f91a7d6a550fa965033154bdb1551bb6a785f50335d381bc8d621fb6',
+    'all.json': '010dbd6121e6f315cceb7f9c7b08c53fa7a26b9bd94e525c2170952b4c522cdd',
+    'cmp.csv': 'f5a9143740dca2dbab3b45212260420206d6cbe5290a27ea9741fb51c1885966',
+    'cmp.json': '21b73ffd7e8cc92f02364fcbc50b137030960ee3cd38f224e67d36b3d5e876ed',
+    'custom.csv': '37fa3e2d2bd0aca283f320e846c6d1d19a7cb78b1b95d3d22b8452ed0b3ec513',
+    'custom.json': '08a06ae2eda44f242919cea0b2503006608cc1c086217ba7eb3f919589d93481',
+    'off.csv': 'b62c15aa4b155ce7c1ce0244def2c7d16dd0b227085f7a959b79048a0bffc7db',
+    'off.json': '4cc708ba81b95c55f7f33fc4e666905ab8e8c508dcc11f7bb8ab1a27e6da7ef2',
+    'random.csv': 'a9b081792d543d6d5c3d5c2344f1e5711a2cf241b3f98c8cf941607c289edf1e',
+    'strict.csv': 'd899389631989fb57a4dfeab29c94d618ae6469039100ae3ae6d1d69c2467952',
+    'strict.json': 'b680cc77563b348bbc0a42825dfabf997220b5e96f5f2c004311a1dc96da4235',
+}
+
+
+def run_golden_commands(workdir) -> dict[str, str]:
+    """Write the inputs into ``workdir``, run every command there, and
+    return the sha256 of each file it produced."""
+    (workdir / "ladder.csv").write_text(STOCK_LADDER_CSV)
+    (workdir / "quality.csv").write_text(QUALITY_CSV)
+    (workdir / "trace.csv").write_text(_trace_csv())
+    inputs = {path.name for path in workdir.iterdir()}
+    for argv in COMMANDS:
+        assert main(list(argv)) == 0, argv
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workdir.iterdir())
+        if path.name not in inputs
+    }
+
+
+def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = run_golden_commands(tmp_path)
+    capsys.readouterr()
+    # the adaptive run covers what it is there for: fallbacks, all three
+    # bands, and a battery that empties mid-session
+    report = json.loads((tmp_path / "adaptive.json").read_text())["report"]
+    assert report["soc_depleted"] and report["n_segments"] < 400
+    assert {row["gamma"] for row in report["per_segment"]} == {1.5, 2.0, 4.0}
+    assert report["fallback_count"] > 0
+    assert report["per_segment"][-1]["soc_after"] == 0.0
+    assert digests == GOLDEN_SHA256

@@ -12,6 +12,7 @@ from abrenergy import (
     load_records,
     normalize,
     normalize_connection,
+    group_records,
     reference_consumption,
     resolution_rank,
 )
@@ -90,6 +91,22 @@ class TestReferenceConsumption:
     def test_empty_group_is_an_error(self):
         with pytest.raises(ValueError, match="no records"):
             reference_consumption([rec()], Combination("other", "WIFI", "HEVC"))
+
+
+def test_group_records_keeps_first_seen_order_and_references():
+    records = [
+        rec(device="b", current=300.0),
+        rec(device="a", current=100.0),
+        rec(device="b", resolution="480p", bitrate=1_250_000, current=320.0),
+        rec(device="a", current=104.0),
+    ]
+    grouped = group_records(records)
+    assert [c.device for c in grouped] == ["b", "a"]
+    assert [len(g) for g in grouped.values()] == [2, 2]
+    for combination, group in grouped.items():
+        assert reference_consumption(group, combination) == reference_consumption(
+            records, combination
+        )
 
 
 class TestNormalize:

@@ -73,6 +73,11 @@ class TestParams:
     def test_floor_may_differ_from_one(self):
         assert ModelParams(0.5, 0.5, 0.0).c == 0.0
 
+    def test_negative_floor_rejected(self):
+        # a negative floor would let consumption go negative and charge the battery
+        with pytest.raises(ValueError, match="c must be non-negative"):
+            ModelParams(1.0, 1.0, -5.0)
+
 
 class TestPresets:
     def test_catalog_values(self):
@@ -184,6 +189,13 @@ class TestFit:
         assert result.params.a == pytest.approx(truth.a, abs=1e-6)
         assert result.params.b == pytest.approx(truth.b, abs=1e-6)
         assert result.params.c == pytest.approx(truth.c, abs=1e-6)
+
+    def test_free_floor_landing_below_zero_is_a_fit_error(self):
+        # on-curve points of 0.9 exp(-0.5 x) - 0.2: the free floor fits below zero
+        bw = [1.0, 1.3, 1.6, 2.0, 2.4, 2.8]
+        points = [RelativePoint(x, 0.9 * math.exp(-0.5 * x) - 0.2, SYNTH) for x in bw]
+        with pytest.raises(FitError, match="negative"):
+            fit(points, fix_c=None)
 
     def test_refit_of_predictions_is_idempotent(self):
         rng = np.random.default_rng(99)

@@ -63,6 +63,17 @@ def test_select_input_validation(ladder):
         select(ladder, 1e6, 0.5)
 
 
+@pytest.mark.parametrize("bandwidth, gamma, field", [
+    (1e6, float("nan"), "gamma"),
+    (1e6, float("inf"), "gamma"),
+    (float("nan"), 2.0, "bandwidth"),
+    (float("inf"), 2.0, "bandwidth"),
+])
+def test_select_rejects_non_finite_inputs(ladder, bandwidth, gamma, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        select(ladder, bandwidth, gamma)
+
+
 class TestAdaptiveGamma:
     def test_bands(self):
         assert adaptive_gamma(100.0) == 1.5
@@ -116,6 +127,14 @@ class TestModes:
     def test_gamma_floor(self):
         with pytest.raises(ValueError):
             EnergyMode(ModeKind.CUSTOM, 0.9)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            custom_mode(gamma)
+
+    def test_gamma_is_stored_as_a_float(self):
+        assert repr(custom_mode(2).gamma) == "2.0"
 
     def test_labels(self):
         assert off_mode().label == "off"

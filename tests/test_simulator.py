@@ -111,6 +111,13 @@ class TestBattery:
         with pytest.raises(ValueError):
             BatteryConfig(capacity_mah=100.0, reference_current_ma=100.0, initial_soc=0.0)
 
+    @pytest.mark.parametrize("field", ["capacity_mah", "reference_current_ma", "initial_soc"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_battery_fields_rejected(self, field, value):
+        fields = {"capacity_mah": 100.0, "reference_current_ma": 100.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BatteryConfig(**fields)
+
 
 class TestAdaptive:
     def test_requires_battery(self, ladder, overall):

@@ -62,27 +62,21 @@ from .model import (
     spearman,
 )
 from .policy import (
-    LIGHT_GAMMA,
-    MEDIUM_GAMMA,
-    STRICT_GAMMA,
+    FIXED_GAMMAS,
     AdaptiveConfig,
     EnergyMode,
-    ModeKind,
     PolicyDecision,
     adaptive_gamma,
     adaptive_mode,
-    baseline_select,
     custom_mode,
     light_mode,
     medium_mode,
     off_mode,
-    parse_mode,
     select,
     strict_mode,
 )
 from .prng import Lcg64
 from .simulator import (
-    DEFAULT_SEGMENT_DURATION_S,
     PERCEPTIBLE_VMAF_DELTA,
     BatteryConfig,
     ComparisonRow,
@@ -137,17 +131,12 @@ __all__ = [
     "spearman",
     "r_squared",
     # policy
-    "LIGHT_GAMMA",
-    "MEDIUM_GAMMA",
-    "STRICT_GAMMA",
-    "ModeKind",
+    "FIXED_GAMMAS",
     "AdaptiveConfig",
     "EnergyMode",
     "PolicyDecision",
     "adaptive_gamma",
     "select",
-    "baseline_select",
-    "parse_mode",
     "off_mode",
     "light_mode",
     "medium_mode",
@@ -166,7 +155,6 @@ __all__ = [
     "serialize_trace",
     "Lcg64",
     # simulator
-    "DEFAULT_SEGMENT_DURATION_S",
     "PERCEPTIBLE_VMAF_DELTA",
     "BatteryConfig",
     "QualityMap",

@@ -61,8 +61,3 @@ def parse_float(cell: str, line_no: int, name: str) -> float:
         raise ParseError(f"line {line_no}: {name} must be finite, got {cell!r}")
     return value
 
-
-def require_positive(value: float, line_no: int, name: str) -> float:
-    if value <= 0:
-        raise ParseError(f"line {line_no}: {name} must be positive, got {value}")
-    return value

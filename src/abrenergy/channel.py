@@ -35,8 +35,9 @@ TRACE_HEADER = ["period", "bandwidth_bps"]
 class ChannelTrace:
     """Bandwidth per period, each period lasting ``period_duration`` seconds.
 
-    Bandwidths are stored as a tuple of floats; each must be positive and
-    finite.
+    The period duration is the segment duration of a session over the
+    trace.  It and the bandwidths are stored as floats and must be positive
+    and finite; the bandwidths as a tuple.
     """
 
     period_duration: float
@@ -55,6 +56,7 @@ class ChannelTrace:
             i, bandwidth = int(bad[0]), float(values[bad[0]])
             rule = "finite" if not math.isfinite(bandwidth) else "positive"
             raise ValueError(f"period {i}: bandwidth must be {rule}, got {bandwidth}")
+        object.__setattr__(self, "period_duration", float(self.period_duration))
         object.__setattr__(self, "bandwidths", tuple(values.tolist()))
 
     @cached_property

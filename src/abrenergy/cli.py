@@ -29,15 +29,7 @@ from .channel import (
 from .ladder import parse_ladder
 from .measurements import group_records, load_records, normalize, reference_consumption
 from .model import FitError, ModelParams, fit, preset
-from .policy import (
-    AdaptiveConfig,
-    adaptive_mode,
-    light_mode,
-    medium_mode,
-    off_mode,
-    parse_mode,
-    strict_mode,
-)
+from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
 from .simulator import (
     BatteryConfig,
     SessionReport,
@@ -101,7 +93,7 @@ def parse_channel_spec(
     ``random[:values=<...>,block=<n>,seed=<n>]``, ``trace:<path>``.
     Bandwidths accept k/M/G suffixes.  Generated kinds default to 360
     periods; a trace file supplies its own length (``--segments`` may
-    truncate it).
+    truncate it).  ``n_segments``, when given, must be at least 1.
 
     Returns:
         (trace, descriptor) where the descriptor echoes the resolved
@@ -110,6 +102,8 @@ def parse_channel_spec(
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     rest = rest.strip()
+    if n_segments is not None and n_segments < 1:
+        raise ValueError(f"--segments must be at least 1, got {n_segments}")
     count = n_segments if n_segments is not None else DEFAULT_SEGMENTS
     if kind == "constant":
         if not rest:
@@ -160,25 +154,29 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
     if spec.lower().startswith("fit:"):
         ref = spec[4:]
         path, _, combination = ref.partition("#")
-        fits = json.loads(Path(path).read_text())["fits"]
-        if combination:
-            matches = [f for f in fits if f["combination"] == combination]
-            if not matches:
+        try:
+            fits = json.loads(Path(path).read_text())["fits"]
+            if combination:
+                matches = [f for f in fits if f["combination"] == combination]
+                if not matches:
+                    known = ", ".join(f["combination"] for f in fits)
+                    raise ValueError(
+                        f"no fit for combination {combination!r} in {path!r};"
+                        f" available: {known}"
+                    )
+                entry = matches[0]
+            elif len(fits) == 1:
+                entry = fits[0]
+            else:
                 known = ", ".join(f["combination"] for f in fits)
                 raise ValueError(
-                    f"no fit for combination {combination!r} in {path!r}; available: {known}"
+                    f"{path!r} holds {len(fits)} fits; select one with"
+                    f" fit:{path}#<combination> (available: {known})"
                 )
-            entry = matches[0]
-        elif len(fits) == 1:
-            entry = fits[0]
-        else:
-            known = ", ".join(f["combination"] for f in fits)
-            raise ValueError(
-                f"{path!r} holds {len(fits)} fits; select one with"
-                f" fit:{path}#<combination> (available: {known})"
-            )
-        params = ModelParams(entry["a"], entry["b"], entry["c"])
-        return params, {"source": "fit", "path": path, "combination": entry["combination"]}
+            params = ModelParams(entry["a"], entry["b"], entry["c"])
+            return params, {"source": "fit", "path": path, "combination": entry["combination"]}
+        except KeyError as exc:
+            raise ValueError(f"fit file {path!r} is missing key {exc}") from None
     if "=" in spec:
         fields = {}
         for token in spec.split(","):
@@ -292,12 +290,25 @@ def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    mode_name = args.mode.strip().lower()
+    if args.gamma is not None and mode_name != "custom":
+        raise ValueError("--gamma applies to --mode custom only")
+    if args.per_segment and mode_name == "all":
+        raise ValueError("--per-segment applies to single-mode runs only")
+    if args.csv and mode_name != "all":
+        raise ValueError("--csv applies to --mode all only")
     ladder = parse_ladder(Path(args.ladder).read_text())
     trace, channel_desc = parse_channel_spec(args.channel, args.segments, args.segment_duration)
     params, params_desc = parse_params_spec(args.params)
     battery = _battery_from_args(args)
     quality = load_quality_map(Path(args.quality).read_text()) if args.quality else None
     adaptive = AdaptiveConfig(args.adaptive_high, args.adaptive_low)
+    if mode_name == "all":
+        modes = [EnergyMode(kind) for kind in FIXED_GAMMAS]
+        if battery is not None:
+            modes.append(adaptive_mode(adaptive))
+    else:
+        modes = [EnergyMode(args.mode, args.gamma, adaptive if mode_name == "adaptive" else None)]
 
     config = {
         "ladder": args.ladder,
@@ -323,14 +334,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         header = "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
         _write_text(header + serialize_trace(trace), args.dump_trace)
 
-    mode_name = args.mode.strip().lower()
     if mode_name == "all":
-        modes = [off_mode(), light_mode(), medium_mode(), strict_mode()]
-        skipped = []
-        if battery is not None:
-            modes.append(adaptive_mode(adaptive))
-        else:
-            skipped.append("adaptive: battery not configured")
         reports = [
             run_session(
                 ladder,
@@ -339,7 +343,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 params,
                 battery=battery,
                 quality=quality,
-                segment_duration=args.segment_duration,
                 include_segments=False,  # the comparison needs only the aggregates
             )
             for mode in modes
@@ -349,8 +352,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "provenance": provenance,
             "comparison": table.to_json_dict(),
         }
-        if skipped:
-            payload["skipped"] = skipped
+        if battery is None:
+            payload["skipped"] = ["adaptive: battery not configured"]
         _write_json(payload, args.output)
         if args.csv:
             _write_text(table.to_csv(provenance), args.csv)
@@ -359,18 +362,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"{row.mode_label:>18}: {row.energy_pct:7.2f}% energy")
         return 0
 
-    if args.gamma is not None and mode_name != "custom":
-        raise ValueError("--gamma applies to --mode custom only")
-    mode = parse_mode(args.mode, gamma=args.gamma, adaptive=adaptive)
-    report = run_session(
-        ladder,
-        trace,
-        mode,
-        params,
-        battery=battery,
-        quality=quality,
-        segment_duration=args.segment_duration,
-    )
+    report = run_session(ladder, trace, modes[0], params, battery=battery, quality=quality)
     payload = {"provenance": provenance, "report": report.to_json_dict()}
     _write_json(payload, args.output)
     if args.per_segment:

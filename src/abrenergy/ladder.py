@@ -51,9 +51,14 @@ class Representation:
         if not self.name:
             raise ValueError("representation name must be non-empty")
         if self.bitrate <= 0:
-            raise ValueError(f"representation {self.name!r}: bitrate must be positive")
+            raise ValueError(
+                f"representation {self.name!r}: bitrate must be positive, got {self.bitrate}"
+            )
         if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"representation {self.name!r}: dimensions must be positive")
+            raise ValueError(
+                f"representation {self.name!r}: dimensions must be positive,"
+                f" got {self.width}x{self.height}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,37 +126,28 @@ def parse_ladder(text: str) -> QualityLadder:
     names: dict[str, int] = {}
     bitrates: dict[int, int] = {}
     for line_no, cells in data_rows(text, LADDER_HEADER):
-        name = cells[0]
-        if not name:
-            raise ParseError(f"line {line_no}: name must be non-empty")
         width = parse_int(cells[1], line_no, "width")
         height = parse_int(cells[2], line_no, "height")
         bitrate = parse_int(cells[4], line_no, "bitrate_bps")
-        if width <= 0 or height <= 0:
-            raise ParseError(f"line {line_no}: dimensions must be positive")
-        if bitrate <= 0:
-            raise ParseError(f"line {line_no}: bitrate_bps must be positive, got {bitrate}")
-        if name in names:
+        try:
+            rep = Representation(
+                cells[0], width, height, cells[3], bitrate, normalize_codec(cells[5])
+            )
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
+        if rep.name in names:
             raise ParseError(
-                f"line {line_no}: duplicate name {name!r} (first seen on line {names[name]})"
+                f"line {line_no}: duplicate name {rep.name!r}"
+                f" (first seen on line {names[rep.name]})"
             )
         if bitrate in bitrates:
             raise ParseError(
                 f"line {line_no}: duplicate bitrate {bitrate}"
                 f" (first seen on line {bitrates[bitrate]})"
             )
-        names[name] = line_no
+        names[rep.name] = line_no
         bitrates[bitrate] = line_no
-        reps.append(
-            Representation(
-                name=name,
-                width=width,
-                height=height,
-                label=cells[3],
-                bitrate=bitrate,
-                codec=normalize_codec(cells[5]),
-            )
-        )
+        reps.append(rep)
     if not reps:
         raise ParseError("ladder contains no representations")
     reps.sort(key=lambda rep: rep.bitrate)

@@ -13,7 +13,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ._csvio import ParseError, data_rows, parse_float, require_positive
+from ._csvio import ParseError, data_rows, parse_float
 from .ladder import normalize_codec
 
 WIFI = "WIFI"
@@ -77,12 +77,11 @@ class MeasurementRecord:
     avg_current: float
 
     def __post_init__(self) -> None:
-        if self.bitrate <= 0:
-            raise ValueError("bitrate must be positive")
-        if self.avg_bandwidth <= 0:
-            raise ValueError("avg_bandwidth must be positive")
-        if self.avg_current <= 0:
-            raise ValueError("avg_current must be positive")
+        if not self.device:
+            raise ValueError("device must be non-empty")
+        for name in ("bitrate", "avg_bandwidth", "avg_current"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def combination(self) -> Combination:
@@ -118,29 +117,23 @@ def load_records(text: str) -> list[MeasurementRecord]:
     """Parse measurement CSV rows, rejecting malformed input with line numbers."""
     records = []
     for line_no, cells in data_rows(text, MEASUREMENT_HEADER):
-        device = cells[0]
-        if not device:
-            raise ParseError(f"line {line_no}: device must be non-empty")
-        bitrate = require_positive(
-            parse_float(cells[4], line_no, "bitrate_bps"), line_no, "bitrate_bps"
-        )
-        bandwidth = require_positive(
-            parse_float(cells[5], line_no, "avg_bandwidth_bps"), line_no, "avg_bandwidth_bps"
-        )
-        current = require_positive(
-            parse_float(cells[6], line_no, "avg_current_ma"), line_no, "avg_current_ma"
-        )
-        records.append(
-            MeasurementRecord(
-                device=device,
-                connection=normalize_connection(cells[1]),
-                codec=normalize_codec(cells[2]),
-                resolution=cells[3],
-                bitrate=bitrate,
-                avg_bandwidth=bandwidth,
-                avg_current=current,
+        bitrate = parse_float(cells[4], line_no, "bitrate_bps")
+        bandwidth = parse_float(cells[5], line_no, "avg_bandwidth_bps")
+        current = parse_float(cells[6], line_no, "avg_current_ma")
+        try:
+            records.append(
+                MeasurementRecord(
+                    device=cells[0],
+                    connection=normalize_connection(cells[1]),
+                    codec=normalize_codec(cells[2]),
+                    resolution=cells[3],
+                    bitrate=bitrate,
+                    avg_bandwidth=bandwidth,
+                    avg_current=current,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
     return records
 
 

@@ -64,6 +64,17 @@ def evaluate(params: ModelParams, bw_rel: float) -> float:
     return params.a * math.exp(-params.b * bw_rel) + params.c
 
 
+def evaluate_array(params: ModelParams, bw_rel: np.ndarray) -> np.ndarray:
+    """``evaluate`` over an array, called once per distinct relative bandwidth.
+
+    Every value goes through the scalar model (``math.exp``); ``np.exp``
+    rounds differently in the last place for a few percent of inputs and
+    would change the artifacts.
+    """
+    distinct, inverse = np.unique(bw_rel, return_inverse=True)
+    return np.array([evaluate(params, x) for x in distinct.tolist()], dtype=float)[inverse]
+
+
 #: Fitted presets per handset (SPA/SPB/SPC), radio link, and codec, plus a
 #: pooled "overall" preset.  All share floor c = 1.
 PRESETS: dict[str, ModelParams] = {
@@ -319,7 +330,7 @@ def fit(
             " far out on the curve; fix the floor instead"
         )
     params = ModelParams(a=a, b=b, c=c)
-    predicted = np.array([evaluate(params, float(v)) for v in bw])
+    predicted = evaluate_array(params, bw)
     diagnostics: list[str] = []
     if not converged:
         diagnostics.append(f"stopped after {max_iterations} iterations without convergence")

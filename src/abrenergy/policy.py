@@ -10,23 +10,17 @@ battery state of charge.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 
 from .ladder import QualityLadder, Representation
 
-LIGHT_GAMMA = 1.5
-MEDIUM_GAMMA = 2.0
-STRICT_GAMMA = 4.0
+#: The intensity of each fixed mode, in the order ``--mode all`` runs them;
+#: the adaptive mode uses light, medium and strict as its bands.
+FIXED_GAMMAS = {"off": 1.0, "light": 1.5, "medium": 2.0, "strict": 4.0}
 
-
-class ModeKind(str, Enum):
-    OFF = "off"
-    LIGHT = "light"
-    MEDIUM = "medium"
-    STRICT = "strict"
-    ADAPTIVE = "adaptive"
-    CUSTOM = "custom"
+# the adaptive mode's gamma field is a placeholder: gamma_for picks the band
+_TABLE_GAMMAS = {**FIXED_GAMMAS, "adaptive": 1.0}
 
 
 @dataclass(frozen=True)
@@ -54,10 +48,10 @@ def adaptive_gamma(soc: float, config: AdaptiveConfig = AdaptiveConfig()) -> flo
     if not 0.0 <= soc <= 100.0:
         raise ValueError(f"soc must be within [0, 100], got {soc}")
     if soc > config.high_threshold:
-        return LIGHT_GAMMA
+        return FIXED_GAMMAS["light"]
     if soc > config.low_threshold:
-        return MEDIUM_GAMMA
-    return STRICT_GAMMA
+        return FIXED_GAMMAS["medium"]
+    return FIXED_GAMMAS["strict"]
 
 
 def _check_gamma(gamma: float) -> None:
@@ -69,85 +63,82 @@ def _check_gamma(gamma: float) -> None:
 
 @dataclass(frozen=True)
 class EnergyMode:
-    """A named request mode; ``gamma`` applies to every fixed-intensity kind.
+    """A request mode: a fixed intensity from ``FIXED_GAMMAS``, a custom one,
+    or the adaptive schedule.
 
-    ``gamma`` is stored as a float and must be finite and at least 1.
+    ``kind`` is ``off``, ``light``, ``medium``, ``strict``, ``custom`` or
+    ``adaptive``, matched after stripping and lowercasing.  A fixed kind
+    takes its gamma from ``FIXED_GAMMAS`` and rejects any other value;
+    ``custom`` requires a gamma, finite and at least 1; ``adaptive`` stores
+    gamma 1.0 and defaults its thresholds, which no other kind accepts.
+    ``gamma`` is stored as a float.
     """
 
-    kind: ModeKind
-    gamma: float = 1.0
+    kind: str
+    gamma: float | None = None
     adaptive: AdaptiveConfig | None = None
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if self.kind is ModeKind.ADAPTIVE and self.adaptive is None:
-            object.__setattr__(self, "adaptive", AdaptiveConfig())
+        kind = self.kind.strip().lower()
+        gamma = self.gamma
+        if kind in _TABLE_GAMMAS:
+            if gamma is not None and gamma != _TABLE_GAMMAS[kind]:
+                raise ValueError(f"{kind} mode has gamma {_TABLE_GAMMAS[kind]}, got {gamma}")
+            gamma = _TABLE_GAMMAS[kind]
+        elif kind != "custom":
+            raise ValueError(
+                f"unknown mode {self.kind!r};"
+                " expected off, light, medium, strict, adaptive or custom"
+            )
+        elif gamma is None:
+            raise ValueError("custom mode requires an explicit gamma")
+        _check_gamma(gamma)
+        adaptive = self.adaptive
+        if kind == "adaptive":
+            adaptive = adaptive or AdaptiveConfig()
+        elif adaptive is not None:
+            raise ValueError(f"{kind} mode takes no adaptive thresholds")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "adaptive", adaptive)
 
     @property
     def label(self) -> str:
-        if self.kind is ModeKind.CUSTOM:
+        if self.kind == "custom":
             return f"custom(gamma={self.gamma:g})"
-        return self.kind.value
+        return self.kind
 
     def gamma_for(self, soc: float | None) -> float:
-        """Effective intensity for a segment; adaptive kinds need the SoC."""
-        if self.kind is ModeKind.ADAPTIVE:
+        """Effective intensity for a segment; the adaptive kind needs the SoC."""
+        if self.adaptive is not None:
             if soc is None:
                 raise ValueError("adaptive mode requires a battery state of charge")
-            assert self.adaptive is not None
             return adaptive_gamma(soc, self.adaptive)
         return self.gamma
 
 
 def off_mode() -> EnergyMode:
-    return EnergyMode(ModeKind.OFF, 1.0)
+    return EnergyMode("off")
 
 
 def light_mode() -> EnergyMode:
-    return EnergyMode(ModeKind.LIGHT, LIGHT_GAMMA)
+    return EnergyMode("light")
 
 
 def medium_mode() -> EnergyMode:
-    return EnergyMode(ModeKind.MEDIUM, MEDIUM_GAMMA)
+    return EnergyMode("medium")
 
 
 def strict_mode() -> EnergyMode:
-    return EnergyMode(ModeKind.STRICT, STRICT_GAMMA)
+    return EnergyMode("strict")
 
 
 def adaptive_mode(config: AdaptiveConfig | None = None) -> EnergyMode:
-    return EnergyMode(ModeKind.ADAPTIVE, 1.0, config or AdaptiveConfig())
+    return EnergyMode("adaptive", adaptive=config)
 
 
 def custom_mode(gamma: float) -> EnergyMode:
-    return EnergyMode(ModeKind.CUSTOM, gamma)
-
-
-def parse_mode(
-    name: str,
-    gamma: float | None = None,
-    adaptive: AdaptiveConfig | None = None,
-) -> EnergyMode:
-    """Mode from its case-insensitive name; ``custom`` requires a gamma."""
-    canon = name.strip().lower()
-    if canon == "custom":
-        if gamma is None:
-            raise ValueError("custom mode requires an explicit gamma")
-        return custom_mode(gamma)
-    factories = {
-        "off": off_mode,
-        "light": light_mode,
-        "medium": medium_mode,
-        "strict": strict_mode,
-    }
-    if canon in factories:
-        return factories[canon]()
-    if canon == "adaptive":
-        return adaptive_mode(adaptive)
-    raise ValueError(
-        f"unknown mode {name!r}; expected off, light, medium, strict, adaptive or custom"
-    )
+    return EnergyMode("custom", gamma)
 
 
 @dataclass(frozen=True)
@@ -181,27 +172,10 @@ def select(ladder: QualityLadder, bandwidth: float, gamma: float) -> PolicyDecis
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     _check_gamma(gamma)
     threshold = bandwidth / gamma
-    selected: Representation | None = None
-    candidates = 0
-    for rep in ladder:  # ascending bitrate; the last fit wins
-        if rep.bitrate <= threshold:
-            selected = rep
-            candidates += 1
-    if selected is None:
-        return PolicyDecision(
-            selected=ladder.lowest,
-            threshold=threshold,
-            candidate_set_size=0,
-            fallback_used=True,
-        )
+    candidates = bisect_right(ladder.bitrates, threshold)  # rungs with bitrate <= threshold
     return PolicyDecision(
-        selected=selected,
+        selected=ladder[max(candidates - 1, 0)],
         threshold=threshold,
         candidate_set_size=candidates,
-        fallback_used=False,
+        fallback_used=candidates == 0,
     )
-
-
-def baseline_select(ladder: QualityLadder, bandwidth: float) -> PolicyDecision:
-    """Selection with energy saving off: the full bandwidth is the budget."""
-    return select(ladder, bandwidth, 1.0)

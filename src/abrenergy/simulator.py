@@ -25,10 +25,8 @@ import numpy as np
 from ._csvio import ParseError, data_rows, parse_float
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
-from .model import ModelParams, evaluate
-from .policy import AdaptiveConfig, EnergyMode, ModeKind, PolicyDecision
-
-DEFAULT_SEGMENT_DURATION_S = 6.0
+from .model import ModelParams, evaluate_array
+from .policy import AdaptiveConfig, EnergyMode, PolicyDecision
 
 #: Mean-opinion deltas below this many VMAF points are typically not noticed.
 PERCEPTIBLE_VMAF_DELTA = 6.0
@@ -280,7 +278,7 @@ class SessionReport:
         )
 
     def to_json_dict(self) -> dict:
-        mode_dict: dict = {"kind": self.mode.kind.value, "gamma": self.mode.gamma}
+        mode_dict: dict = {"kind": self.mode.kind, "gamma": self.mode.gamma}
         if self.mode.adaptive is not None:
             mode_dict["adaptive"] = {
                 "high_threshold": self.mode.adaptive.high_threshold,
@@ -342,62 +340,77 @@ class SessionReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SessionReport":
-        mode_dict = data["mode"]
-        adaptive = None
-        if mode_dict.get("adaptive"):
-            adaptive = AdaptiveConfig(
-                high_threshold=mode_dict["adaptive"]["high_threshold"],
-                low_threshold=mode_dict["adaptive"]["low_threshold"],
-            )
-        mode = EnergyMode(ModeKind(mode_dict["kind"]), mode_dict["gamma"], adaptive)
-        ladder = QualityLadder(
-            tuple(
-                Representation(
-                    name=row["name"],
-                    width=row["width"],
-                    height=row["height"],
-                    label=row["label"],
-                    bitrate=row["bitrate_bps"],
-                    codec=row["codec"],
+        """Rebuild a report from ``to_json_dict`` output.
+
+        Raises:
+            ValueError: naming the first missing key, a per-segment rung
+                that is not in the ladder, or a field its type rejects
+                (for example a mode whose gamma contradicts its kind).
+        """
+        try:
+            mode_dict = data["mode"]
+            adaptive = None
+            if mode_dict.get("adaptive"):
+                adaptive = AdaptiveConfig(
+                    high_threshold=mode_dict["adaptive"]["high_threshold"],
+                    low_threshold=mode_dict["adaptive"]["low_threshold"],
                 )
-                for row in data["ladder"]
+            mode = EnergyMode(mode_dict["kind"], mode_dict["gamma"], adaptive)
+            ladder = QualityLadder(
+                tuple(
+                    Representation(
+                        name=row["name"],
+                        width=row["width"],
+                        height=row["height"],
+                        label=row["label"],
+                        bitrate=row["bitrate_bps"],
+                        codec=row["codec"],
+                    )
+                    for row in data["ladder"]
+                )
             )
-        )
-        ctx = data["context"]
-        context = SessionContext(
-            params=ModelParams(ctx["params"]["a"], ctx["params"]["b"], ctx["params"]["c"]),
-            segment_duration=ctx["segment_duration_s"],
-            ladder_digest=ctx["ladder_digest"],
-            trace_digest=ctx["trace_digest"],
-        )
-        segments = None
-        rows = data.get("per_segment")
-        if rows is not None:
-            rung_of = {rep.name: i for i, rep in enumerate(ladder)}
-            socs = [row["soc_after"] for row in rows]
-            segments = SegmentColumns(
-                **{
-                    name: np.array([row[key] for row in rows], dtype=float)
-                    for name, key in _FLOAT_COLUMN_KEYS.items()
-                },
-                rung=np.array([rung_of[row["selected"]] for row in rows], dtype=np.intp),
-                candidates=np.array([row["candidates"] for row in rows], dtype=np.intp),
-                soc_after=None if None in socs else np.array(socs, dtype=float),
+            ctx = data["context"]
+            context = SessionContext(
+                params=ModelParams(ctx["params"]["a"], ctx["params"]["b"], ctx["params"]["c"]),
+                segment_duration=ctx["segment_duration_s"],
+                ladder_digest=ctx["ladder_digest"],
+                trace_digest=ctx["trace_digest"],
             )
-        return cls(
-            mode=mode,
-            context=context,
-            ladder=ladder,
-            n_segments=data["n_segments"],
-            mean_ec_rel=data["mean_ec_rel"],
-            mean_bitrate=data["mean_bitrate_bps"],
-            mean_quality=data["mean_quality"],
-            stall_count=data["stall_count"],
-            fallback_count=data["fallback_count"],
-            final_soc=data["final_soc"],
-            soc_depleted=data["soc_depleted"],
-            segments=segments,
-        )
+            segments = None
+            rows = data.get("per_segment")
+            if rows is not None:
+                rung_of = {rep.name: i for i, rep in enumerate(ladder)}
+                unknown = [row["selected"] for row in rows if row["selected"] not in rung_of]
+                if unknown:
+                    raise ValueError(
+                        f"per_segment selects {unknown[0]!r}, which is not in the ladder"
+                    )
+                socs = [row["soc_after"] for row in rows]
+                segments = SegmentColumns(
+                    **{
+                        name: np.array([row[key] for row in rows], dtype=float)
+                        for name, key in _FLOAT_COLUMN_KEYS.items()
+                    },
+                    rung=np.array([rung_of[row["selected"]] for row in rows], dtype=np.intp),
+                    candidates=np.array([row["candidates"] for row in rows], dtype=np.intp),
+                    soc_after=None if None in socs else np.array(socs, dtype=float),
+                )
+            return cls(
+                mode=mode,
+                context=context,
+                ladder=ladder,
+                n_segments=data["n_segments"],
+                mean_ec_rel=data["mean_ec_rel"],
+                mean_bitrate=data["mean_bitrate_bps"],
+                mean_quality=data["mean_quality"],
+                stall_count=data["stall_count"],
+                fallback_count=data["fallback_count"],
+                final_soc=data["final_soc"],
+                soc_depleted=data["soc_depleted"],
+                segments=segments,
+            )
+        except KeyError as exc:
+            raise ValueError(f"report is missing key {exc}") from None
 
 
 def _fmean(column: np.ndarray) -> float:
@@ -412,17 +425,6 @@ def _mean_scores(ladder: QualityLadder, rung: np.ndarray, quality: QualityMap) -
     }
 
 
-def _price(params: ModelParams, bw_rel: np.ndarray) -> np.ndarray:
-    """``evaluate`` once per distinct relative bandwidth.
-
-    The scalar model (``math.exp``) prices every value; ``np.exp`` rounds
-    differently in the last place for a few percent of inputs and would
-    change the artifacts.
-    """
-    distinct, inverse = np.unique(bw_rel, return_inverse=True)
-    return np.array([evaluate(params, x) for x in distinct.tolist()], dtype=float)[inverse]
-
-
 def run_session(
     ladder: QualityLadder,
     trace: ChannelTrace,
@@ -430,12 +432,12 @@ def run_session(
     params: ModelParams,
     battery: BatteryConfig | None = None,
     quality: QualityMap | None = None,
-    segment_duration: float = DEFAULT_SEGMENT_DURATION_S,
     include_segments: bool = True,
 ) -> SessionReport:
     """Simulate one playback session.
 
-    Each trace period carries one segment request.  The mode's intensity
+    Each trace period carries one segment request, and the trace's period
+    duration is the segment duration.  The mode's intensity
     (re-evaluated per segment for the adaptive kind) budgets the selection;
     the model prices the download at the resulting relative bandwidth; the
     battery, when configured, drains linearly in the modeled current.  The
@@ -450,35 +452,28 @@ def run_session(
 
     Args:
         ladder: requestable representations.
-        trace: per-period available bandwidth; its period duration must
-            equal ``segment_duration``.
+        trace: per-period available bandwidth; its period duration is the
+            segment duration.
         mode: request mode to apply.
         params: consumption model parameters.
         battery: optional battery; required for the adaptive mode.
         quality: optional per-representation scores, validated against the
             ladder up front.
-        segment_duration: seconds of media per segment.
         include_segments: keep the per-segment record on the report.
 
     Returns:
         SessionReport for the segments actually played.
 
     Raises:
-        ValueError: on mismatched durations, adaptive mode without a
-            battery, or quality coverage gaps.
+        ValueError: on adaptive mode without a battery, or quality coverage
+            gaps.
     """
-    if segment_duration <= 0:
-        raise ValueError(f"segment_duration must be positive, got {segment_duration}")
-    if trace.period_duration != segment_duration:
-        raise ValueError(
-            f"trace period duration {trace.period_duration} differs from"
-            f" segment duration {segment_duration}"
-        )
-    if mode.kind is ModeKind.ADAPTIVE and battery is None:
+    if mode.adaptive is not None and battery is None:
         raise ValueError("adaptive mode requires a battery configuration")
     if quality is not None:
         quality.validate_for(ladder)
 
+    segment_duration = trace.period_duration
     bitrates = np.array(ladder.bitrates, dtype=float)
     bandwidth = np.array(trace.bandwidths, dtype=float)
     soc = battery.initial_soc if battery is not None else None
@@ -492,7 +487,7 @@ def run_session(
         candidates = np.searchsorted(bitrates, threshold, side="right")
         rung = np.maximum(candidates - 1, 0)
         bw_rel = bw / bitrates[rung]
-        ec_rel = _price(params, bw_rel)
+        ec_rel = evaluate_array(params, bw_rel)
         end = len(bw)
         soc_after = None
         if battery is not None:

@@ -68,8 +68,8 @@ def scalar_session(
     params: ModelParams,
     battery: BatteryConfig | None = None,
     quality: QualityMap | None = None,
-    segment_duration: float = 6.0,
 ) -> ScalarSession:
+    segment_duration = trace.period_duration
     soc = battery.initial_soc if battery is not None else None
     outcomes: list[SegmentOutcome] = []
     depleted = False

@@ -25,7 +25,6 @@ from abrenergy import (
     QualityMap,
     RelativePoint,
     adaptive_mode,
-    baseline_select,
     compare,
     constant,
     custom_mode,
@@ -299,8 +298,7 @@ def test_08_policy_examples_and_properties(ladder):
             (0.4e6, 1.0, 650_000, True),
         ]
         for bandwidth, gamma, expected, fallback in cases:
-            decision = (baseline_select(ladder, bandwidth) if gamma == 1.0
-                        else select(ladder, bandwidth, gamma))
+            decision = select(ladder, bandwidth, gamma)
             assert decision.selected.bitrate == expected, (bandwidth, gamma)
             assert decision.fallback_used is fallback
 

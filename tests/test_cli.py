@@ -91,6 +91,16 @@ class TestChannelGrammar:
         with pytest.raises(ValueError, match="unknown channel kind"):
             parse_channel_spec("fading:22M", None, 6.0)
 
+    @pytest.mark.parametrize("segments", [0, -1])
+    def test_segments_below_one_exit_two(self, tmp_path, ladder_file, capsys, segments):
+        path = tmp_path / "t.csv"
+        path.write_text("period,bandwidth_bps\n0,1000000\n1,2000000\n2,3000000\n")
+        for channel in (f"trace:{path}", "constant:22M"):
+            assert main(["simulate", "--ladder", ladder_file, "--channel", channel,
+                         "--mode", "off", "--params", "overall",
+                         "--segments", str(segments)]) == 2
+            assert f"--segments must be at least 1, got {segments}" in capsys.readouterr().err
+
 
 class TestSimulateAll:
     def test_comparison_csv_high_capacity(self, tmp_path, ladder_file):
@@ -199,6 +209,20 @@ class TestSimulateSingle:
                 "--params", "overall", "--segments", "5", *flags]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "all", "--gamma", "3"], "--gamma applies to --mode custom only"),
+        (["--mode", "all", "--per-segment", "s.csv"], "--per-segment applies to single-mode"),
+        (["--mode", "off", "--csv", "c.csv"], "--csv applies to --mode all only"),
+    ])
+    def test_ignored_options_exit_two(self, tmp_path, ladder_file, capsys, flags, message):
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        argv = ["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                "--params", "overall", "--segments", "5", "--output",
+                str(tmp_path / "out.json"), *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ladder.csv"]  # nothing written
 
     def test_adaptive_needs_battery(self, ladder_file, capsys):
         code = main([
@@ -350,6 +374,27 @@ class TestCompareCommand:
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
         assert "context" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["mode"].update(gamma=4.0), "off mode has gamma 1.0, got 4.0"),
+        (lambda r: r["mode"].pop("gamma"), "missing key 'gamma'"),
+        (lambda r: r["context"].pop("params"), "missing key 'params'"),
+        (lambda r: r["per_segment"][0].update(selected="8K"), "'8K', which is not in the ladder"),
+    ])
+    def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
+                                               message):
+        base, cand = tmp_path / "off.json", tmp_path / "strict.json"
+        for mode, path in (("off", base), ("strict", cand)):
+            main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                  "--mode", mode, "--params", "overall", "--segments", "5",
+                  "--output", str(path)])
+        payload = json.loads(base.read_text())
+        edit(payload["report"])
+        base.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestErrorPaths:
     def test_missing_file_exits_two(self, capsys):
@@ -372,6 +417,18 @@ class TestErrorPaths:
                      "--mode", "off", "--params", "overall",
                      "--battery-capacity-mah", "1000"]) == 2
         assert "reference-current" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fits, key", [
+        ({"fits": [{"combination": "x", "a": 0.9, "c": 1.0}]}, "'b'"),
+        ({"combinations": []}, "'fits'"),
+    ])
+    def test_malformed_fit_file_exits_two(self, tmp_path, ladder_file, capsys, fits, key):
+        path = tmp_path / "fits.json"
+        path.write_text(json.dumps(fits))
+        assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                     "--mode", "off", "--params", f"fit:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"missing key {key}" in err
 
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit):

@@ -28,12 +28,10 @@ from abrenergy import (
 from scalar_session import scalar_session
 
 
-def assert_matches_scalar(ladder, trace, mode, params, battery=None, quality=None,
-                          segment_duration=6.0) -> SessionReport:
-    report = run_session(ladder, trace, mode, params, battery=battery, quality=quality,
-                         segment_duration=segment_duration)
-    oracle = scalar_session(ladder, trace, mode, params, battery=battery, quality=quality,
-                            segment_duration=segment_duration)
+def assert_matches_scalar(ladder, trace, mode, params, battery=None,
+                          quality=None) -> SessionReport:
+    report = run_session(ladder, trace, mode, params, battery=battery, quality=quality)
+    oracle = scalar_session(ladder, trace, mode, params, battery=battery, quality=quality)
     aggregates = {
         "n_segments": oracle.n_segments,
         "mean_ec_rel": oracle.mean_ec_rel,
@@ -109,14 +107,14 @@ def sessions(draw):
         scores = st.floats(0.0, 100.0)
         quality = QualityMap(vmaf={rep.name: draw(scores) for rep in ladder},
                              psnr={rep.name: draw(scores) for rep in ladder})  # fmt: skip
-    return ladder, trace, mode, params, battery, quality, duration
+    return ladder, trace, mode, params, battery, quality
 
 
 @settings(max_examples=300, deadline=None)
 @given(sessions())
 def test_kernel_equals_the_scalar_loop(session):
-    ladder, trace, mode, params, battery, quality, duration = session
-    report = assert_matches_scalar(ladder, trace, mode, params, battery, quality, duration)
+    ladder, trace, mode, params, battery, quality = session
+    report = assert_matches_scalar(ladder, trace, mode, params, battery, quality)
     if battery is not None:
         socs = [battery.initial_soc] + [o.soc_after for o in report.per_segment]
         assert all(after <= before for before, after in zip(socs, socs[1:]))

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from abrenergy import (
+    FIXED_GAMMAS,
     AdaptiveConfig,
     EnergyMode,
-    ModeKind,
     QualityLadder,
     Representation,
     adaptive_gamma,
-    baseline_select,
+    adaptive_mode,
     custom_mode,
     light_mode,
     medium_mode,
     off_mode,
-    parse_mode,
     select,
     strict_mode,
 )
@@ -45,7 +44,7 @@ def test_fallback_to_lowest_rung(ladder):
 
 
 def test_baseline_uses_full_bandwidth(ladder):
-    decision = baseline_select(ladder, 22e6)
+    decision = select(ladder, 22e6, 1.0)
     assert decision.selected.bitrate == 20_000_000
     assert decision.threshold == 22e6
 
@@ -111,22 +110,40 @@ class TestModes:
         assert strict_mode().gamma == 4.0
 
     def test_parse_is_case_insensitive(self):
-        assert parse_mode("LIGHT") == light_mode()
-        assert parse_mode(" Strict ") == strict_mode()
-        assert parse_mode("adaptive").kind is ModeKind.ADAPTIVE
+        assert EnergyMode("LIGHT") == light_mode()
+        assert EnergyMode(" Strict ") == strict_mode()
+        assert EnergyMode("adaptive").kind == "adaptive"
 
     def test_custom_requires_gamma(self):
-        assert parse_mode("custom", gamma=2.5) == custom_mode(2.5)
+        assert EnergyMode("custom", 2.5) == custom_mode(2.5)
         with pytest.raises(ValueError, match="gamma"):
-            parse_mode("custom")
+            EnergyMode("custom")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            parse_mode("turbo")
+            EnergyMode("turbo")
 
     def test_gamma_floor(self):
         with pytest.raises(ValueError):
-            EnergyMode(ModeKind.CUSTOM, 0.9)
+            EnergyMode("custom", 0.9)
+
+    def test_fixed_kinds_take_the_table_gamma(self):
+        for kind, gamma in FIXED_GAMMAS.items():
+            assert EnergyMode(kind).gamma == gamma
+            assert EnergyMode(kind, gamma) == EnergyMode(kind)
+        assert EnergyMode("adaptive", 1.0) == adaptive_mode()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: EnergyMode("off", 4.0), "off mode has gamma 1.0, got 4.0"),
+        (lambda: EnergyMode("adaptive", 2.0), "adaptive mode has gamma"),
+        (lambda: EnergyMode("light", adaptive=AdaptiveConfig()), "no adaptive thresholds"),
+        (lambda: EnergyMode("custom", 2.0, AdaptiveConfig()), "no adaptive thresholds"),
+        (lambda: EnergyMode("custom"), "custom mode requires an explicit gamma"),
+        (lambda: EnergyMode("turbo"), "unknown mode 'turbo'"),
+    ])
+    def test_contradictory_modes_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
@@ -144,7 +161,7 @@ class TestModes:
         assert medium_mode().gamma_for(None) == 2.0
 
     def test_adaptive_gamma_for_needs_soc(self):
-        mode = parse_mode("adaptive")
+        mode = EnergyMode("adaptive")
         assert mode.gamma_for(90.0) == 1.5
         with pytest.raises(ValueError):
             mode.gamma_for(None)
@@ -188,11 +205,3 @@ def test_selection_is_scale_invariant():
             moved.selected.bitrate
         )
         assert base.fallback_used == moved.fallback_used
-
-
-def test_unit_intensity_matches_baseline():
-    rng = np.random.default_rng(90210)
-    for _ in range(200):
-        lad = _random_ladder(rng)
-        bandwidth = float(rng.uniform(50_000, 40e6))
-        assert select(lad, bandwidth, 1.0) == baseline_select(lad, bandwidth)

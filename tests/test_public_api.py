@@ -1,0 +1,31 @@
+"""The package names the benchmark harness imports must keep existing.
+
+The harness's own self-test is slow and not part of this suite, so a
+removed or renamed public name would otherwise first fail in a benchmark
+run.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_names_imported_by_the_benchmark_exist():
+    imported = [
+        (node.module, alias.name)
+        for source in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "abrenergy"
+        for alias in node.names
+    ]
+    assert imported
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

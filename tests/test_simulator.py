@@ -7,6 +7,7 @@ import json
 import pytest
 
 from abrenergy import (
+    AdaptiveConfig,
     BatteryConfig,
     ModelParams,
     QualityMap,
@@ -15,6 +16,7 @@ from abrenergy import (
     adaptive_mode,
     compare,
     constant,
+    custom_mode,
     light_mode,
     load_quality_map,
     medium_mode,
@@ -66,11 +68,6 @@ class TestRunSession:
         report = run_session(ladder, constant(22e6, 60), light_mode(), overall)
         assert report.stall_count == 0
         assert all(o.download_time <= 6.0 for o in report.per_segment)
-
-    def test_duration_mismatch_rejected(self, ladder, overall):
-        trace = constant(22e6, 10, period_duration=4.0)
-        with pytest.raises(ValueError, match="period duration"):
-            run_session(ladder, trace, off_mode(), overall)
 
     def test_include_segments_false_drops_the_record(self, ladder, overall):
         report = run_session(ladder, constant(22e6, 10), off_mode(), overall,
@@ -238,6 +235,17 @@ class TestReportSerialization:
             json.loads(json.dumps(report.to_json_dict()))
         )
         assert rebuilt == report
+
+    @pytest.mark.parametrize("mode", [off_mode(), light_mode(), medium_mode(), strict_mode(),
+                                      adaptive_mode(AdaptiveConfig(80.0, 20.0)),
+                                      custom_mode(2.5)])  # fmt: skip
+    def test_every_kind_round_trips(self, ladder, overall, mode):
+        battery = BatteryConfig(capacity_mah=2000.0, reference_current_ma=900.0)
+        report = run_session(ladder, constant(7e6, 12, period_duration=4.0), mode, overall,
+                             battery=battery)
+        data = json.loads(json.dumps(report.to_json_dict()))
+        assert data["context"]["segment_duration_s"] == 4.0
+        assert SessionReport.from_json_dict(data) == report
 
     def test_runs_are_deterministic(self, ladder, overall):
         trace = random_blocks([1e6, 7e6, 22e6], 120, seed=9)

@@ -90,81 +90,3 @@ from .simulator import (
     load_quality_map,
     run_session,
 )
-
-__all__ = [
-    "__version__",
-    "ParseError",
-    # ladder
-    "AVC",
-    "HEVC",
-    "LADDER_HEADER",
-    "DEFAULT_GAP_RATIO",
-    "Representation",
-    "QualityLadder",
-    "normalize_codec",
-    "parse_ladder",
-    "serialize_ladder",
-    "validate_ladder",
-    # measurements
-    "WIFI",
-    "LTE_4G",
-    "NR_5G",
-    "MEASUREMENT_HEADER",
-    "Combination",
-    "MeasurementRecord",
-    "RelativePoint",
-    "load_records",
-    "normalize",
-    "normalize_connection",
-    "group_records",
-    "reference_consumption",
-    "resolution_rank",
-    # model
-    "PRESETS",
-    "ModelParams",
-    "FitResult",
-    "FitError",
-    "evaluate",
-    "fit",
-    "preset",
-    "pearson",
-    "spearman",
-    "r_squared",
-    # policy
-    "FIXED_GAMMAS",
-    "AdaptiveConfig",
-    "EnergyMode",
-    "PolicyDecision",
-    "adaptive_gamma",
-    "select",
-    "off_mode",
-    "light_mode",
-    "medium_mode",
-    "strict_mode",
-    "adaptive_mode",
-    "custom_mode",
-    # channel
-    "DEFAULT_PERIOD_S",
-    "DEFAULT_BANDWIDTH_VALUES",
-    "DEFAULT_BLOCK_LEN",
-    "ChannelTrace",
-    "constant",
-    "staircase",
-    "random_blocks",
-    "load_trace",
-    "serialize_trace",
-    "Lcg64",
-    # simulator
-    "PERCEPTIBLE_VMAF_DELTA",
-    "BatteryConfig",
-    "QualityMap",
-    "load_quality_map",
-    "SegmentColumns",
-    "SegmentOutcome",
-    "SessionContext",
-    "SessionReport",
-    "ComparisonRow",
-    "ComparisonTable",
-    "run_session",
-    "compare",
-]

@@ -31,14 +31,20 @@ from .measurements import group_records, load_records, normalize, reference_cons
 from .model import FitError, ModelParams, fit, preset
 from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
 from .simulator import (
+    PARAMS_FIELDS,
     BatteryConfig,
     SessionReport,
+    check_types,
     compare,
     load_quality_map,
+    read_fields,
     run_session,
 )
 
 DEFAULT_SEGMENTS = 360
+
+_FIT_FILE_FIELDS = (("fits", "fits", (list,)),)
+_FIT_FIELDS = (("combination", "combination", (str,)), *PARAMS_FIELDS)
 
 _BANDWIDTH_RE = re.compile(r"([0-9]*\.?[0-9]+)([kKmMgG]?)")
 _SCALES = {"": 1.0, "k": 1e3, "m": 1e6, "g": 1e9}
@@ -155,7 +161,8 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
         ref = spec[4:]
         path, _, combination = ref.partition("#")
         try:
-            fits = json.loads(Path(path).read_text())["fits"]
+            document = read_fields(_FIT_FILE_FIELDS, json.loads(Path(path).read_text()), path)
+            fits = [read_fields(_FIT_FIELDS, fit, "fit") for fit in document["fits"]]
             if combination:
                 matches = [f for f in fits if f["combination"] == combination]
                 if not matches:
@@ -277,6 +284,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
     given = (args.battery_capacity_mah is not None, args.reference_current_ma is not None)
     if not any(given):
+        if args.initial_soc is not None:
+            raise ValueError("--initial-soc applies only with a battery configured")
         return None
     if not all(given):
         raise ValueError(
@@ -285,7 +294,7 @@ def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
     return BatteryConfig(
         capacity_mah=args.battery_capacity_mah,
         reference_current_ma=args.reference_current_ma,
-        initial_soc=args.initial_soc,
+        initial_soc=100.0 if args.initial_soc is None else args.initial_soc,
     )
 
 
@@ -297,12 +306,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--per-segment applies to single-mode runs only")
     if args.csv and mode_name != "all":
         raise ValueError("--csv applies to --mode all only")
+    battery = _battery_from_args(args)
+    high, low = args.adaptive_high, args.adaptive_low
+    runs_adaptive = mode_name == "adaptive" or (mode_name == "all" and battery is not None)
+    if not runs_adaptive and (high is not None or low is not None):
+        flag = "--adaptive-high" if high is not None else "--adaptive-low"
+        raise ValueError(f"{flag} applies only when an adaptive mode runs")
+    adaptive = AdaptiveConfig(70.0 if high is None else high, 30.0 if low is None else low)
     ladder = parse_ladder(Path(args.ladder).read_text())
     trace, channel_desc = parse_channel_spec(args.channel, args.segments, args.segment_duration)
     params, params_desc = parse_params_spec(args.params)
-    battery = _battery_from_args(args)
     quality = load_quality_map(Path(args.quality).read_text()) if args.quality else None
-    adaptive = AdaptiveConfig(args.adaptive_high, args.adaptive_low)
     if mode_name == "all":
         modes = [EnergyMode(kind) for kind in FIXED_GAMMAS]
         if battery is not None:
@@ -366,25 +380,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     payload = {"provenance": provenance, "report": report.to_json_dict()}
     _write_json(payload, args.output)
     if args.per_segment:
-        lines = ["# provenance: " + json.dumps(provenance, separators=(",", ":"))]
-        lines.append(
-            "segment,bandwidth_bps,gamma,selected,selected_bitrate_bps,threshold_bps,"
-            "candidates,fallback,stalled,bw_rel,ec_rel,download_time_s,soc_after"
-        )
-        for (index, bw, gamma, rep, threshold, count, fallback, stalled, bw_rel, ec_rel, dt,
-             soc) in report.segment_rows():  # fmt: skip
-            lines.append(
-                f"{index},{bw!r},{gamma!r},{rep.name},{rep.bitrate},{threshold!r},{count},"
-                f"{int(fallback)},{int(stalled)},{bw_rel!r},{ec_rel!r},{dt!r},"
-                f"{'' if soc is None else repr(soc)}"
-            )
-        _write_text("\n".join(lines) + "\n", args.per_segment)
+        _write_text(report.to_csv(provenance), args.per_segment)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     def load_report(path: str) -> tuple[SessionReport, dict]:
         payload = json.loads(Path(path).read_text())
+        check_types(path, [payload], (dict,))
         data = payload.get("report", payload)
         return SessionReport.from_json_dict(data), payload.get("provenance", {})
 
@@ -483,19 +486,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         help="current drawn at relative consumption 1.0",
     )
-    p_sim.add_argument(
-        "--initial-soc", type=float, default=100.0, help="starting state of charge (default 100)"
-    )
+    p_sim.add_argument("--initial-soc", type=float, help="starting state of charge (default 100)")
     p_sim.add_argument(
         "--adaptive-high",
         type=float,
-        default=70.0,
         help="adaptive mode: SoC above this uses the light intensity (default 70)",
     )
     p_sim.add_argument(
         "--adaptive-low",
         type=float,
-        default=30.0,
         help="adaptive mode: SoC at or below this uses the strict intensity (default 30)",
     )
     p_sim.add_argument("--quality", help="per-representation quality CSV")

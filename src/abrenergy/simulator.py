@@ -16,9 +16,9 @@ import io
 import json
 import math
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from types import NoneType
 
 import numpy as np
 
@@ -194,15 +194,148 @@ class SegmentColumns:
 
 _COLUMN_NAMES = tuple(f.name for f in fields(SegmentColumns))
 
-#: JSON key of each float column of the per-segment record.
-_FLOAT_COLUMN_KEYS = {
-    "bandwidth": "bandwidth_bps",
-    "gamma": "gamma",
-    "threshold": "threshold_bps",
-    "bw_rel": "bw_rel",
-    "ec_rel": "ec_rel",
-    "download_time": "download_time_s",
-}
+_NUMBER = (float, int)
+
+#: Each saved record as (JSON key, attribute, JSON types accepted), in file order.
+_MODE_FIELDS = (("kind", "kind", (str,)), ("gamma", "gamma", _NUMBER))
+_ADAPTIVE_FIELDS = (
+    ("high_threshold", "high_threshold", _NUMBER),
+    ("low_threshold", "low_threshold", _NUMBER),
+)
+PARAMS_FIELDS = (("a", "a", _NUMBER), ("b", "b", _NUMBER), ("c", "c", _NUMBER))
+_CONTEXT_FIELDS = (  # written after "params", which holds PARAMS_FIELDS
+    ("segment_duration_s", "segment_duration", _NUMBER),
+    ("ladder_digest", "ladder_digest", (str,)),
+    ("trace_digest", "trace_digest", (str,)),
+)
+_LADDER_FIELDS = (
+    ("name", "name", (str,)),
+    ("width", "width", (int,)),
+    ("height", "height", (int,)),
+    ("label", "label", (str,)),
+    ("bitrate_bps", "bitrate", (int,)),
+    ("codec", "codec", (str,)),
+)
+_AGGREGATE_FIELDS = (
+    ("n_segments", "n_segments", (int,)),
+    ("mean_ec_rel", "mean_ec_rel", _NUMBER),
+    ("mean_bitrate_bps", "mean_bitrate", _NUMBER),
+    ("mean_quality", "mean_quality", (dict, NoneType)),
+    ("stall_count", "stall_count", (int,)),
+    ("fallback_count", "fallback_count", (int,)),
+    ("final_soc", "final_soc", (*_NUMBER, NoneType)),
+    ("soc_depleted", "soc_depleted", (bool,)),
+)
+#: The per-segment record in CSV column order, as (CSV header, JSON key or
+#: None for the CSV-only bitrate, SegmentColumns attribute or None for a
+#: column derived from the stored ones, types).  A report is rebuilt from
+#: the stored columns alone, so only their types are checked on reading;
+#: the CSV writer formats every column by its types.
+_SEGMENT_FIELDS = (
+    ("segment", "index", None, (int,)),
+    ("bandwidth_bps", "bandwidth_bps", "bandwidth", _NUMBER),
+    ("gamma", "gamma", "gamma", _NUMBER),
+    ("selected", "selected", "rung", (str,)),
+    ("selected_bitrate_bps", None, None, (int,)),
+    ("threshold_bps", "threshold_bps", "threshold", _NUMBER),
+    ("candidates", "candidates", "candidates", (int,)),
+    ("fallback", "fallback", None, (bool,)),
+    ("stalled", "stalled", None, (bool,)),
+    ("bw_rel", "bw_rel", "bw_rel", _NUMBER),
+    ("ec_rel", "ec_rel", "ec_rel", _NUMBER),
+    ("download_time_s", "download_time_s", "download_time", _NUMBER),
+    ("soc_after", "soc_after", "soc_after", (*_NUMBER, NoneType)),
+)
+
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+                    NoneType: "null", dict: "an object", list: "an array"}  # fmt: skip
+
+
+def check_types(key: str, values: Iterable, types: tuple[type, ...]) -> set[type]:
+    """The types found among ``values``, each of which must be in ``types``.
+
+    Types are matched exactly, so ``true`` is not an integer.
+
+    Raises:
+        ValueError: naming ``key`` and the JSON types it accepts.
+    """
+    found = set(map(type, values))
+    wrong = found.difference(types)
+    if wrong:
+        raise ValueError(
+            f"{key!r} must be {' or '.join(_JSON_TYPE_NAMES[t] for t in types)}, got"
+            f" {' and '.join(sorted(_JSON_TYPE_NAMES.get(t, t.__name__) for t in wrong))}"
+        )
+    return found
+
+
+def read_fields(table: tuple, record: object, name: str) -> dict:
+    """The values of one saved record by attribute, each checked against its table entry.
+
+    Raises:
+        KeyError: for a key the record lacks.
+        ValueError: when the record is not a JSON object (naming ``name``),
+            or naming a key whose value has a type the table does not accept
+            or is a non-finite number.
+    """
+    check_types(name, [record], (dict,))
+    values = {}
+    for key, attr, types in table:
+        value = values[attr] = record[key]
+        check_types(key, [value], types)
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{key!r} must be finite, got {value}")
+    return values
+
+
+def _write_fields(table: tuple, obj: object) -> dict:
+    """One record's attributes under their JSON keys, in table order."""
+    return {key: getattr(obj, attr) for key, attr, _ in table}
+
+
+def _read_segments(rows: object, ladder: QualityLadder, n_segments: int) -> SegmentColumns:
+    """The per-segment record of a saved report, checked column by column."""
+    check_types("per_segment", [rows], (list,))
+    check_types("per_segment row", rows, (dict,))
+    if len(rows) != n_segments:
+        raise ValueError(f"per_segment holds {len(rows)} rows, but n_segments is {n_segments}")
+    rung_of = {rep.name: i for i, rep in enumerate(ladder)}
+    columns: dict[str, np.ndarray | None] = {}
+    for _, key, attr, types in _SEGMENT_FIELDS:
+        if attr is None:
+            continue
+        values = [row[key] for row in rows]
+        found = check_types(key, values, types)
+        if attr == "rung":
+            try:
+                columns[attr] = np.array([rung_of[name] for name in values], dtype=np.intp)
+            except KeyError as exc:
+                raise ValueError(
+                    f"per_segment selects {exc.args[0]!r}, which is not in the ladder"
+                ) from None
+        elif found == {NoneType}:
+            columns[attr] = None
+        elif NoneType in found:
+            raise ValueError(f"{key!r} mixes null and numbers")
+        else:
+            column = columns[attr] = np.array(values, dtype=float if float in types else np.intp)
+            if not np.isfinite(column).all():
+                raise ValueError(f"{key!r} must be finite")
+    return SegmentColumns(**columns)
+
+
+def _provenance_comment(provenance: dict | None) -> str:
+    if provenance is None:
+        return ""
+    return "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
+
+
+def _csv_cells(column: Sequence, types: tuple[type, ...]) -> Iterable[str]:
+    if bool in types:
+        return map(str, map(int, column))
+    if NoneType in types:
+        return ("" if value is None else repr(value) for value in column)
+    return map(repr if float in types else str, column)
 
 
 @dataclass(frozen=True)
@@ -222,192 +355,123 @@ class SessionReport:
     soc_depleted: bool
     segments: SegmentColumns | None
 
-    def segment_rows(self) -> Iterator[tuple]:
-        """The per-segment record row by row, as plain Python values.
+    def _segment_values(self) -> dict[str, Sequence]:
+        """Each per-segment column as a list of plain values, by CSV header.
 
-        Each row is ``(index, bandwidth, gamma, selected, threshold,
-        candidates, fallback, stalled, bw_rel, ec_rel, download_time,
-        soc_after)``, with ``selected`` the chosen ``Representation``.
-        Columns go through ``tolist`` so that ``repr`` and JSON see ``float``
-        and ``int``, never numpy scalars.  Nothing is yielded when the
-        report carries no per-segment record.
+        Columns go through ``tolist`` so that ``repr`` and JSON see
+        ``float`` and ``int``, never numpy scalars.
+
+        Raises:
+            ValueError: when the report carries no per-segment record.
         """
         cols = self.segments
         if cols is None:
-            return iter(())
-        reps = self.ladder.representations
-        bitrates = np.array(self.ladder.bitrates, dtype=float)
-        return zip(
-            range(len(cols)),
-            cols.bandwidth.tolist(),
-            cols.gamma.tolist(),
-            [reps[rung] for rung in cols.rung.tolist()],
-            cols.threshold.tolist(),
-            cols.candidates.tolist(),
-            (cols.candidates == 0).tolist(),
-            (bitrates[cols.rung] > cols.bandwidth).tolist(),
-            cols.bw_rel.tolist(),
-            cols.ec_rel.tolist(),
-            cols.download_time.tolist(),
-            cols.soc_after.tolist() if cols.soc_after is not None else repeat(None),
-        )
+            raise ValueError("the report carries no per-segment record")
+        rungs = cols.rung.tolist()
+        names = [rep.name for rep in self.ladder]
+        bitrates = self.ladder.bitrates
+        derived = {
+            "segment": range(len(cols)),
+            "selected": [names[rung] for rung in rungs],
+            "selected_bitrate_bps": [bitrates[rung] for rung in rungs],
+            "fallback": (cols.candidates == 0).tolist(),
+            "stalled": (np.array(bitrates, dtype=float)[cols.rung] > cols.bandwidth).tolist(),
+            "soc_after": [None] * len(cols) if cols.soc_after is None else cols.soc_after.tolist(),
+        }
+        return {
+            header: derived[header] if header in derived else getattr(cols, attr).tolist()
+            for header, _, attr, _ in _SEGMENT_FIELDS
+        }
 
     @property
     def per_segment(self) -> tuple[SegmentOutcome, ...] | None:
         """The per-segment record as objects, built from the columns on each access."""
         if self.segments is None:
             return None
+        v = self._segment_values()
         return tuple(
-            SegmentOutcome(
-                index=index,
-                bandwidth=bw,
-                gamma_used=gamma,
-                decision=PolicyDecision(
-                    selected=rep,
-                    threshold=threshold,
-                    candidate_set_size=count,
-                    fallback_used=fallback,
-                ),
-                bw_rel=bw_rel,
-                ec_rel=ec_rel,
-                download_time=dt,
-                soc_after=soc,
+            SegmentOutcome(index, bw, gamma, PolicyDecision(self.ladder[rung], threshold, count,
+                           count == 0), bw_rel, ec_rel, dt, soc)
+            for index, bw, gamma, rung, threshold, count, bw_rel, ec_rel, dt, soc in zip(
+                v["segment"], v["bandwidth_bps"], v["gamma"], self.segments.rung.tolist(),
+                v["threshold_bps"], v["candidates"], v["bw_rel"], v["ec_rel"],
+                v["download_time_s"], v["soc_after"],
             )
-            for (index, bw, gamma, rep, threshold, count, fallback, _, bw_rel, ec_rel, dt,
-                 soc) in self.segment_rows()
-        )
+        )  # fmt: skip
 
     def to_json_dict(self) -> dict:
-        mode_dict: dict = {"kind": self.mode.kind, "gamma": self.mode.gamma}
+        mode = _write_fields(_MODE_FIELDS, self.mode)
         if self.mode.adaptive is not None:
-            mode_dict["adaptive"] = {
-                "high_threshold": self.mode.adaptive.high_threshold,
-                "low_threshold": self.mode.adaptive.low_threshold,
-            }
+            mode["adaptive"] = _write_fields(_ADAPTIVE_FIELDS, self.mode.adaptive)
         segments = None
         if self.segments is not None:
-            segments = [
-                {
-                    "index": index,
-                    "bandwidth_bps": bw,
-                    "gamma": gamma,
-                    "selected": rep.name,
-                    "threshold_bps": threshold,
-                    "candidates": count,
-                    "fallback": fallback,
-                    "stalled": stalled,
-                    "bw_rel": bw_rel,
-                    "ec_rel": ec_rel,
-                    "download_time_s": dt,
-                    "soc_after": soc,
-                }
-                for (index, bw, gamma, rep, threshold, count, fallback, stalled, bw_rel, ec_rel,
-                     dt, soc) in self.segment_rows()
-            ]
+            values = self._segment_values()
+            keys, columns = zip(*((key, values[h]) for h, key, _, _ in _SEGMENT_FIELDS if key))
+            segments = [dict(zip(keys, row)) for row in zip(*columns)]
         return {
-            "mode": mode_dict,
+            "mode": mode,
             "context": {
-                "params": {
-                    "a": self.context.params.a,
-                    "b": self.context.params.b,
-                    "c": self.context.params.c,
-                },
-                "segment_duration_s": self.context.segment_duration,
-                "ladder_digest": self.context.ladder_digest,
-                "trace_digest": self.context.trace_digest,
+                "params": _write_fields(PARAMS_FIELDS, self.context.params),
+                **_write_fields(_CONTEXT_FIELDS, self.context),
             },
-            "ladder": [
-                {
-                    "name": rep.name,
-                    "width": rep.width,
-                    "height": rep.height,
-                    "label": rep.label,
-                    "bitrate_bps": rep.bitrate,
-                    "codec": rep.codec,
-                }
-                for rep in self.ladder
-            ],
-            "n_segments": self.n_segments,
-            "mean_ec_rel": self.mean_ec_rel,
-            "mean_bitrate_bps": self.mean_bitrate,
-            "mean_quality": self.mean_quality,
-            "stall_count": self.stall_count,
-            "fallback_count": self.fallback_count,
-            "final_soc": self.final_soc,
-            "soc_depleted": self.soc_depleted,
+            "ladder": [_write_fields(_LADDER_FIELDS, rep) for rep in self.ladder],
+            **_write_fields(_AGGREGATE_FIELDS, self),
             "per_segment": segments,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SessionReport":
-        """Rebuild a report from ``to_json_dict`` output.
+    def to_csv(self, provenance: dict | None = None) -> str:
+        """The per-segment record as CSV, one row per segment.
+
+        Booleans are written as 0/1, numbers by ``repr``, and the charge
+        after a segment as an empty cell when no battery was simulated.
 
         Raises:
-            ValueError: naming the first missing key, a per-segment rung
-                that is not in the ladder, or a field its type rejects
-                (for example a mode whose gamma contradicts its kind).
+            ValueError: when the report carries no per-segment record.
+        """
+        values = self._segment_values()
+        cells = [_csv_cells(values[header], types) for header, _, _, types in _SEGMENT_FIELDS]
+        lines = [",".join(header for header, *_ in _SEGMENT_FIELDS), *map(",".join, zip(*cells))]
+        return _provenance_comment(provenance) + "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "SessionReport":
+        """Rebuild a report from ``to_json_dict`` output, checking every value.
+
+        Raises:
+            ValueError: naming the first missing key or the key of a value
+                whose JSON type its field does not accept or that is not
+                finite; on a per-segment record whose length is not
+                ``n_segments`` or that selects a rung not in the ladder; or
+                for a field its type rejects (for example a mode whose gamma
+                contradicts its kind).
         """
         try:
-            mode_dict = data["mode"]
-            adaptive = None
-            if mode_dict.get("adaptive"):
-                adaptive = AdaptiveConfig(
-                    high_threshold=mode_dict["adaptive"]["high_threshold"],
-                    low_threshold=mode_dict["adaptive"]["low_threshold"],
-                )
-            mode = EnergyMode(mode_dict["kind"], mode_dict["gamma"], adaptive)
+            aggregates = read_fields(_AGGREGATE_FIELDS, data, "report")
+            quality = aggregates["mean_quality"]
+            if quality is not None:
+                read_fields(tuple((m, m, _NUMBER) for m in quality), quality, "mean_quality")
+            mode = read_fields(_MODE_FIELDS, data["mode"], "mode")
+            if data["mode"].get("adaptive"):
+                thresholds = read_fields(_ADAPTIVE_FIELDS, data["mode"]["adaptive"], "adaptive")
+                mode["adaptive"] = AdaptiveConfig(**thresholds)
+            context = read_fields(_CONTEXT_FIELDS, data["context"], "context")
+            params = read_fields(PARAMS_FIELDS, data["context"]["params"], "params")
+            check_types("ladder", [data["ladder"]], (list,))
             ladder = QualityLadder(
                 tuple(
-                    Representation(
-                        name=row["name"],
-                        width=row["width"],
-                        height=row["height"],
-                        label=row["label"],
-                        bitrate=row["bitrate_bps"],
-                        codec=row["codec"],
-                    )
+                    Representation(**read_fields(_LADDER_FIELDS, row, "ladder row"))
                     for row in data["ladder"]
                 )
             )
-            ctx = data["context"]
-            context = SessionContext(
-                params=ModelParams(ctx["params"]["a"], ctx["params"]["b"], ctx["params"]["c"]),
-                segment_duration=ctx["segment_duration_s"],
-                ladder_digest=ctx["ladder_digest"],
-                trace_digest=ctx["trace_digest"],
-            )
-            segments = None
             rows = data.get("per_segment")
-            if rows is not None:
-                rung_of = {rep.name: i for i, rep in enumerate(ladder)}
-                unknown = [row["selected"] for row in rows if row["selected"] not in rung_of]
-                if unknown:
-                    raise ValueError(
-                        f"per_segment selects {unknown[0]!r}, which is not in the ladder"
-                    )
-                socs = [row["soc_after"] for row in rows]
-                segments = SegmentColumns(
-                    **{
-                        name: np.array([row[key] for row in rows], dtype=float)
-                        for name, key in _FLOAT_COLUMN_KEYS.items()
-                    },
-                    rung=np.array([rung_of[row["selected"]] for row in rows], dtype=np.intp),
-                    candidates=np.array([row["candidates"] for row in rows], dtype=np.intp),
-                    soc_after=None if None in socs else np.array(socs, dtype=float),
-                )
+            n_segments = aggregates["n_segments"]
+            segments = None if rows is None else _read_segments(rows, ladder, n_segments)
             return cls(
-                mode=mode,
-                context=context,
+                mode=EnergyMode(**mode),
+                context=SessionContext(params=ModelParams(**params), **context),
                 ladder=ladder,
-                n_segments=data["n_segments"],
-                mean_ec_rel=data["mean_ec_rel"],
-                mean_bitrate=data["mean_bitrate_bps"],
-                mean_quality=data["mean_quality"],
-                stall_count=data["stall_count"],
-                fallback_count=data["fallback_count"],
-                final_soc=data["final_soc"],
-                soc_depleted=data["soc_depleted"],
                 segments=segments,
+                **aggregates,
             )
         except KeyError as exc:
             raise ValueError(f"report is missing key {exc}") from None
@@ -597,10 +661,7 @@ class ComparisonTable:
 
     def to_csv(self, provenance: dict | None = None) -> str:
         buffer = io.StringIO()
-        if provenance is not None:
-            buffer.write(
-                "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
-            )
+        buffer.write(_provenance_comment(provenance))
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(COMPARISON_CSV_HEADER.split(","))
         for row in self.rows:

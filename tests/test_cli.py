@@ -214,6 +214,11 @@ class TestSimulateSingle:
         (["--mode", "all", "--gamma", "3"], "--gamma applies to --mode custom only"),
         (["--mode", "all", "--per-segment", "s.csv"], "--per-segment applies to single-mode"),
         (["--mode", "off", "--csv", "c.csv"], "--csv applies to --mode all only"),
+        (["--mode", "off", "--initial-soc", "50"], "--initial-soc applies only with a battery"),
+        (["--mode", "strict", "--battery-capacity-mah", "3000", "--reference-current-ma", "300",
+          "--adaptive-high", "80"], "--adaptive-high applies only when an adaptive mode runs"),
+        (["--mode", "all", "--adaptive-low", "20"],
+         "--adaptive-low applies only when an adaptive mode runs"),
     ])
     def test_ignored_options_exit_two(self, tmp_path, ladder_file, capsys, flags, message):
         flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
@@ -379,6 +384,14 @@ class TestCompareCommand:
         (lambda r: r["mode"].pop("gamma"), "missing key 'gamma'"),
         (lambda r: r["context"].pop("params"), "missing key 'params'"),
         (lambda r: r["per_segment"][0].update(selected="8K"), "'8K', which is not in the ladder"),
+        (lambda r: r["mode"].update(kind=5), "'kind' must be a string, got an integer"),
+        (lambda r: r["ladder"][0].update(width="wide"), "'width' must be an integer, got a string"),
+        (lambda r: r["per_segment"][1].update(bandwidth_bps="x"),
+         "'bandwidth_bps' must be a number or an integer, got a string"),
+        (lambda r: r.update(mean_ec_rel=float("nan")), "'mean_ec_rel' must be finite, got nan"),
+        (lambda r: r.update(per_segment=r["per_segment"][:2]),
+         "per_segment holds 2 rows, but n_segments is 5"),
+        (lambda r: r["per_segment"][0].update(soc_after=50.0), "'soc_after' mixes null and numbers"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):
@@ -397,6 +410,13 @@ class TestCompareCommand:
 
 
 class TestErrorPaths:
+    def test_report_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("[]")
+        assert main(["compare", "--baseline", str(path), "--candidate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be an object, got an array" in err
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["simulate", "--ladder", "/nonexistent.csv", "--channel",
                      "constant:22M", "--mode", "off", "--params", "overall"]) == 2
@@ -418,17 +438,21 @@ class TestErrorPaths:
                      "--battery-capacity-mah", "1000"]) == 2
         assert "reference-current" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fits, key", [
-        ({"fits": [{"combination": "x", "a": 0.9, "c": 1.0}]}, "'b'"),
-        ({"combinations": []}, "'fits'"),
+    @pytest.mark.parametrize("fits, message", [
+        ({"fits": [{"combination": "x", "a": 0.9, "c": 1.0}]}, "missing key 'b'"),
+        ({"combinations": []}, "missing key 'fits'"),
+        ({"fits": [{"combination": "x", "a": "0.9", "b": 0.5, "c": 1.0}]},
+         "'a' must be a number or an integer, got a string"),
+        ({"fits": [{"combination": "x", "a": 0.9, "b": 0.5, "c": None}]},
+         "'c' must be a number or an integer, got null"),
     ])
-    def test_malformed_fit_file_exits_two(self, tmp_path, ladder_file, capsys, fits, key):
+    def test_malformed_fit_file_exits_two(self, tmp_path, ladder_file, capsys, fits, message):
         path = tmp_path / "fits.json"
         path.write_text(json.dumps(fits))
         assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
                      "--mode", "off", "--params", f"fit:{path}"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"missing key {key}" in err
+        assert err.startswith("error:") and message in err
 
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit):

@@ -23,7 +23,12 @@ def data_rows(text: str, expected_header: list[str]) -> Iterator[tuple[int, list
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        cells = [cell.strip() for cell in next(csv.reader([line]))]
+        # csv.reader splits a line without quotes at every comma; a line with
+        # a NUL goes to it too, since Python 3.10's reader rejects NUL
+        if '"' in line or "\0" in line:
+            cells = [cell.strip() for cell in next(csv.reader([line]))]
+        else:
+            cells = [cell.strip() for cell in line.split(",")]
         if not header_seen:
             if cells != expected_header:
                 raise ParseError(

@@ -209,16 +209,15 @@ def _provenance(subcommand: str, config: dict) -> dict:
     }
 
 
-def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> None:
     if path:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_text(text: str, path: str) -> None:
-    Path(path).write_text(text)
+def _write_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -377,8 +376,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
 
     report = run_session(ladder, trace, modes[0], params, battery=battery, quality=quality)
-    payload = {"provenance": provenance, "report": report.to_json_dict()}
-    _write_json(payload, args.output)
+    _write_text(report.to_json(provenance), args.output)
     if args.per_segment:
         _write_text(report.to_csv(provenance), args.per_segment)
     return 0
@@ -388,8 +386,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     def load_report(path: str) -> tuple[SessionReport, dict]:
         payload = json.loads(Path(path).read_text())
         check_types(path, [payload], (dict,))
-        data = payload.get("report", payload)
-        return SessionReport.from_json_dict(data), payload.get("provenance", {})
+        provenance = payload.get("provenance", {})
+        check_types("provenance", [provenance], (dict,))
+        check_types("config", [provenance.get("config", {})], (dict,))
+        return SessionReport.from_json_dict(payload.get("report", payload)), provenance
 
     baseline, base_prov = load_report(args.baseline)
     others = [load_report(path)[0] for path in args.candidate]

@@ -18,6 +18,8 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import chain, repeat
 from types import NoneType
 
 import numpy as np
@@ -299,6 +301,8 @@ def _read_segments(rows: object, ladder: QualityLadder, n_segments: int) -> Segm
     check_types("per_segment row", rows, (dict,))
     if len(rows) != n_segments:
         raise ValueError(f"per_segment holds {len(rows)} rows, but n_segments is {n_segments}")
+    if not rows:
+        raise ValueError("per_segment must hold at least one row")
     rung_of = {rep.name: i for i, rep in enumerate(ladder)}
     columns: dict[str, np.ndarray | None] = {}
     for _, key, attr, types in _SEGMENT_FIELDS:
@@ -324,18 +328,54 @@ def _read_segments(rows: object, ladder: QualityLadder, n_segments: int) -> Segm
     return SegmentColumns(**columns)
 
 
+def _aggregates(ladder: QualityLadder, cols: SegmentColumns) -> dict:
+    """The aggregates that follow from a per-segment record, by attribute.
+
+    A session ends with the battery depleted exactly when its last charge
+    is zero, since the drain clamps the charge there and stops.
+    """
+    selected = np.array(ladder.bitrates, dtype=float)[cols.rung]
+    final_soc = None if cols.soc_after is None else float(cols.soc_after[-1])
+    return {
+        "n_segments": len(cols),
+        "mean_ec_rel": _fmean(cols.ec_rel),
+        "mean_bitrate": _fmean(selected),
+        "stall_count": int(np.count_nonzero(selected > cols.bandwidth)),
+        "fallback_count": int(np.count_nonzero(cols.candidates == 0)),
+        "final_soc": final_soc,
+        "soc_depleted": final_soc is not None and final_soc <= 0.0,
+    }
+
+
 def _provenance_comment(provenance: dict | None) -> str:
     if provenance is None:
         return ""
     return "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
 
 
-def _csv_cells(column: Sequence, types: tuple[type, ...]) -> Iterable[str]:
-    if bool in types:
-        return map(str, map(int, column))
-    if NoneType in types:
-        return ("" if value is None else repr(value) for value in column)
-    return map(repr if float in types else str, column)
+def _lay_out(columns: Sequence[Sequence[str]], template: Sequence[str]) -> str:
+    """Rows of cells as text: for each row, ``template[0]``, the row's first
+    cell, ``template[1]``, its second cell, and so on, ending with
+    ``template[-1]``."""
+    pieces: list[Iterable[str]] = []
+    for text, column in zip(template, columns):
+        pieces += (repeat(text), column)
+    pieces.append(repeat(template[-1]))
+    return "".join(chain.from_iterable(zip(*pieces)))
+
+
+#: Where a per-segment row's cells go in ``json.dumps(..., indent=2)`` of
+#: ``{"provenance": ..., "report": {..., "per_segment": [...]}}``, which puts
+#: the rows 6 spaces deep and their keys 8; each row starts with the comma
+#: that separates it from the one before.
+_JSON_ROW_TEMPLATE = (
+    *(
+        ("," if i else ",\n      {") + f"\n        {json.dumps(key)}: "
+        for i, key in enumerate(key for _, key, _, _ in _SEGMENT_FIELDS if key)
+    ),
+    "\n      }",
+)
+_CSV_ROW_TEMPLATE = ("", *[","] * (len(_SEGMENT_FIELDS) - 1), "\n")
 
 
 @dataclass(frozen=True)
@@ -399,15 +439,48 @@ class SessionReport:
             )
         )  # fmt: skip
 
+    @cached_property
+    def _segment_cells(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """Each per-segment column as text, by CSV header: as JSON spells it
+        and as the CSV does.
+
+        Every column is formatted once.  Numbers are ``repr`` of plain
+        ``float`` and ``int`` values, as ``json.dumps`` writes them, and both
+        spellings share them; each rung name is JSON-escaped once.
+        Booleans are ``true``/``false`` in JSON and 0/1 in the CSV, and a
+        charge that was not simulated is ``null`` or an empty cell.
+        """
+        values = self._segment_values()
+        as_json: dict[str, list[str]] = {}
+        as_csv: dict[str, list[str]] = {}
+        for header, _, _, types in _SEGMENT_FIELDS:
+            column = values[header]
+            if str in types:
+                escaped = {rep.name: json.dumps(rep.name) for rep in self.ladder}
+                as_json[header] = list(map(escaped.__getitem__, column))
+                as_csv[header] = column
+            elif bool in types:
+                as_json[header] = list(map(("false", "true").__getitem__, column))
+                as_csv[header] = list(map(("0", "1").__getitem__, column))
+            elif NoneType in types and column[:1] == [None]:
+                as_json[header] = ["null"] * len(column)
+                as_csv[header] = [""] * len(column)
+            else:
+                as_json[header] = as_csv[header] = list(map(repr, column))
+        return as_json, as_csv
+
     def to_json_dict(self) -> dict:
-        mode = _write_fields(_MODE_FIELDS, self.mode)
-        if self.mode.adaptive is not None:
-            mode["adaptive"] = _write_fields(_ADAPTIVE_FIELDS, self.mode.adaptive)
         segments = None
         if self.segments is not None:
             values = self._segment_values()
             keys, columns = zip(*((key, values[h]) for h, key, _, _ in _SEGMENT_FIELDS if key))
             segments = [dict(zip(keys, row)) for row in zip(*columns)]
+        return self._json_dict(segments)
+
+    def _json_dict(self, segments: list | None) -> dict:
+        mode = _write_fields(_MODE_FIELDS, self.mode)
+        if self.mode.adaptive is not None:
+            mode["adaptive"] = _write_fields(_ADAPTIVE_FIELDS, self.mode.adaptive)
         return {
             "mode": mode,
             "context": {
@@ -419,6 +492,25 @@ class SessionReport:
             "per_segment": segments,
         }
 
+    def to_json(self, provenance: dict) -> str:
+        """``{"provenance": provenance, "report": to_json_dict()}`` as
+        ``json.dumps(..., indent=2)`` writes it, with a final newline.
+
+        Only the part outside the per-segment record goes through
+        ``json.dumps``; the record's rows are laid out from the formatted
+        columns and put in place of its ``null``, the last value written.
+        """
+        payload = {"provenance": provenance, "report": self._json_dict(None)}
+        text = json.dumps(payload, indent=2) + "\n"
+        if self.segments is None:
+            return text
+        as_json, _ = self._segment_cells
+        rows = _lay_out(
+            [as_json[header] for header, key, _, _ in _SEGMENT_FIELDS if key], _JSON_ROW_TEMPLATE
+        )
+        head, _, tail = text.rpartition("null")
+        return head + ("[" + rows[1:] + "\n    ]" if rows else "[]") + tail
+
     def to_csv(self, provenance: dict | None = None) -> str:
         """The per-segment record as CSV, one row per segment.
 
@@ -428,10 +520,10 @@ class SessionReport:
         Raises:
             ValueError: when the report carries no per-segment record.
         """
-        values = self._segment_values()
-        cells = [_csv_cells(values[header], types) for header, _, _, types in _SEGMENT_FIELDS]
-        lines = [",".join(header for header, *_ in _SEGMENT_FIELDS), *map(",".join, zip(*cells))]
-        return _provenance_comment(provenance) + "\n".join(lines) + "\n"
+        _, as_csv = self._segment_cells
+        headers = [header for header, *_ in _SEGMENT_FIELDS]
+        rows = _lay_out([as_csv[header] for header in headers], _CSV_ROW_TEMPLATE)
+        return _provenance_comment(provenance) + ",".join(headers) + "\n" + rows
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SessionReport":
@@ -440,10 +532,11 @@ class SessionReport:
         Raises:
             ValueError: naming the first missing key or the key of a value
                 whose JSON type its field does not accept or that is not
-                finite; on a per-segment record whose length is not
-                ``n_segments`` or that selects a rung not in the ladder; or
-                for a field its type rejects (for example a mode whose gamma
-                contradicts its kind).
+                finite; on a per-segment record that is empty, whose length
+                is not ``n_segments`` or that selects a rung not in the
+                ladder; naming an aggregate that differs from the one the
+                per-segment record gives; or for a field its type rejects
+                (for example a mode whose gamma contradicts its kind).
         """
         try:
             aggregates = read_fields(_AGGREGATE_FIELDS, data, "report")
@@ -465,7 +558,16 @@ class SessionReport:
             )
             rows = data.get("per_segment")
             n_segments = aggregates["n_segments"]
-            segments = None if rows is None else _read_segments(rows, ladder, n_segments)
+            segments = None
+            if rows is not None:
+                segments = _read_segments(rows, ladder, n_segments)
+                derived = _aggregates(ladder, segments)
+                for key, attr, _ in _AGGREGATE_FIELDS:
+                    if attr in derived and aggregates[attr] != derived[attr]:
+                        raise ValueError(
+                            f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
+                            f" gives {derived[attr]!r}"
+                        )
             return cls(
                 mode=EnergyMode(**mode),
                 context=SessionContext(params=ModelParams(**params), **context),
@@ -591,39 +693,30 @@ def run_session(
         np.concatenate(parts) if parts[0] is not None else None for parts in zip(*pieces)
     )
     bandwidth = bandwidth[:played]
-    selected = bitrates[rungs]
     context = SessionContext(
         params=params,
         segment_duration=segment_duration,
         ladder_digest=_ladder_digest(ladder),
         trace_digest=trace.digest,
     )
-    segments = None
-    if include_segments:
-        segments = SegmentColumns(
-            bandwidth=bandwidth,
-            gamma=gammas,
-            rung=rungs,
-            threshold=thresholds,
-            candidates=counts,
-            bw_rel=bw_rels,
-            ec_rel=ec_rels,
-            download_time=selected * segment_duration / bandwidth,
-            soc_after=socs,
-        )
+    segments = SegmentColumns(
+        bandwidth=bandwidth,
+        gamma=gammas,
+        rung=rungs,
+        threshold=thresholds,
+        candidates=counts,
+        bw_rel=bw_rels,
+        ec_rel=ec_rels,
+        download_time=bitrates[rungs] * segment_duration / bandwidth,
+        soc_after=socs,
+    )
     return SessionReport(
         mode=mode,
         context=context,
         ladder=ladder,
-        n_segments=played,
-        mean_ec_rel=_fmean(ec_rels),
-        mean_bitrate=_fmean(selected),
         mean_quality=_mean_scores(ladder, rungs, quality) if quality is not None else None,
-        stall_count=int(np.count_nonzero(selected > bandwidth)),
-        fallback_count=int(np.count_nonzero(counts == 0)),
-        final_soc=soc,
-        soc_depleted=depleted,
-        segments=segments,
+        segments=segments if include_segments else None,
+        **_aggregates(ladder, segments),
     )
 
 

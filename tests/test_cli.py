@@ -380,18 +380,38 @@ class TestCompareCommand:
         assert "context" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda r: r["mode"].update(gamma=4.0), "off mode has gamma 1.0, got 4.0"),
-        (lambda r: r["mode"].pop("gamma"), "missing key 'gamma'"),
-        (lambda r: r["context"].pop("params"), "missing key 'params'"),
-        (lambda r: r["per_segment"][0].update(selected="8K"), "'8K', which is not in the ladder"),
-        (lambda r: r["mode"].update(kind=5), "'kind' must be a string, got an integer"),
-        (lambda r: r["ladder"][0].update(width="wide"), "'width' must be an integer, got a string"),
-        (lambda r: r["per_segment"][1].update(bandwidth_bps="x"),
+        (lambda p: p["report"]["mode"].update(gamma=4.0), "off mode has gamma 1.0, got 4.0"),
+        (lambda p: p["report"]["mode"].pop("gamma"), "missing key 'gamma'"),
+        (lambda p: p["report"]["context"].pop("params"), "missing key 'params'"),
+        (lambda p: p["report"]["per_segment"][0].update(selected="8K"),
+         "'8K', which is not in the ladder"),
+        (lambda p: p["report"]["mode"].update(kind=5), "'kind' must be a string, got an integer"),
+        (lambda p: p["report"]["ladder"][0].update(width="wide"),
+         "'width' must be an integer, got a string"),
+        (lambda p: p["report"]["per_segment"][1].update(bandwidth_bps="x"),
          "'bandwidth_bps' must be a number or an integer, got a string"),
-        (lambda r: r.update(mean_ec_rel=float("nan")), "'mean_ec_rel' must be finite, got nan"),
-        (lambda r: r.update(per_segment=r["per_segment"][:2]),
+        (lambda p: p["report"].update(mean_ec_rel=float("nan")),
+         "'mean_ec_rel' must be finite, got nan"),
+        (lambda p: p["report"].update(per_segment=p["report"]["per_segment"][:2]),
          "per_segment holds 2 rows, but n_segments is 5"),
-        (lambda r: r["per_segment"][0].update(soc_after=50.0), "'soc_after' mixes null and numbers"),
+        (lambda p: p["report"]["per_segment"][0].update(soc_after=50.0),
+         "'soc_after' mixes null and numbers"),
+        (lambda p: p.update(provenance=[]), "'provenance' must be an object, got an array"),
+        (lambda p: p["provenance"].update(config="x"), "'config' must be an object, got a string"),
+        (lambda p: p["report"].update(mean_ec_rel=0.5),
+         "'mean_ec_rel' is 0.5, but the per-segment record gives 1.548"),
+        (lambda p: p["report"].update(mean_bitrate_bps=1.0),
+         "'mean_bitrate_bps' is 1.0, but the per-segment record gives 20000000.0"),
+        (lambda p: p["report"].update(stall_count=1),
+         "'stall_count' is 1, but the per-segment record gives 0"),
+        (lambda p: p["report"].update(fallback_count=5),
+         "'fallback_count' is 5, but the per-segment record gives 0"),
+        (lambda p: p["report"].update(final_soc=50.0),
+         "'final_soc' is 50.0, but the per-segment record gives None"),
+        (lambda p: p["report"].update(soc_depleted=True),
+         "'soc_depleted' is True, but the per-segment record gives False"),
+        (lambda p: p["report"].update(n_segments=0, per_segment=[]),
+         "per_segment must hold at least one row"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):
@@ -401,7 +421,7 @@ class TestCompareCommand:
                   "--mode", mode, "--params", "overall", "--segments", "5",
                   "--output", str(path)])
         payload = json.loads(base.read_text())
-        edit(payload["report"])
+        edit(payload)
         base.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2

@@ -99,6 +99,42 @@ def run_golden_commands(workdir) -> dict[str, str]:
     }
 
 
+#: Rung names that JSON must escape: quotes, a backslash, non-ASCII letters,
+#: a tab and other control characters.
+ESCAPED_LADDER_CSV = (
+    "name,width,height,label,bitrate_bps,codec\n"
+    '"low ""q""",428,182,240p,650000,HEVC\n'
+    "back\\slash,854,382,480p,1250000,HEVC\n"
+    "r\u00e9sum\u00e9 \u65e5\u672c,1280,572,720p,2500000,HEVC\n"
+    '"tab\there",1920,858,1080p,5000000,HEVC\n'
+    "bell\x07\x01\x7f,2880,1286,1440p,8000000,HEVC\n"
+    "\u00bd-\U0001f3a5,3840,1714,2160p,11000000,HEVC\n"
+)
+
+#: Recorded before the per-segment record was written from formatted columns.
+ESCAPED_SHA256 = {
+    'medium.csv': 'd7c2879cc633847e64287ae4c47ac3d0843c57f19212e62ac6618b17bf7b06f2',
+    'medium.json': 'b9382af6cc06354618fbe69d0e5e225c27d0f5b1285b3afe0fff7fe1d7ccbb70',
+}
+
+
+def test_escaped_rung_names_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "escaped.csv").write_text(ESCAPED_LADDER_CSV)
+    (tmp_path / "trace.csv").write_text(_trace_csv())
+    assert main(["simulate", "--ladder", "escaped.csv", "--channel", "trace:trace.csv",
+                 "--mode", "medium", "--params", "overall",
+                 "--battery-capacity-mah", "400.0", "--reference-current-ma", "300.0",
+                 "--output", "medium.json", "--per-segment", "medium.csv"]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "medium.json").read_text())["report"]
+    names = {row["name"] for row in report["ladder"]}
+    assert {row["selected"] for row in report["per_segment"]} == names
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("medium.json", "medium.csv")}  # fmt: skip
+    assert digests == ESCAPED_SHA256
+
+
 def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     digests = run_golden_commands(tmp_path)

@@ -1,4 +1,5 @@
-"""The column kernel against the scalar session loop it replaced.
+"""The column kernel against the scalar session loop it replaced, and the
+report writers against ``json.dumps`` and a row-by-row CSV formatter.
 
 Every aggregate, every per-segment field and the serialized report must be
 exactly equal (``==``, never approximately) to what ``scalar_session``
@@ -55,12 +56,25 @@ def assert_matches_scalar(ladder, trace, mode, params, battery=None,
 
 
 @st.composite
-def ladders(draw) -> QualityLadder:
+def ladders(draw, names=None) -> QualityLadder:
     bitrates = sorted(draw(st.sets(st.integers(10_000, 40_000_000), min_size=1, max_size=12)))
+    labels = [f"r{i}" for i in range(len(bitrates))]
+    if names is not None:
+        labels = draw(st.lists(names, min_size=len(bitrates), max_size=len(bitrates),
+                               unique=True))  # fmt: skip
     return QualityLadder(tuple(
-        Representation(f"r{i}", 16 * (i + 1), 9 * (i + 1), f"r{i}", bitrate, "HEVC")
-        for i, bitrate in enumerate(bitrates)
+        Representation(label, 16 * (i + 1), 9 * (i + 1), f"r{i}", bitrate, "HEVC")
+        for i, (label, bitrate) in enumerate(zip(labels, bitrates))
     ))  # fmt: skip
+
+
+#: Rung names that JSON must escape: quotes, backslashes, control and
+#: non-ASCII characters, and a name that reads like the JSON null.
+escaped_names = st.one_of(
+    st.just("null"),
+    st.text(st.one_of(st.sampled_from('"\\\t\n\x00\x1f\x7f\u2028\xe9\u65e5\U0001f3a5,'),
+                      st.characters()), min_size=1, max_size=6),
+)  # fmt: skip
 
 
 gammas = st.floats(1.0, 8.0)
@@ -83,8 +97,8 @@ def traces(draw, ladder: QualityLadder, duration: float) -> ChannelTrace:
 
 
 @st.composite
-def sessions(draw):
-    ladder = draw(ladders())
+def sessions(draw, names=None):
+    ladder = draw(ladders(names))
     duration = draw(st.sampled_from([6.0, 2.0, 4.5]))
     trace = draw(traces(ladder, duration))
     params = ModelParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)),
@@ -147,3 +161,56 @@ def test_many_distinct_bandwidths_match(ladder, overall):
     trace = ChannelTrace(6.0, tuple(3e5 + 7919.37 * i for i in range(3000)))
     battery = BatteryConfig(capacity_mah=20_000.0, reference_current_ma=300.0)
     assert_matches_scalar(ladder, trace, custom_mode(1.7), overall, battery)
+
+
+def csv_oracle(report: SessionReport, provenance: dict | None) -> str:
+    """The per-segment CSV written row by row from the segment objects."""
+    lines = [] if provenance is None else [
+        "# provenance: " + json.dumps(provenance, separators=(",", ":"))]
+    lines.append("segment,bandwidth_bps,gamma,selected,selected_bitrate_bps,threshold_bps,"
+                 "candidates,fallback,stalled,bw_rel,ec_rel,download_time_s,soc_after")
+    for o in report.per_segment:
+        d = o.decision
+        soc = "" if o.soc_after is None else repr(o.soc_after)
+        lines.append(
+            f"{o.index},{o.bandwidth!r},{o.gamma_used!r},{o.selected.name},{o.selected.bitrate},"
+            f"{d.threshold!r},{d.candidate_set_size},{int(d.fallback_used)},{int(o.stalled)},"
+            f"{o.bw_rel!r},{o.ec_rel!r},{o.download_time!r},{soc}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def assert_writers_match(report: SessionReport, provenance: dict) -> None:
+    payload = {"provenance": provenance, "report": report.to_json_dict()}
+    text = report.to_json(provenance)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    if report.segments is not None:
+        assert report.to_csv(provenance) == csv_oracle(report, provenance)
+        assert report.to_csv() == csv_oracle(report, None)
+        assert SessionReport.from_json_dict(json.loads(text)["report"]) == report
+
+
+@settings(max_examples=200, deadline=None)
+@given(sessions(escaped_names), st.booleans(), st.dictionaries(escaped_names, escaped_names))
+def test_writers_equal_json_dumps_and_the_row_formatter(session, keep, config):
+    ladder, trace, mode, params, battery, quality = session
+    report = run_session(ladder, trace, mode, params, battery=battery, quality=quality,
+                         include_segments=keep)  # fmt: skip
+    assert_writers_match(report, {"tool": "abrenergy", "config": config})
+
+
+def test_writers_on_one_segment_and_on_an_emptied_battery():
+    ladder = QualityLadder((
+        Representation('lo "q"\\', 16, 9, "lo", 650_000, "HEVC"),
+        Representation("r\xe9s\t\x01\U0001f3a5", 32, 18, "hi", 5_000_000, "HEVC"),
+    ))  # fmt: skip
+    params = ModelParams(0.8, 0.3)
+    provenance = {"tool": "abrenergy", "config": {"ladder": "null"}}
+    single = run_session(ladder, ChannelTrace(6.0, (4e6,)), custom_mode(1.0), params)
+    assert single.n_segments == 1 and single.segments.soc_after is None
+    assert_writers_match(single, provenance)
+    trace = random_blocks([3e5, 2e6, 9e6], 400, seed=5)
+    battery = BatteryConfig(capacity_mah=30.0, reference_current_ma=600.0)
+    emptied = run_session(ladder, trace, adaptive_mode(), params, battery)
+    assert emptied.soc_depleted and emptied.n_segments < 400
+    assert_writers_match(emptied, provenance)

@@ -4,89 +4,48 @@ The package turns raw playback power measurements into a consumption
 model, applies bandwidth-budgeted request modes on a quality ladder, and
 simulates sessions over channel traces to quantify the energy/quality
 trade-off of each mode against the energy-saving-off baseline.
+
+Public names load with their module on first access, so a program that
+only normalizes measurements never imports numpy or the simulator.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from ._csvio import ParseError
-from .channel import (
-    DEFAULT_BANDWIDTH_VALUES,
-    DEFAULT_BLOCK_LEN,
-    DEFAULT_PERIOD_S,
-    ChannelTrace,
-    constant,
-    load_trace,
-    random_blocks,
-    serialize_trace,
-    staircase,
-)
-from .ladder import (
-    AVC,
-    DEFAULT_GAP_RATIO,
-    HEVC,
-    LADDER_HEADER,
-    QualityLadder,
-    Representation,
-    normalize_codec,
-    parse_ladder,
-    serialize_ladder,
-    validate_ladder,
-)
-from .measurements import (
-    LTE_4G,
-    MEASUREMENT_HEADER,
-    NR_5G,
-    WIFI,
-    Combination,
-    MeasurementRecord,
-    RelativePoint,
-    group_records,
-    load_records,
-    normalize,
-    normalize_connection,
-    reference_consumption,
-    resolution_rank,
-)
-from .model import (
-    PRESETS,
-    FitError,
-    FitResult,
-    ModelParams,
-    evaluate,
-    fit,
-    pearson,
-    preset,
-    r_squared,
-    spearman,
-)
-from .policy import (
-    FIXED_GAMMAS,
-    AdaptiveConfig,
-    EnergyMode,
-    PolicyDecision,
-    adaptive_gamma,
-    adaptive_mode,
-    custom_mode,
-    light_mode,
-    medium_mode,
-    off_mode,
-    select,
-    strict_mode,
-)
-from .prng import Lcg64
-from .simulator import (
-    PERCEPTIBLE_VMAF_DELTA,
-    BatteryConfig,
-    ComparisonRow,
-    ComparisonTable,
-    QualityMap,
-    SegmentColumns,
-    SegmentOutcome,
-    SessionContext,
-    SessionReport,
-    compare,
-    load_quality_map,
-    run_session,
-)
+#: The public names of each module.
+_EXPORTS = {
+    "_csvio": "ParseError",
+    "channel": """DEFAULT_BANDWIDTH_VALUES DEFAULT_BLOCK_LEN DEFAULT_PERIOD_S ChannelTrace
+        constant load_trace random_blocks serialize_trace staircase""",
+    "ladder": """AVC DEFAULT_GAP_RATIO HEVC LADDER_HEADER QualityLadder Representation
+        normalize_codec parse_ladder serialize_ladder validate_ladder""",
+    "measurements": """LTE_4G MEASUREMENT_HEADER NR_5G WIFI Combination MeasurementRecord
+        RelativePoint group_records load_records normalize normalize_connection
+        normalize_group reference_consumption resolution_rank""",
+    "model": """PRESETS FitError FitResult ModelParams evaluate fit pearson preset r_squared
+        spearman""",
+    "policy": """FIXED_GAMMAS AdaptiveConfig EnergyMode PolicyDecision adaptive_gamma
+        adaptive_mode custom_mode light_mode medium_mode off_mode select strict_mode""",
+    "prng": "Lcg64",
+    "simulator": """PERCEPTIBLE_VMAF_DELTA BatteryConfig ComparisonRow ComparisonTable QualityMap
+        SegmentColumns SegmentOutcome SessionContext SessionReport compare load_quality_map
+        run_session""",
+}
+#: Public name -> the module that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -64,10 +64,15 @@ class ChannelTrace:
         """Short sha256 of the duration and bandwidths.
 
         Reports record it so that only sessions over the same trace are
-        compared; it is computed once per trace.
+        compared; it is computed once per trace.  The hashed text is
+        ``repr(period_duration) + "|" + ",".join(map(repr, bandwidths))``,
+        fed in pieces: a long trace's text is several times its size.
         """
-        payload = repr(self.period_duration) + "|" + ",".join(map(repr, self.bandwidths))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        digest = hashlib.sha256(repr(self.period_duration).encode() + b"|")
+        for start in range(0, len(self.bandwidths), 1024):
+            piece = ",".join(map(repr, self.bandwidths[start : start + 1024]))
+            digest.update((("," if start else "") + piece).encode())
+        return digest.hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self.bandwidths)

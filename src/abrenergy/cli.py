@@ -15,36 +15,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._csvio import ParseError
-from .channel import (
-    DEFAULT_BANDWIDTH_VALUES,
-    DEFAULT_BLOCK_LEN,
-    ChannelTrace,
-    constant,
-    load_trace,
-    random_blocks,
-    serialize_trace,
-    staircase,
-)
-from .ladder import parse_ladder
-from .measurements import group_records, load_records, normalize, reference_consumption
-from .model import FitError, ModelParams, fit, preset
-from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
-from .simulator import (
-    PARAMS_FIELDS,
-    BatteryConfig,
-    SessionReport,
-    check_types,
-    compare,
-    load_quality_map,
-    read_fields,
-    run_session,
-)
+
+# Each subcommand imports the modules it computes with when it runs, so that
+# normalize loads no numpy and fit no simulator.
 
 DEFAULT_SEGMENTS = 360
 
 _FIT_FILE_FIELDS = (("fits", "fits", (list,)),)
-_FIT_FIELDS = (("combination", "combination", (str,)), *PARAMS_FIELDS)
 
 _BANDWIDTH_RE = re.compile(r"([0-9]*\.?[0-9]+)([kKmMgG]?)")
 _SCALES = {"": 1.0, "k": 1e3, "m": 1e6, "g": 1e9}
@@ -62,6 +39,8 @@ def parse_bandwidth(token: str) -> float:
 
 
 def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
+    from .channel import DEFAULT_BLOCK_LEN
+
     values: list[str] | None = None
     collecting: list[str] | None = None
     block = DEFAULT_BLOCK_LEN
@@ -105,6 +84,15 @@ def parse_channel_spec(
         (trace, descriptor) where the descriptor echoes the resolved
         configuration for provenance.
     """
+    from .channel import (
+        DEFAULT_BANDWIDTH_VALUES,
+        ChannelTrace,
+        constant,
+        load_trace,
+        random_blocks,
+        staircase,
+    )
+
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     rest = rest.strip()
@@ -156,13 +144,17 @@ def parse_channel_spec(
 def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
     """Model parameters from a preset label, ``a=..,b=..[,c=..]``, or
     ``fit:<path>[#<combination>]``."""
+    from .model import ModelParams, preset
+    from .simulator import PARAMS_FIELDS, read_fields
+
     spec = spec.strip()
     if spec.lower().startswith("fit:"):
+        fit_fields = (("combination", "combination", (str,)), *PARAMS_FIELDS)
         ref = spec[4:]
         path, _, combination = ref.partition("#")
         try:
             document = read_fields(_FIT_FILE_FIELDS, json.loads(Path(path).read_text()), path)
-            fits = [read_fields(_FIT_FIELDS, fit, "fit") for fit in document["fits"]]
+            fits = [read_fields(fit_fields, fit, "fit") for fit in document["fits"]]
             if combination:
                 matches = [f for f in fits if f["combination"] == combination]
                 if not matches:
@@ -220,35 +212,64 @@ def _write_json(payload: dict, path: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
+#: Where a point's cells go in ``json.dumps(..., indent=2)`` of the normalize
+#: payload, which puts a group's points 8 spaces deep and their keys 10; each
+#: point starts with the comma that separates it from the one before.
+_POINT_TEMPLATE = (
+    ',\n        {\n          "bw_rel": ',
+    ',\n          "ec_rel": ',
+    ',\n          "flagged": ',
+    "\n        }",
+)
+
+
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    """Write each group's relative points as ``json.dumps(..., indent=2)``
+    would, laying the points out from formatted columns.
+
+    ``repr`` writes a float as JSON does, since a point's values are finite.
+    """
+    from ._layout import lay_out
+    from .measurements import group_records, load_records, normalize_group
+
     records = load_records(Path(args.input).read_text())
-    groups = normalize(records)
-    grouped = group_records(records)
-    combinations = []
-    for combination in sorted(groups, key=lambda c: c.label):
-        points = groups[combination]
-        reference = reference_consumption(grouped[combination], combination)
+    combinations, point_rows = [], []
+    grouped = sorted(group_records(records).items(), key=lambda item: item[0].label)
+    for combination, group in grouped:
+        reference, points = normalize_group(group, combination)
+        flagged = [point.flagged for point in points]
         combinations.append(
             {
                 "combination": combination.label,
                 "reference_current_ma": reference,
                 "n_points": len(points),
-                "n_flagged": sum(1 for p in points if p.flagged),
-                "points": [
-                    {"bw_rel": p.bw_rel, "ec_rel": p.ec_rel, "flagged": p.flagged}
-                    for p in points
-                ],
+                "n_flagged": sum(flagged),
+                "points": None,
             }
         )
+        columns = (
+            [repr(point.bw_rel) for point in points],
+            [repr(point.ec_rel) for point in points],
+            [("false", "true")[f] for f in flagged],
+        )
+        point_rows.append(lay_out(columns, _POINT_TEMPLATE))
     payload = {
         "provenance": _provenance("normalize", {"input": args.input}),
         "combinations": combinations,
     }
-    _write_json(payload, args.output)
+    # a label cannot spell the key: JSON escapes the quotes inside a string
+    head, *tails = json.dumps(payload, indent=2).split('"points": null')
+    text = head + "".join(
+        '"points": [' + rows[1:] + "\n      ]" + tail for rows, tail in zip(point_rows, tails)
+    )
+    _write_text(text + "\n", args.output)
     return 0
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .measurements import load_records, normalize
+    from .model import fit
+
     records = load_records(Path(args.input).read_text())
     groups = normalize(records)
     fix_c = None if args.free_c else args.fix_c
@@ -281,6 +302,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
+    from .simulator import BatteryConfig
+
     given = (args.battery_capacity_mah is not None, args.reference_current_ma is not None)
     if not any(given):
         if args.initial_soc is not None:
@@ -298,6 +321,11 @@ def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .channel import serialize_trace
+    from .ladder import parse_ladder
+    from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
+    from .simulator import compare, load_quality_map, run_session
+
     mode_name = args.mode.strip().lower()
     if args.gamma is not None and mode_name != "custom":
         raise ValueError("--gamma applies to --mode custom only")
@@ -383,6 +411,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .simulator import SessionReport, check_types, compare, load_quality_map
+
     def load_report(path: str) -> tuple[SessionReport, dict]:
         payload = json.loads(Path(path).read_text())
         check_types(path, [payload], (dict,))
@@ -521,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, FitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and FitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,6 +50,14 @@ class Representation:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("representation name must be non-empty")
+        for field in ("name", "label", "codec"):
+            try:
+                getattr(self, field).encode()
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f"representation {field} {getattr(self, field)!r} cannot be written"
+                    f" as UTF-8: {exc.reason}"
+                ) from None
         if self.bitrate <= 0:
             raise ValueError(
                 f"representation {self.name!r}: bitrate must be positive, got {self.bitrate}"

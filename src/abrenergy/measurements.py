@@ -9,6 +9,7 @@ by its cheapest representation, yielding dimensionless points
 
 from __future__ import annotations
 
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -80,8 +81,11 @@ class MeasurementRecord:
         if not self.device:
             raise ValueError("device must be non-empty")
         for name in ("bitrate", "avg_bandwidth", "avg_current"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def combination(self) -> Combination:
@@ -95,7 +99,8 @@ class RelativePoint:
     ``bw_rel`` is observed bandwidth over the requested bitrate; ``ec_rel``
     is observed current over the group's reference current.  Points with
     ``bw_rel < 1`` ran below the requested rate and are flagged; they are
-    retained but excluded from fitting by default.
+    retained but excluded from fitting by default.  Both must be positive
+    and finite: a ratio of finite values can still overflow or underflow.
     """
 
     bw_rel: float
@@ -103,10 +108,12 @@ class RelativePoint:
     source: Combination
 
     def __post_init__(self) -> None:
-        if self.bw_rel <= 0:
-            raise ValueError("bw_rel must be positive")
-        if self.ec_rel <= 0:
-            raise ValueError("ec_rel must be positive")
+        for name in ("bw_rel", "ec_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{self.source.label}: {name} must be positive and finite, got {value}"
+                )
 
     @property
     def flagged(self) -> bool:
@@ -183,6 +190,25 @@ def reference_consumption(records: list[MeasurementRecord], combination: Combina
     return sum(record.avg_current for record in candidates) / len(candidates)
 
 
+def normalize_group(
+    records: list[MeasurementRecord], combination: Combination
+) -> tuple[float, list[RelativePoint]]:
+    """One group's reference current and its records as relative points.
+
+    Pass the group's own records (see ``group_records``); the reference is
+    ``reference_consumption(records, combination)``.
+    """
+    reference = reference_consumption(records, combination)
+    return reference, [
+        RelativePoint(
+            bw_rel=record.avg_bandwidth / record.bitrate,
+            ec_rel=record.avg_current / reference,
+            source=combination,
+        )
+        for record in records
+    ]
+
+
 def normalize(records: list[MeasurementRecord]) -> dict[Combination, list[RelativePoint]]:
     """Convert raw records into per-combination relative points.
 
@@ -190,15 +216,7 @@ def normalize(records: list[MeasurementRecord]) -> dict[Combination, list[Relati
     ``ec_rel`` near 1 by construction.  Scaling all currents of a group by
     a common factor leaves its points unchanged.
     """
-    result: dict[Combination, list[RelativePoint]] = {}
-    for combination, group in group_records(records).items():
-        reference = reference_consumption(group, combination)
-        result[combination] = [
-            RelativePoint(
-                bw_rel=record.avg_bandwidth / record.bitrate,
-                ec_rel=record.avg_current / reference,
-                source=combination,
-            )
-            for record in group
-        ]
-    return result
+    return {
+        combination: normalize_group(group, combination)[1]
+        for combination, group in group_records(records).items()
+    }

@@ -19,12 +19,12 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, repeat
 from types import NoneType
 
 import numpy as np
 
 from ._csvio import ParseError, data_rows, parse_float
+from ._layout import lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
 from .model import ModelParams, evaluate_array
@@ -353,17 +353,6 @@ def _provenance_comment(provenance: dict | None) -> str:
     return "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
 
 
-def _lay_out(columns: Sequence[Sequence[str]], template: Sequence[str]) -> str:
-    """Rows of cells as text: for each row, ``template[0]``, the row's first
-    cell, ``template[1]``, its second cell, and so on, ending with
-    ``template[-1]``."""
-    pieces: list[Iterable[str]] = []
-    for text, column in zip(template, columns):
-        pieces += (repeat(text), column)
-    pieces.append(repeat(template[-1]))
-    return "".join(chain.from_iterable(zip(*pieces)))
-
-
 #: Where a per-segment row's cells go in ``json.dumps(..., indent=2)`` of
 #: ``{"provenance": ..., "report": {..., "per_segment": [...]}}``, which puts
 #: the rows 6 spaces deep and their keys 8; each row starts with the comma
@@ -505,7 +494,7 @@ class SessionReport:
         if self.segments is None:
             return text
         as_json, _ = self._segment_cells
-        rows = _lay_out(
+        rows = lay_out(
             [as_json[header] for header, key, _, _ in _SEGMENT_FIELDS if key], _JSON_ROW_TEMPLATE
         )
         head, _, tail = text.rpartition("null")
@@ -522,7 +511,7 @@ class SessionReport:
         """
         _, as_csv = self._segment_cells
         headers = [header for header, *_ in _SEGMENT_FIELDS]
-        rows = _lay_out([as_csv[header] for header in headers], _CSV_ROW_TEMPLATE)
+        rows = lay_out([as_csv[header] for header in headers], _CSV_ROW_TEMPLATE)
         return _provenance_comment(provenance) + ",".join(headers) + "\n" + rows
 
     @classmethod

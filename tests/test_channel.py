@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from abrenergy import (
@@ -171,3 +173,11 @@ def test_trace_invariants():
 def test_trace_stores_floats():
     trace = ChannelTrace(6.0, (1_000_000, 2.5e6))
     assert [repr(b) for b in trace.bandwidths] == ["1000000.0", "2500000.0"]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+def test_digest_hashes_the_whole_trace_text(n):
+    # the digest is fed in pieces; it must equal the hash of the text in one piece
+    trace = ChannelTrace(6.0, tuple(1e5 + 0.25 * i for i in range(n)))
+    text = repr(6.0) + "|" + ",".join(map(repr, trace.bandwidths))
+    assert trace.digest == hashlib.sha256(text.encode()).hexdigest()[:16]

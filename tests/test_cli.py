@@ -342,6 +342,23 @@ class TestNormalizeAndFit:
         assert main(["normalize", "--input", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["normalize", "fit"])
+    def test_ratio_that_overflows_exits_two(self, tmp_path, capsys, command):
+        # every cell is finite, but 1e300 / 1e-300 is not: normalize wrote
+        # "bw_rel": Infinity, which is not JSON, and fit failed inside LAPACK
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma\n"
+            "SPA,WIFI,AVC,240p,1e-300,1e300,300\n"
+            "SPA,WIFI,AVC,480p,1200000,1800000,400\n"
+            "SPA,WIFI,AVC,720p,2500000,5625000,380\n"
+        )
+        output = tmp_path / "out.json"
+        assert main([command, "--input", str(bad), "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bw_rel must be positive and finite, got inf" in err
+        assert err.count("\n") == 1 and not output.exists()
+
 
 class TestCompareCommand:
     def write_quality(self, tmp_path, ladder_names):
@@ -412,6 +429,8 @@ class TestCompareCommand:
          "'soc_depleted' is True, but the per-segment record gives False"),
         (lambda p: p["report"].update(n_segments=0, per_segment=[]),
          "per_segment must hold at least one row"),
+        (lambda p: p["report"]["ladder"][0].update(name="\ud800"),
+         "representation name '\\ud800' cannot be written as UTF-8"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 from abrenergy.cli import main
 from conftest import STOCK_LADDER_CSV
@@ -147,3 +148,41 @@ def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
     assert report["fallback_count"] > 0
     assert report["per_segment"][-1]["soc_after"] == 0.0
     assert digests == GOLDEN_SHA256
+
+
+#: Five groups, two flagged points each.  The device names hold a quote, a
+#: backslash, non-ASCII text and the text of a ``"points": null`` entry, and
+#: the rows interleave the groups.
+MEASUREMENTS_CSV = (Path(__file__).parent / "fixtures" / "measurements.csv").read_text(
+    encoding="utf-8"
+)
+
+MEASUREMENT_COMMANDS = [
+    ("normalize", "--input", "measurements.csv", "--output", "points.json"),
+    ("fit", "--input", "measurements.csv", "--output", "fits.json"),
+    ("fit", "--input", "measurements.csv", "--include-flagged", "--free-c",
+     "--output", "fits_free.json"),
+]  # fmt: skip
+
+#: Recorded before normalize wrote its points from formatted columns.  The
+#: fit digests also pin the last bits of numpy's least-squares solver.
+MEASUREMENT_SHA256 = {
+    'fits.json': 'f88b7270df85e2c73bfd1cc5559ba6800327cd12f33c40dbb7238435d82dcc2a',
+    'fits_free.json': '140c1404eb2f083ff24dfa7f1fb95d66373f1f488aac486ca59d1ed483c7483a',
+    'points.json': 'f5ef6a06a8be885b573cd7f4d537b111c4efb6958d9f77ed0312e37b78b094e5',
+}
+
+
+def test_normalize_and_fit_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "measurements.csv").write_text(MEASUREMENTS_CSV)
+    for argv in MEASUREMENT_COMMANDS:
+        assert main(list(argv)) == 0, argv
+    capsys.readouterr()
+    groups = json.loads((tmp_path / "points.json").read_text())["combinations"]
+    assert [g["combination"].split("/")[0] for g in groups] == [
+        '"points": null', 'Q"uote', "SPA", "back\\slash", "r\u00e9sum\u00e9 \u65e5\u672c"]
+    assert {g["n_flagged"] for g in groups} == {2}
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in MEASUREMENT_SHA256}  # fmt: skip
+    assert digests == MEASUREMENT_SHA256

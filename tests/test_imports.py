@@ -1,0 +1,59 @@
+"""Each subcommand imports only the modules it computes with.
+
+``normalize`` needs neither numpy nor the model, and ``fit`` needs no
+simulator; the package loads its public names on first access, so the
+modules a command never touches stay unloaded.  Each command runs in a
+fresh interpreter, which then reports the modules it loaded.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import STOCK_LADDER_CSV
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+MEASUREMENTS = TESTS / "fixtures" / "measurements.csv"
+
+RUN = (
+    "import json, sys\n"
+    "from abrenergy.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+
+
+def loaded_modules(workdir: Path, *argv: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=workdir,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)  # fmt: skip
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("normalize", {"numpy", "abrenergy.channel", "abrenergy.model", "abrenergy.policy",
+                   "abrenergy.simulator"}),
+    ("fit", {"abrenergy.channel", "abrenergy.policy", "abrenergy.simulator"}),
+])  # fmt: skip
+def test_command_leaves_unused_modules_unloaded(tmp_path, command, absent):
+    loaded = loaded_modules(tmp_path, command, "--input", str(MEASUREMENTS), "--output", "o.json")
+    assert (tmp_path / "o.json").is_file()
+    assert "abrenergy.measurements" in loaded
+    assert loaded & absent == set()
+
+
+def test_simulate_still_loads_the_simulator(tmp_path):
+    # the guard above must see the modules a command does load
+    (tmp_path / "ladder.csv").write_text(STOCK_LADDER_CSV)
+    loaded = loaded_modules(tmp_path, "simulate", "--ladder", "ladder.csv", "--channel",
+                            "constant:22M", "--segments", "5", "--mode", "off",
+                            "--params", "overall", "--output", "o.json")  # fmt: skip
+    assert {"numpy", "abrenergy.channel", "abrenergy.simulator"} <= loaded

@@ -147,6 +147,13 @@ class TestLadderInvariants:
         with pytest.raises(ValueError):
             Representation("a", 10, 10, "x", -5, "AVC")
 
+    @pytest.mark.parametrize("field", ["name", "label", "codec"])
+    def test_lone_surrogate_rejected_naming_the_field(self, field):
+        # no UTF-8 writer can emit a lone surrogate, and the digest encodes the names
+        fields = {"name": "a", "label": "x", "codec": "AVC", field: "a\ud800"}
+        with pytest.raises(ValueError, match=f"representation {field} .*UTF-8"):
+            Representation(fields["name"], 10, 10, fields["label"], 1000, fields["codec"])
+
 
 class TestValidateLadder:
     def test_stock_ladder_is_clean(self, ladder):

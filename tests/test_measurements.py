@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from abrenergy import (
@@ -168,3 +170,26 @@ def test_relative_point_invariants():
         RelativePoint(0.0, 1.2, combo)
     with pytest.raises(ValueError):
         RelativePoint(1.5, -0.1, combo)
+
+
+@pytest.mark.parametrize("field", ["bw_rel", "ec_rel"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_relative_point_rejects_non_finite_naming_field_and_combination(field, value):
+    values = {"bw_rel": 1.5, "ec_rel": 1.2, field: value}
+    with pytest.raises(ValueError, match=f"phone/WIFI/HEVC: {field} must be positive and finite"):
+        RelativePoint(values["bw_rel"], values["ec_rel"], Combination("phone", "WIFI", "HEVC"))
+
+
+@pytest.mark.parametrize("field", ["bitrate", "bandwidth", "current"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_measurement_record_rejects_non_finite_naming_field(field, value):
+    name = {"bitrate": "bitrate", "bandwidth": "avg_bandwidth", "current": "avg_current"}[field]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        rec(**{field: value})
+
+
+def test_ratio_that_overflows_is_rejected():
+    # finite cells whose ratio is not: 1e300 / 1e-300 overflows to inf
+    records = [rec(bitrate=1e-300, bandwidth=1e300)]
+    with pytest.raises(ValueError, match="bw_rel must be positive and finite, got inf"):
+        normalize(records)

@@ -29,3 +29,14 @@ def test_names_imported_by_the_benchmark_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_every_lazily_loaded_name_resolves():
+    # a name in the table that its module does not define fails here, not on first use
+    import abrenergy
+
+    table = abrenergy._MODULE_OF
+    assert "SessionReport" in table and "normalize" in table
+    assert [name for name in table if not hasattr(abrenergy, name)] == []
+    assert set(table) <= set(dir(abrenergy))
+    assert not hasattr(abrenergy, "no_such_name")

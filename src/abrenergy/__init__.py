@@ -20,15 +20,14 @@ _EXPORTS = {
     "_csvio": "ParseError",
     "channel": """DEFAULT_BANDWIDTH_VALUES DEFAULT_BLOCK_LEN DEFAULT_PERIOD_S ChannelTrace
         constant load_trace random_blocks serialize_trace staircase""",
-    "ladder": """AVC DEFAULT_GAP_RATIO HEVC LADDER_HEADER QualityLadder Representation
-        normalize_codec parse_ladder serialize_ladder validate_ladder""",
+    "ladder": "AVC HEVC LADDER_HEADER QualityLadder Representation normalize_codec parse_ladder",
     "measurements": """LTE_4G MEASUREMENT_HEADER NR_5G WIFI Combination MeasurementRecord
         RelativePoint group_records load_records normalize normalize_connection
         normalize_group reference_consumption resolution_rank""",
     "model": """PRESETS FitError FitResult ModelParams evaluate fit pearson preset r_squared
         spearman""",
     "policy": """FIXED_GAMMAS AdaptiveConfig EnergyMode PolicyDecision adaptive_gamma
-        adaptive_mode custom_mode light_mode medium_mode off_mode select strict_mode""",
+        adaptive_mode light_mode medium_mode off_mode select strict_mode""",
     "prng": "Lcg64",
     "simulator": """PERCEPTIBLE_VMAF_DELTA BatteryConfig ComparisonRow ComparisonTable QualityMap
         SegmentColumns SegmentOutcome SessionContext SessionReport compare load_quality_map

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
 
@@ -15,3 +16,19 @@ def lay_out(columns: Sequence[Sequence[str]], template: Sequence[str]) -> str:
         pieces += (repeat(text), column)
     pieces.append(repeat(template[-1]))
     return "".join(chain.from_iterable(zip(*pieces)))
+
+
+def json_array(keys: Sequence[str], columns: Sequence[Sequence[str]], depth: int) -> str:
+    """A JSON array of objects as ``json.dumps(..., indent=2)`` writes it for
+    a key indented ``depth`` levels: row ``i``'s object maps each key to its
+    column's ``i``-th cell, which is already JSON text."""
+    if not columns[0]:
+        return "[]"
+    outer = "\n" + "  " * depth
+    item = outer + "  "
+    # each object starts with the comma that separates it from the one before
+    template = [
+        ("," if i else "," + item + "{") + item + "  " + json.dumps(key) + ": "
+        for i, key in enumerate(keys)
+    ]
+    return "[" + lay_out(columns, [*template, item + "}"])[1:] + outer + "]"

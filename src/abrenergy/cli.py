@@ -212,24 +212,13 @@ def _write_json(payload: dict, path: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
-#: Where a point's cells go in ``json.dumps(..., indent=2)`` of the normalize
-#: payload, which puts a group's points 8 spaces deep and their keys 10; each
-#: point starts with the comma that separates it from the one before.
-_POINT_TEMPLATE = (
-    ',\n        {\n          "bw_rel": ',
-    ',\n          "ec_rel": ',
-    ',\n          "flagged": ',
-    "\n        }",
-)
-
-
 def _cmd_normalize(args: argparse.Namespace) -> int:
     """Write each group's relative points as ``json.dumps(..., indent=2)``
     would, laying the points out from formatted columns.
 
     ``repr`` writes a float as JSON does, since a point's values are finite.
     """
-    from ._layout import lay_out
+    from ._layout import json_array
     from .measurements import group_records, load_records, normalize_group
 
     records = load_records(Path(args.input).read_text())
@@ -252,16 +241,15 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
             [repr(point.ec_rel) for point in points],
             [("false", "true")[f] for f in flagged],
         )
-        point_rows.append(lay_out(columns, _POINT_TEMPLATE))
+        # a group's points are the value of "points", three levels deep
+        point_rows.append(json_array(("bw_rel", "ec_rel", "flagged"), columns, 3))
     payload = {
         "provenance": _provenance("normalize", {"input": args.input}),
         "combinations": combinations,
     }
     # a label cannot spell the key: JSON escapes the quotes inside a string
     head, *tails = json.dumps(payload, indent=2).split('"points": null')
-    text = head + "".join(
-        '"points": [' + rows[1:] + "\n      ]" + tail for rows, tail in zip(point_rows, tails)
-    )
+    text = head + "".join('"points": ' + rows + tail for rows, tail in zip(point_rows, tails))
     _write_text(text + "\n", args.output)
     return 0
 
@@ -324,7 +312,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .channel import serialize_trace
     from .ladder import parse_ladder
     from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
-    from .simulator import compare, load_quality_map, run_session
+    from .simulator import _provenance_comment, compare, load_quality_map, run_session
 
     mode_name = args.mode.strip().lower()
     if args.gamma is not None and mode_name != "custom":
@@ -372,8 +360,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     provenance = _provenance("simulate", config)
 
     if args.dump_trace:
-        header = "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
-        _write_text(header + serialize_trace(trace), args.dump_trace)
+        _write_text(_provenance_comment(provenance) + serialize_trace(trace), args.dump_trace)
 
     if mode_name == "all":
         reports = [

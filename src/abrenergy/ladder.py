@@ -11,9 +11,6 @@ HEVC = "HEVC"
 
 LADDER_HEADER = ["name", "width", "height", "label", "bitrate_bps", "codec"]
 
-#: Adjacent rungs whose bitrate ratio exceeds this are reported by validate_ladder.
-DEFAULT_GAP_RATIO = 2.0
-
 _CODEC_ALIASES = {
     "AVC": AVC,
     "H264": AVC,
@@ -101,14 +98,6 @@ class QualityLadder:
         return self.representations[index]
 
     @property
-    def lowest(self) -> Representation:
-        return self.representations[0]
-
-    @property
-    def highest(self) -> Representation:
-        return self.representations[-1]
-
-    @property
     def bitrates(self) -> tuple[int, ...]:
         return tuple(rep.bitrate for rep in self.representations)
 
@@ -161,31 +150,3 @@ def parse_ladder(text: str) -> QualityLadder:
     reps.sort(key=lambda rep: rep.bitrate)
     return QualityLadder(tuple(reps))
 
-
-def serialize_ladder(ladder: QualityLadder) -> str:
-    """Render a ladder back to its CSV form (parse/serialize round-trips)."""
-    lines = [",".join(LADDER_HEADER)]
-    for rep in ladder:
-        lines.append(
-            f"{rep.name},{rep.width},{rep.height},{rep.label},{rep.bitrate},{rep.codec}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def validate_ladder(ladder: QualityLadder, max_ratio: float = DEFAULT_GAP_RATIO) -> list[str]:
-    """Report adjacent rungs whose bitrate ratio exceeds ``max_ratio``.
-
-    Returns a list of human-readable diagnostics, empty when every step of
-    the ladder is within the threshold.
-    """
-    if max_ratio <= 1.0:
-        raise ValueError("max_ratio must exceed 1.0")
-    diagnostics = []
-    for lower, upper in zip(ladder, ladder.representations[1:]):
-        ratio = upper.bitrate / lower.bitrate
-        if ratio > max_ratio:
-            diagnostics.append(
-                f"bitrate gap {lower.name!r} -> {upper.name!r}:"
-                f" ratio {ratio:.3f} exceeds {max_ratio:g}"
-            )
-    return diagnostics

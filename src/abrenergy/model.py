@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import RelativePoint
+from .ladder import normalize_codec
+from .measurements import RelativePoint, normalize_connection
 
 
 class FitError(ValueError):
@@ -96,22 +97,28 @@ PRESETS: dict[str, ModelParams] = {
     "OVERALL": ModelParams(1.154, 0.677, 1.000),
 }
 
-_PRESET_CONNECTION_ALIASES = {"LTE_4G": "4G", "NR_5G": "5G", "WI-FI": "WIFI", "WLAN": "WIFI"}
+
+def _preset_key(label: str) -> str:
+    """A preset label uppercased, its connection and codec spelled as measurements are."""
+    parts = label.strip().upper().split("/")
+    if len(parts) == 3:
+        parts[1] = normalize_connection(parts[1])
+        parts[2] = normalize_codec(parts[2])
+    return "/".join(parts)
+
+
+_PRESETS_BY_KEY = {_preset_key(label): params for label, params in PRESETS.items()}
 
 
 def preset(label: str) -> ModelParams:
     """Look up a preset by label, e.g. ``overall`` or ``SPC/5G/HEVC``.
 
-    Labels are case-insensitive; connection aliases (LTE_4G, NR_5G) are
-    accepted.
+    Labels are case-insensitive and accept every connection and codec
+    spelling that measurement files do (``SPC/LTE/H265``), so each
+    combination label ``fit`` writes resolves.
     """
-    canon = label.strip().upper()
-    parts = canon.split("/")
-    if len(parts) == 3:
-        parts[1] = _PRESET_CONNECTION_ALIASES.get(parts[1], parts[1])
-        canon = "/".join(parts)
     try:
-        return PRESETS[canon]
+        return _PRESETS_BY_KEY[_preset_key(label)]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {label!r}; known presets: {known}") from None
@@ -143,6 +150,17 @@ class FitResult:
         }
 
 
+def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two inputs as float arrays, checked to be 1-d, equally long and of two samples or more."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.shape != ya.shape or xa.ndim != 1:
+        raise ValueError("inputs must be 1-d sequences of equal length")
+    if xa.size < 2:
+        raise ValueError("need at least two samples")
+    return xa, ya
+
+
 def pearson(x, y) -> float:
     """Pearson correlation coefficient.
 
@@ -150,12 +168,7 @@ def pearson(x, y) -> float:
         ValueError: on length mismatch, fewer than two samples, or zero
             variance in either input.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("inputs must be 1-d sequences of equal length")
-    if xa.size < 2:
-        raise ValueError("need at least two samples")
+    xa, ya = _paired(x, y)
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx = math.sqrt(float(dx @ dx))
@@ -167,27 +180,14 @@ def pearson(x, y) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    ordered = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and ordered[j + 1] == ordered[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, tied values sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson over average ranks (ties averaged)."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("inputs must be 1-d sequences of equal length")
-    if xa.size < 2:
-        raise ValueError("need at least two samples")
+    xa, ya = _paired(x, y)
     return pearson(_average_ranks(xa), _average_ranks(ya))
 
 
@@ -197,18 +197,19 @@ def r_squared(observed, predicted) -> float:
     Constant observations make SS_tot zero; that degenerate case reports
     0.0 rather than raising, since tiny datasets can reach it.
     """
-    obs = np.asarray(observed, dtype=float)
-    pred = np.asarray(predicted, dtype=float)
-    if obs.shape != pred.shape or obs.ndim != 1:
-        raise ValueError("inputs must be 1-d sequences of equal length")
-    if obs.size < 2:
-        raise ValueError("need at least two samples")
+    obs, pred = _paired(observed, predicted)
     residual = obs - pred
     deviation = obs - obs.mean()
     ss_tot = float(deviation @ deviation)
     if ss_tot == 0.0:
         return 0.0
     return 1.0 - float(residual @ residual) / ss_tot
+
+
+#: The refinement's iteration cap, and the relative objective change at
+#: which it has converged.
+_MAX_ITERATIONS = 200
+_REL_TOL = 1e-12
 
 
 def _initial_guess(bw: np.ndarray, ec: np.ndarray, c: float) -> tuple[float, float]:
@@ -227,23 +228,18 @@ def fit(
     points: list[RelativePoint],
     fix_c: float | None = 1.0,
     include_flagged: bool = False,
-    max_iterations: int = 200,
-    rel_tol: float = 1e-12,
 ) -> FitResult:
     """Least-squares fit of the exponential model to relative points.
 
     Starts from a log-linear guess and refines with damped Gauss-Newton
     steps (step halved while the objective worsens), stopping when the
-    relative objective change drops below ``rel_tol`` or after
-    ``max_iterations``.  ``a`` and ``b`` are projected to stay
-    non-negative.
+    relative objective change drops below 1e-12 or after 200 iterations.
+    ``a`` and ``b`` are projected to stay non-negative.
 
     Args:
         points: relative measurement points.
         fix_c: hold the floor at this value; ``None`` frees it.
         include_flagged: also use points with ``bw_rel < 1``.
-        max_iterations: refinement cap.
-        rel_tol: relative objective-change threshold for convergence.
 
     Returns:
         FitResult over the points actually used; degenerate correlation
@@ -295,7 +291,7 @@ def fit(
     if not math.isfinite(value):
         raise FitError("objective is not finite at the initial guess")
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         a, b, _ = unpack(theta)
         decay = np.exp(-b * bw)
         columns = [decay, -a * bw * decay]
@@ -319,7 +315,7 @@ def fit(
         theta, residual, value = candidate, cand_residual, cand_value
         if not math.isfinite(value):
             raise FitError("objective diverged during refinement")
-        if change <= rel_tol * max(value, 1e-300):
+        if change <= _REL_TOL * max(value, 1e-300):
             converged = True
             break
 
@@ -333,7 +329,7 @@ def fit(
     predicted = evaluate_array(params, bw)
     diagnostics: list[str] = []
     if not converged:
-        diagnostics.append(f"stopped after {max_iterations} iterations without convergence")
+        diagnostics.append(f"stopped after {_MAX_ITERATIONS} iterations without convergence")
     r2 = r_squared(ec, predicted)
     if float((ec - ec.mean()) @ (ec - ec.mean())) == 0.0:
         diagnostics.append("constant observations: r_squared reported as 0")

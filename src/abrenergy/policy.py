@@ -137,10 +137,6 @@ def adaptive_mode(config: AdaptiveConfig | None = None) -> EnergyMode:
     return EnergyMode("adaptive", adaptive=config)
 
 
-def custom_mode(gamma: float) -> EnergyMode:
-    return EnergyMode("custom", gamma)
-
-
 @dataclass(frozen=True)
 class PolicyDecision:
     """Outcome of one selection: the rung, the budget, and how it was met."""

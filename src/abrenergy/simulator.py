@@ -24,7 +24,7 @@ from types import NoneType
 import numpy as np
 
 from ._csvio import ParseError, data_rows, parse_float
-from ._layout import lay_out
+from ._layout import json_array, lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
 from .model import ModelParams, evaluate_array
@@ -353,17 +353,6 @@ def _provenance_comment(provenance: dict | None) -> str:
     return "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
 
 
-#: Where a per-segment row's cells go in ``json.dumps(..., indent=2)`` of
-#: ``{"provenance": ..., "report": {..., "per_segment": [...]}}``, which puts
-#: the rows 6 spaces deep and their keys 8; each row starts with the comma
-#: that separates it from the one before.
-_JSON_ROW_TEMPLATE = (
-    *(
-        ("," if i else ",\n      {") + f"\n        {json.dumps(key)}: "
-        for i, key in enumerate(key for _, key, _, _ in _SEGMENT_FIELDS if key)
-    ),
-    "\n      }",
-)
 _CSV_ROW_TEMPLATE = ("", *[","] * (len(_SEGMENT_FIELDS) - 1), "\n")
 
 
@@ -494,11 +483,10 @@ class SessionReport:
         if self.segments is None:
             return text
         as_json, _ = self._segment_cells
-        rows = lay_out(
-            [as_json[header] for header, key, _, _ in _SEGMENT_FIELDS if key], _JSON_ROW_TEMPLATE
-        )
+        keys, columns = zip(*((key, as_json[h]) for h, key, _, _ in _SEGMENT_FIELDS if key))
         head, _, tail = text.rpartition("null")
-        return head + ("[" + rows[1:] + "\n    ]" if rows else "[]") + tail
+        # the record is the value of "per_segment", two levels deep
+        return head + json_array(keys, columns, 2) + tail
 
     def to_csv(self, provenance: dict | None = None) -> str:
         """The per-segment record as CSV, one row per segment.

@@ -27,7 +27,6 @@ from abrenergy import (
     adaptive_mode,
     compare,
     constant,
-    custom_mode,
     evaluate,
     fit,
     light_mode,

@@ -319,6 +319,27 @@ class TestNormalizeAndFit:
         report = json.loads(out.read_text())["report"]
         assert report["context"]["params"]["a"] == pytest.approx(0.9, abs=1e-6)
 
+    def test_fit_labels_and_measurement_spellings_name_presets(
+        self, tmp_path, ladder_file, capsys
+    ):
+        make_measurements(tmp_path)
+        meas = tmp_path / "measurements.csv"
+        meas.write_text(meas.read_text().replace("labdev,WIFI,", "SPC,lte,"))
+        fits_path = tmp_path / "fits.json"
+        assert main(["fit", "--input", str(meas), "--output", str(fits_path)]) == 0
+        (entry,) = json.loads(fits_path.read_text())["fits"]
+        assert entry["combination"] == "SPC/LTE_4G/HEVC"
+        for label in (entry["combination"], "SPC/LTE/HEVC", "spc/4g/h265"):
+            out = tmp_path / "r.json"
+            assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                         "--mode", "off", "--params", label, "--segments", "5",
+                         "--output", str(out)]) == 0  # fmt: skip
+            params = json.loads(out.read_text())["report"]["context"]["params"]
+            assert (params["a"], params["b"]) == (1.021, 0.356)
+        assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                     "--mode", "off", "--params", "SPC/XG/HEVC", "--segments", "5"]) == 2  # fmt: skip
+        assert "error: unknown preset 'SPC/XG/HEVC'" in capsys.readouterr().err
+
     def test_fit_pools_an_overall_entry_across_combinations(self, tmp_path):
         meas = make_measurements(tmp_path)
         extra = (

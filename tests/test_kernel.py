@@ -16,13 +16,13 @@ from abrenergy import (
     AdaptiveConfig,
     BatteryConfig,
     ChannelTrace,
+    EnergyMode,
     ModelParams,
     QualityLadder,
     QualityMap,
     Representation,
     SessionReport,
     adaptive_mode,
-    custom_mode,
     random_blocks,
     run_session,
 )
@@ -90,7 +90,7 @@ def traces(draw, ladder: QualityLadder, duration: float) -> ChannelTrace:
     exact = [rep.bitrate * g for rep in ladder for g in (1.0, 1.5, 2.0, 4.0)]
     value = st.one_of(
         st.floats(1_000.0, 1e8),
-        st.floats(100.0, float(ladder.lowest.bitrate)),
+        st.floats(100.0, float(ladder[0].bitrate)),
         st.sampled_from(exact),
     )
     pool = draw(st.lists(value, min_size=1, max_size=8))
@@ -117,7 +117,7 @@ def sessions(draw, names=None):
         high = draw(st.floats(low + 0.5, 99.5))
         mode = adaptive_mode(AdaptiveConfig(high, low))
     else:
-        mode = custom_mode(draw(gammas))
+        mode = EnergyMode("custom", draw(gammas))
     quality = None
     if draw(st.booleans()):
         scores = st.floats(0.0, 100.0)
@@ -143,8 +143,8 @@ def test_energy_is_non_increasing_in_gamma(data):
     trace = data.draw(traces(ladder, 6.0))
     params = ModelParams(data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 2.0)))
     lower, higher = sorted((data.draw(gammas), data.draw(gammas)))
-    a = run_session(ladder, trace, custom_mode(lower), params)
-    b = run_session(ladder, trace, custom_mode(higher), params)
+    a = run_session(ladder, trace, EnergyMode("custom", lower), params)
+    b = run_session(ladder, trace, EnergyMode("custom", higher), params)
     assert b.mean_ec_rel <= a.mean_ec_rel
     assert all(y <= x for x, y in zip(a.segments.ec_rel, b.segments.ec_rel))
 
@@ -162,7 +162,7 @@ def test_long_adaptive_session_matches(ladder, overall):
 def test_many_distinct_bandwidths_match(ladder, overall):
     trace = ChannelTrace(6.0, tuple(3e5 + 7919.37 * i for i in range(3000)))
     battery = BatteryConfig(capacity_mah=20_000.0, reference_current_ma=300.0)
-    assert_matches_scalar(ladder, trace, custom_mode(1.7), overall, battery)
+    assert_matches_scalar(ladder, trace, EnergyMode("custom", 1.7), overall, battery)
 
 
 def csv_oracle(report: SessionReport, provenance: dict | None) -> str:
@@ -208,7 +208,7 @@ def test_writers_on_one_segment_and_on_an_emptied_battery():
     ))  # fmt: skip
     params = ModelParams(0.8, 0.3)
     provenance = {"tool": "abrenergy", "config": {"ladder": "null"}}
-    single = run_session(ladder, ChannelTrace(6.0, (4e6,)), custom_mode(1.0), params)
+    single = run_session(ladder, ChannelTrace(6.0, (4e6,)), EnergyMode("custom", 1.0), params)
     assert single.n_segments == 1 and single.segments.soc_after is None
     assert_writers_match(single, provenance)
     trace = random_blocks([3e5, 2e6, 9e6], 400, seed=5)

@@ -9,18 +9,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abrenergy import (
+    LTE_4G,
+    NR_5G,
     PRESETS,
+    WIFI,
     Combination,
     FitError,
     ModelParams,
     RelativePoint,
     evaluate,
     fit,
+    normalize_codec,
+    normalize_connection,
     pearson,
     preset,
     r_squared,
     spearman,
 )
+from abrenergy.ladder import _CODEC_ALIASES
+from abrenergy.measurements import _CONNECTION_ALIASES
+from abrenergy.model import _average_ranks
 
 SYNTH = Combination("synth", "WIFI", "HEVC")
 
@@ -112,8 +120,49 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset.*OVERALL"):
             preset("nonsense")
 
+    def test_every_measurement_spelling_resolves(self):
+        # each connection and codec spelling a measurement file may use, in
+        # either case; the canonical ones are the labels fit writes
+        catalogue_name = {WIFI: "WIFI", LTE_4G: "4G", NR_5G: "5G"}
+        assert set(catalogue_name) <= set(_CONNECTION_ALIASES)
+        for connection in _CONNECTION_ALIASES:
+            catalogue = catalogue_name[normalize_connection(connection)]
+            for codec in [*_CODEC_ALIASES, "AVC+HEVC"]:
+                expected = PRESETS[f"SPC/{catalogue}/{normalize_codec(codec)}"]
+                assert preset(f"SPC/{connection}/{codec}") == expected
+                assert preset(f" spc/{connection.lower()}/{codec.lower()} ") == expected
+
+
+def loop_average_ranks(values: np.ndarray) -> np.ndarray:
+    """Average ranks by walking the sorted runs of equal values: the
+    reference ``_average_ranks`` must match byte for byte."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    ordered = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and ordered[j + 1] == ordered[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
 
 class TestCorrelation:
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.25]) | st.floats(allow_nan=False),
+            max_size=80,
+        )
+    )
+    def test_average_ranks_match_the_loop(self, values):
+        # the small pool makes long runs of ties, -0.0 and 0.0 among them
+        array = np.array(values, dtype=float)
+        ranks = _average_ranks(array)
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == loop_average_ranks(array).tobytes()
+
     def test_perfect_linear(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
         assert spearman([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)

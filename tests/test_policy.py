@@ -13,7 +13,6 @@ from abrenergy import (
     Representation,
     adaptive_gamma,
     adaptive_mode,
-    custom_mode,
     light_mode,
     medium_mode,
     off_mode,
@@ -40,7 +39,7 @@ def test_fallback_to_lowest_rung(ladder):
     decision = select(ladder, 5e5, 1.0)
     assert decision.fallback_used
     assert decision.candidate_set_size == 0
-    assert decision.selected == ladder.lowest
+    assert decision.selected == ladder[0]
 
 
 def test_baseline_uses_full_bandwidth(ladder):
@@ -115,7 +114,6 @@ class TestModes:
         assert EnergyMode("adaptive").kind == "adaptive"
 
     def test_custom_requires_gamma(self):
-        assert EnergyMode("custom", 2.5) == custom_mode(2.5)
         with pytest.raises(ValueError, match="gamma"):
             EnergyMode("custom")
 
@@ -148,14 +146,14 @@ class TestModes:
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite"):
-            custom_mode(gamma)
+            EnergyMode("custom", gamma)
 
     def test_gamma_is_stored_as_a_float(self):
-        assert repr(custom_mode(2).gamma) == "2.0"
+        assert repr(EnergyMode("custom", 2).gamma) == "2.0"
 
     def test_labels(self):
         assert off_mode().label == "off"
-        assert custom_mode(2.5).label == "custom(gamma=2.5)"
+        assert EnergyMode("custom", 2.5).label == "custom(gamma=2.5)"
 
     def test_gamma_for_fixed_modes_ignores_soc(self):
         assert medium_mode().gamma_for(None) == 2.0

@@ -9,6 +9,7 @@ import pytest
 from abrenergy import (
     AdaptiveConfig,
     BatteryConfig,
+    EnergyMode,
     ModelParams,
     QualityMap,
     SessionReport,
@@ -16,7 +17,6 @@ from abrenergy import (
     adaptive_mode,
     compare,
     constant,
-    custom_mode,
     light_mode,
     load_quality_map,
     medium_mode,
@@ -238,7 +238,7 @@ class TestReportSerialization:
 
     @pytest.mark.parametrize("mode", [off_mode(), light_mode(), medium_mode(), strict_mode(),
                                       adaptive_mode(AdaptiveConfig(80.0, 20.0)),
-                                      custom_mode(2.5)])  # fmt: skip
+                                      EnergyMode("custom", 2.5)])  # fmt: skip
     def test_every_kind_round_trips(self, ladder, overall, mode):
         battery = BatteryConfig(capacity_mah=2000.0, reference_current_ma=900.0)
         report = run_session(ladder, constant(7e6, 12, period_duration=4.0), mode, overall,

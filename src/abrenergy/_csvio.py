@@ -46,6 +46,17 @@ def data_rows(text: str, expected_header: list[str]) -> Iterator[tuple[int, list
         raise ParseError("empty document: header line missing")
 
 
+def first_seen(lines: dict, key: object, line_no: int, name: str) -> None:
+    """Record in ``lines`` that ``key`` appears on ``line_no``.
+
+    Raises:
+        ParseError: when ``key`` appeared on an earlier line, naming both.
+    """
+    first = lines.setdefault(key, line_no)
+    if first != line_no:
+        raise ParseError(f"line {line_no}: duplicate {name} {key!r} (first seen on line {first})")
+
+
 def parse_int(cell: str, line_no: int, name: str) -> int:
     try:
         return int(cell)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._csvio import ParseError, data_rows, parse_float, parse_int
+from ._csvio import ParseError, data_rows, first_seen, parse_float, parse_int
 from .prng import Lcg64
 
 DEFAULT_PERIOD_S = 6.0
@@ -78,17 +78,10 @@ class ChannelTrace:
         return len(self.bandwidths)
 
 
-def _positive_count(n_periods: int) -> int:
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be at least 1, got {n_periods}")
-    return n_periods
-
-
 def constant(
     bandwidth: float, n_periods: int, period_duration: float = DEFAULT_PERIOD_S
 ) -> ChannelTrace:
     """Fixed capacity for the whole session."""
-    _positive_count(n_periods)
     return ChannelTrace(period_duration, (float(bandwidth),) * n_periods)
 
 
@@ -109,7 +102,6 @@ def staircase(
         n_periods: total periods to emit.
         period_duration: seconds per period.
     """
-    _positive_count(n_periods)
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError(f"staircase needs at least two values, got {len(vals)}")
@@ -135,7 +127,6 @@ def random_blocks(
     Draws come from the pinned 64-bit generator, so a (values, seed,
     block_len) triple always produces the same trace.
     """
-    _positive_count(n_periods)
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("random_blocks needs at least one value")
@@ -170,13 +161,8 @@ def load_trace(text: str, period_duration: float = DEFAULT_PERIOD_S) -> ChannelT
             raise ParseError(
                 f"line {line_no}: bandwidth_bps must be positive, got {bandwidth}"
             )
-        if period in entries:
-            raise ParseError(
-                f"line {line_no}: duplicate period {period}"
-                f" (first seen on line {lines[period]})"
-            )
+        first_seen(lines, period, line_no, "period")
         entries[period] = bandwidth
-        lines[period] = line_no
     if not entries:
         raise ParseError("trace contains no periods")
     for expected in range(len(entries)):

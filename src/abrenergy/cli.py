@@ -22,6 +22,7 @@ from . import __version__
 DEFAULT_SEGMENTS = 360
 
 _FIT_FILE_FIELDS = (("fits", "fits", (list,)),)
+_REPORT_FILE_FIELDS = (("provenance", "provenance", (dict,)), ("report", "report", (dict,)))
 
 _BANDWIDTH_RE = re.compile(r"([0-9]*\.?[0-9]+)([kKmMgG]?)")
 _SCALES = {"": 1.0, "k": 1e3, "m": 1e6, "g": 1e9}
@@ -186,7 +187,7 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
             fields[key] = float(raw)
         if "a" not in fields or "b" not in fields:
             raise ValueError("explicit parameters need at least a=<value>,b=<value>")
-        params = ModelParams(fields["a"], fields["b"], fields.get("c", 1.0))
+        params = ModelParams(**fields)
         return params, {"source": "explicit", "a": params.a, "b": params.b, "c": params.c}
     params = preset(spec)
     return params, {"source": "preset", "label": spec}
@@ -210,6 +211,23 @@ def _write_text(text: str, path: str | None) -> None:
 
 def _write_json(payload: dict, path: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", path)
+
+
+def _write_comparison(
+    table: ComparisonTable, provenance: dict, skipped: list[str], args: argparse.Namespace
+) -> None:
+    """The comparison as JSON to ``--output`` and, with ``--csv``, as CSV."""
+    payload = {"provenance": provenance, "comparison": table.to_json_dict()}
+    if skipped:
+        payload["skipped"] = skipped
+    _write_json(payload, args.output)
+    if args.csv:
+        _write_text(table.to_csv(provenance), args.csv)
+
+
+def _given(**options: float | None) -> dict[str, float]:
+    """The options given on the command line; the library defaults the rest."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -304,11 +322,13 @@ def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
     return BatteryConfig(
         capacity_mah=args.battery_capacity_mah,
         reference_current_ma=args.reference_current_ma,
-        initial_soc=100.0 if args.initial_soc is None else args.initial_soc,
+        **_given(initial_soc=args.initial_soc),
     )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .channel import serialize_trace
     from .ladder import parse_ladder
     from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
@@ -327,7 +347,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not runs_adaptive and (high is not None or low is not None):
         flag = "--adaptive-high" if high is not None else "--adaptive-low"
         raise ValueError(f"{flag} applies only when an adaptive mode runs")
-    adaptive = AdaptiveConfig(70.0 if high is None else high, 30.0 if low is None else low)
+    adaptive = AdaptiveConfig(**_given(high_threshold=high, low_threshold=low))
     ladder = parse_ladder(Path(args.ladder).read_text())
     trace, channel_desc = parse_channel_spec(args.channel, args.segments, args.segment_duration)
     params, params_desc = parse_params_spec(args.params)
@@ -350,11 +370,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.gamma is not None:
         config["gamma"] = args.gamma
     if battery is not None:
-        config["battery"] = {
-            "capacity_mah": battery.capacity_mah,
-            "reference_current_ma": battery.reference_current_ma,
-            "initial_soc": battery.initial_soc,
-        }
+        config["battery"] = asdict(battery)
     if args.quality:
         config["quality"] = args.quality
     provenance = _provenance("simulate", config)
@@ -375,16 +391,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             for mode in modes
         ]
-        table = compare(reports[0], reports[1:], quality=quality, channel=args.channel)
-        payload = {
-            "provenance": provenance,
-            "comparison": table.to_json_dict(),
-        }
-        if battery is None:
-            payload["skipped"] = ["adaptive: battery not configured"]
-        _write_json(payload, args.output)
-        if args.csv:
-            _write_text(table.to_csv(provenance), args.csv)
+        # each report already carries its quality means
+        table = compare(reports[0], reports[1:], channel=args.channel)
+        skipped = [] if battery is not None else ["adaptive: battery not configured"]
+        _write_comparison(table, provenance, skipped, args)
         if args.output:  # short readable summary when JSON went to a file
             for row in table.rows:
                 print(f"{row.mode_label:>18}: {row.energy_pct:7.2f}% energy")
@@ -398,26 +408,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .simulator import SessionReport, check_types, compare, load_quality_map
+    from .simulator import SessionReport, compare, load_quality_map, read_fields
 
-    def load_report(path: str) -> tuple[SessionReport, dict]:
-        payload = json.loads(Path(path).read_text())
-        check_types(path, [payload], (dict,))
-        provenance = payload.get("provenance", {})
-        check_types("provenance", [provenance], (dict,))
-        check_types("config", [provenance.get("config", {})], (dict,))
-        return SessionReport.from_json_dict(payload.get("report", payload)), provenance
+    def load_report(path: str) -> tuple[SessionReport, str]:
+        """A report as ``simulate`` writes it, and the kind of channel it ran over."""
+        try:
+            document = read_fields(_REPORT_FILE_FIELDS, json.loads(Path(path).read_text()), path)
+            kind = document["provenance"]  # walked down to its config.channel.kind
+            for key, types in (("config", (dict,)), ("channel", (dict,)), ("kind", (str,))):
+                kind = read_fields(((key, key, types),), kind, key)[key]
+        except KeyError as exc:
+            raise ValueError(f"{path!r} is missing key {exc}") from None
+        return SessionReport.from_json_dict(document["report"]), kind
 
-    baseline, base_prov = load_report(args.baseline)
+    baseline, channel_kind = load_report(args.baseline)
     others = [load_report(path)[0] for path in args.candidate]
     quality = load_quality_map(Path(args.quality).read_text()) if args.quality else None
-    channel_label = args.channel_label
-    if channel_label is None:
-        channel_config = base_prov.get("config", {}).get("channel")
-        if isinstance(channel_config, dict):
-            channel_label = channel_config.get("kind", "trace")
-        else:
-            channel_label = "trace"
+    channel_label = channel_kind if args.channel_label is None else args.channel_label
     table = compare(baseline, others, quality=quality, channel=channel_label)
     provenance = _provenance(
         "compare",
@@ -428,10 +435,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "channel_label": channel_label,
         },
     )
-    payload = {"provenance": provenance, "comparison": table.to_json_dict()}
-    _write_json(payload, args.output)
-    if args.csv:
-        _write_text(table.to_csv(provenance), args.csv)
+    _write_comparison(table, provenance, [], args)
     return 0
 
 
@@ -459,12 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--input", required=True, help="measurement CSV")
     p_fit.add_argument("--output", help="output JSON path (default: stdout)")
-    p_fit.add_argument(
+    floor = p_fit.add_mutually_exclusive_group()
+    floor.add_argument(
         "--fix-c", type=float, default=1.0, help="hold the floor at this value (default 1)"
     )
-    p_fit.add_argument(
-        "--free-c", action="store_true", help="fit the floor instead of fixing it"
-    )
+    floor.add_argument("--free-c", action="store_true", help="fit the floor instead of fixing it")
     p_fit.add_argument(
         "--include-flagged",
         action="store_true",

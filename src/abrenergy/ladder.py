@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._csvio import ParseError, data_rows, parse_int
+from ._csvio import ParseError, data_rows, first_seen, parse_int
 
 AVC = "AVC"
 HEVC = "HEVC"
@@ -132,18 +132,8 @@ def parse_ladder(text: str) -> QualityLadder:
             )
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
-        if rep.name in names:
-            raise ParseError(
-                f"line {line_no}: duplicate name {rep.name!r}"
-                f" (first seen on line {names[rep.name]})"
-            )
-        if bitrate in bitrates:
-            raise ParseError(
-                f"line {line_no}: duplicate bitrate {bitrate}"
-                f" (first seen on line {bitrates[bitrate]})"
-            )
-        names[rep.name] = line_no
-        bitrates[bitrate] = line_no
+        first_seen(names, rep.name, line_no, "name")
+        first_seen(bitrates, bitrate, line_no, "bitrate")
         reps.append(rep)
     if not reps:
         raise ParseError("ladder contains no representations")

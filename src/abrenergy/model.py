@@ -151,13 +151,16 @@ class FitResult:
 
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Two inputs as float arrays, checked to be 1-d, equally long and of two samples or more."""
+    """Two inputs as float arrays, checked to be 1-d, equally long, finite and
+    of two samples or more."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("inputs must be 1-d sequences of equal length")
     if xa.size < 2:
         raise ValueError("need at least two samples")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("inputs must be finite")
     return xa, ya
 
 
@@ -165,8 +168,8 @@ def pearson(x, y) -> float:
     """Pearson correlation coefficient.
 
     Raises:
-        ValueError: on length mismatch, fewer than two samples, or zero
-            variance in either input.
+        ValueError: on length mismatch, fewer than two samples, non-finite
+            input, or zero variance in either input.
     """
     xa, ya = _paired(x, y)
     dx = xa - xa.mean()

@@ -112,7 +112,7 @@ class EnergyMode:
         """Effective intensity for a segment; the adaptive kind needs the SoC."""
         if self.adaptive is not None:
             if soc is None:
-                raise ValueError("adaptive mode requires a battery state of charge")
+                raise ValueError("adaptive mode requires a battery")
             return adaptive_gamma(soc, self.adaptive)
         return self.gamma
 

@@ -17,13 +17,13 @@ import json
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import NoneType
 
 import numpy as np
 
-from ._csvio import ParseError, data_rows, parse_float
+from ._csvio import ParseError, data_rows, first_seen, parse_float
 from ._layout import json_array, lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
@@ -103,11 +103,7 @@ def load_quality_map(text: str) -> QualityMap:
         name = cells[0]
         if not name:
             raise ParseError(f"line {line_no}: name must be non-empty")
-        if name in names:
-            raise ParseError(
-                f"line {line_no}: duplicate name {name!r} (first seen on line {names[name]})"
-            )
-        names[name] = line_no
+        first_seen(names, name, line_no, "name")
         for metric, cell in zip(QUALITY_METRICS, cells[1:]):
             if cell:
                 columns[metric][name] = parse_float(cell, line_no, metric)
@@ -124,16 +120,17 @@ class SessionContext:
 
     params: ModelParams
     segment_duration: float
-    ladder_digest: str
+    ladder: QualityLadder
     trace_digest: str
 
-
-def _ladder_digest(ladder: QualityLadder) -> str:
-    payload = ";".join(
-        f"{rep.name},{rep.width},{rep.height},{rep.label},{rep.bitrate},{rep.codec}"
-        for rep in ladder
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    @property
+    def ladder_digest(self) -> str:
+        """Short sha256 of the ladder's fields, as reports record it."""
+        payload = ";".join(
+            f"{rep.name},{rep.width},{rep.height},{rep.label},{rep.bitrate},{rep.codec}"
+            for rep in self.ladder
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -362,7 +359,6 @@ class SessionReport:
 
     mode: EnergyMode
     context: SessionContext
-    ladder: QualityLadder
     n_segments: int
     mean_ec_rel: float
     mean_bitrate: float
@@ -372,6 +368,10 @@ class SessionReport:
     final_soc: float | None
     soc_depleted: bool
     segments: SegmentColumns | None
+
+    @property
+    def ladder(self) -> QualityLadder:
+        return self.context.ladder
 
     def _segment_values(self) -> dict[str, Sequence]:
         """Each per-segment column as a list of plain values, by CSV header.
@@ -507,11 +507,13 @@ class SessionReport:
         """Rebuild a report from ``to_json_dict`` output, checking every value.
 
         Raises:
-            ValueError: naming the first missing key or the key of a value
+            ValueError: naming the first missing key (``per_segment`` and an
+                adaptive mode's thresholds included) or the key of a value
                 whose JSON type its field does not accept or that is not
                 finite; on a per-segment record that is empty, whose length
                 is not ``n_segments`` or that selects a rung not in the
-                ladder; naming an aggregate that differs from the one the
+                ladder; when ``ladder_digest`` is not the saved ladder's;
+                naming an aggregate that differs from the one the
                 per-segment record gives; or for a field its type rejects
                 (for example a mode whose gamma contradicts its kind).
         """
@@ -520,10 +522,11 @@ class SessionReport:
             quality = aggregates["mean_quality"]
             if quality is not None:
                 read_fields(tuple((m, m, _NUMBER) for m in quality), quality, "mean_quality")
-            mode = read_fields(_MODE_FIELDS, data["mode"], "mode")
-            if data["mode"].get("adaptive"):
+            mode = EnergyMode(**read_fields(_MODE_FIELDS, data["mode"], "mode"))
+            # the writer saves thresholds exactly when the mode has them
+            if mode.adaptive is not None or "adaptive" in data["mode"]:
                 thresholds = read_fields(_ADAPTIVE_FIELDS, data["mode"]["adaptive"], "adaptive")
-                mode["adaptive"] = AdaptiveConfig(**thresholds)
+                mode = EnergyMode(mode.kind, mode.gamma, AdaptiveConfig(**thresholds))
             context = read_fields(_CONTEXT_FIELDS, data["context"], "context")
             params = read_fields(PARAMS_FIELDS, data["context"]["params"], "params")
             check_types("ladder", [data["ladder"]], (list,))
@@ -533,11 +536,16 @@ class SessionReport:
                     for row in data["ladder"]
                 )
             )
-            rows = data.get("per_segment")
-            n_segments = aggregates["n_segments"]
+            digest = context.pop("ladder_digest")
+            context = SessionContext(params=ModelParams(**params), ladder=ladder, **context)
+            if digest != context.ladder_digest:
+                raise ValueError(
+                    f"'ladder_digest' is {digest!r}, but the ladder gives {context.ladder_digest!r}"
+                )
+            rows = data["per_segment"]
             segments = None
             if rows is not None:
-                segments = _read_segments(rows, ladder, n_segments)
+                segments = _read_segments(rows, ladder, aggregates["n_segments"])
                 derived = _aggregates(ladder, segments)
                 for key, attr, _ in _AGGREGATE_FIELDS:
                     if attr in derived and aggregates[attr] != derived[attr]:
@@ -545,13 +553,7 @@ class SessionReport:
                             f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
                             f" gives {derived[attr]!r}"
                         )
-            return cls(
-                mode=EnergyMode(**mode),
-                context=SessionContext(params=ModelParams(**params), **context),
-                ladder=ladder,
-                segments=segments,
-                **aggregates,
-            )
+            return cls(mode=mode, context=context, segments=segments, **aggregates)
         except KeyError as exc:
             raise ValueError(f"report is missing key {exc}") from None
 
@@ -608,11 +610,9 @@ def run_session(
         SessionReport for the segments actually played.
 
     Raises:
-        ValueError: on adaptive mode without a battery, or quality coverage
-            gaps.
+        ValueError: on adaptive mode without a battery (from
+            ``EnergyMode.gamma_for``), or quality coverage gaps.
     """
-    if mode.adaptive is not None and battery is None:
-        raise ValueError("adaptive mode requires a battery configuration")
     if quality is not None:
         quality.validate_for(ladder)
 
@@ -673,7 +673,7 @@ def run_session(
     context = SessionContext(
         params=params,
         segment_duration=segment_duration,
-        ladder_digest=_ladder_digest(ladder),
+        ladder=ladder,
         trace_digest=trace.digest,
     )
     segments = SegmentColumns(
@@ -690,7 +690,6 @@ def run_session(
     return SessionReport(
         mode=mode,
         context=context,
-        ladder=ladder,
         mean_quality=_mean_scores(ladder, rungs, quality) if quality is not None else None,
         segments=segments if include_segments else None,
         **_aggregates(ladder, segments),
@@ -704,9 +703,9 @@ class ComparisonRow:
     channel: str
     mode_label: str
     energy_pct: float
-    quality: dict[str, float] = field(default_factory=dict)
-    quality_delta: dict[str, float] = field(default_factory=dict)
-    perceptible: bool = False
+    quality: dict[str, float]
+    quality_delta: dict[str, float]
+    perceptible: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -746,10 +745,10 @@ class ComparisonTable:
 
 
 def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[str, float] | None:
-    if report.mean_quality is not None:
+    if quality is None:
         return report.mean_quality
-    if quality is None or report.segments is None:
-        return None
+    if report.segments is None:
+        raise ValueError(f"the {report.mode.label} report has no per-segment record to score")
     quality.validate_for(report.ladder)
     return _mean_scores(report.ladder, report.segments.rung, quality)
 
@@ -765,13 +764,13 @@ def compare(
     ``energy_pct`` is each mode's mean relative consumption as a percentage
     of the baseline's.  Quality deltas are baseline minus mode for every
     metric both rows carry; a VMAF drop above ``PERCEPTIBLE_VMAF_DELTA``
-    marks the row as perceptible.  When a report was produced without
-    quality but kept its per-segment record, ``quality`` supplies the
-    scores after the fact.
+    marks the row as perceptible.  ``quality``, when given, scores every
+    report from its per-segment record in place of the means it carries.
 
     Raises:
         ValueError: when any report ran under a different session context
-            than the baseline.
+            than the baseline, or when ``quality`` is given and a report
+            carries no per-segment record.
     """
     for report in others:
         if report.context != baseline.context:

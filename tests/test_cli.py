@@ -13,6 +13,8 @@ from abrenergy import load_trace
 from abrenergy.cli import main, parse_bandwidth, parse_channel_spec
 from conftest import STOCK_LADDER_CSV
 
+LADDER_NAMES = [line.split(",")[0] for line in STOCK_LADDER_CSV.splitlines()[1:]]
+
 
 @pytest.fixture()
 def ladder_file(tmp_path):
@@ -305,6 +307,17 @@ class TestNormalizeAndFit:
         assert list(entry) == ["combination", "a", "b", "c", "r2", "pcc", "srocc",
                                "n", "excluded"]
 
+    def test_fix_c_and_free_c_together_are_a_usage_error(self, tmp_path, capsys):
+        meas = make_measurements(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", meas, "--fix-c", "1.2", "--free-c"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        out = tmp_path / "fits.json"
+        for flags, fix_c in (([], 1.0), (["--fix-c", "1.2"], 1.2), (["--free-c"], None)):
+            assert main(["fit", "--input", meas, "--output", str(out), *flags]) == 0
+            assert json.loads(out.read_text())["provenance"]["config"]["fix_c"] == fix_c
+
     def test_fit_results_feed_simulate(self, tmp_path, ladder_file):
         meas = make_measurements(tmp_path)
         fits_path = tmp_path / "fits.json"
@@ -381,6 +394,25 @@ class TestNormalizeAndFit:
         assert err.count("\n") == 1 and not output.exists()
 
 
+def dropped(payload, *path):
+    """Remove the key at the end of ``path`` from ``payload``."""
+    *parents, key = path
+    for parent in parents:
+        payload = payload[parent]
+    del payload[key]
+
+
+def rename_selected_rung(payload):
+    """Rename the first segment's rung in the ladder and the per-segment record,
+    keeping the saved digest."""
+    report = payload["report"]
+    old = report["per_segment"][0]["selected"]
+    for row in report["ladder"] + report["per_segment"]:
+        for key in ("name", "selected"):
+            if row.get(key) == old:
+                row[key] = "renamed"
+
+
 class TestCompareCommand:
     def write_quality(self, tmp_path, ladder_names):
         path = tmp_path / "quality.csv"
@@ -404,7 +436,7 @@ class TestCompareCommand:
         assert code == 0
         lines = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
         rows = list(csv.reader(lines))
-        assert rows[1][1] == "off" and rows[2][1] == "strict"
+        assert rows[1][:2] == ["constant", "off"] and rows[2][:2] == ["constant", "strict"]
         assert abs(float(rows[2][2]) - 68.39) < 0.02
         assert float(rows[2][8]) == pytest.approx(12.0)  # vmaf drop, perceptible
 
@@ -452,6 +484,19 @@ class TestCompareCommand:
          "per_segment must hold at least one row"),
         (lambda p: p["report"]["ladder"][0].update(name="\ud800"),
          "representation name '\\ud800' cannot be written as UTF-8"),
+        # compare reads only the document simulate writes
+        (lambda p: [p.update(p.pop("report")), p.pop("provenance")], "missing key 'provenance'"),
+        (lambda p: dropped(p, "provenance"), "missing key 'provenance'"),
+        (lambda p: dropped(p, "provenance", "config"), "missing key 'config'"),
+        (lambda p: dropped(p, "provenance", "config", "channel"), "missing key 'channel'"),
+        (lambda p: dropped(p, "provenance", "config", "channel", "kind"), "missing key 'kind'"),
+        (lambda p: p["provenance"]["config"]["channel"].update(kind=None),
+         "'kind' must be a string, got null"),
+        (lambda p: dropped(p, "report"), "missing key 'report'"),
+        (lambda p: dropped(p, "report", "per_segment"), "missing key 'per_segment'"),
+        (lambda p: p["report"].update(per_segment={}),
+         "'per_segment' must be an array, got an object"),
+        (rename_selected_rung, "'ladder_digest' is"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):
@@ -467,6 +512,91 @@ class TestCompareCommand:
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: dropped(p, "report", "mode", "adaptive"), "missing key 'adaptive'"),
+        (lambda p: p["report"]["mode"].update(adaptive={}), "missing key 'high_threshold'"),
+        (lambda p: dropped(p, "report", "mode", "adaptive", "low_threshold"),
+         "missing key 'low_threshold'"),
+        # EnergyMode reads "Adaptive" as the adaptive kind, which defaults its thresholds
+        (lambda p: [p["report"]["mode"].update(kind="Adaptive"),
+                    dropped(p, "report", "mode", "adaptive")], "missing key 'adaptive'"),
+    ])  # fmt: skip
+    def test_adaptive_thresholds_are_required(self, tmp_path, ladder_file, capsys, edit,
+                                              message):
+        base, cand = tmp_path / "off.json", tmp_path / "adaptive.json"
+        for mode, path in (("off", base), ("adaptive", cand)):
+            main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                  "--mode", mode, "--params", "overall", "--segments", "5",
+                  "--battery-capacity-mah", "1000", "--reference-current-ma", "500",
+                  "--output", str(path)])
+        payload = json.loads(cand.read_text())
+        edit(payload)
+        cand.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_colliding_ladder_digests_are_told_apart(self, tmp_path, capsys):
+        # the digest joins raw fields with "," and ";", so these two ladders share it
+        header = "name,width,height,label,bitrate_bps,codec\n"
+        two, one = tmp_path / "two.csv", tmp_path / "one.csv"
+        two.write_text(header + "a,1,1,l,100,HEVC\nb,16,9,hi,5000000,HEVC\n")
+        one.write_text(header + '"a,1,1,l,100,HEVC;b",16,9,hi,5000000,HEVC\n')
+        base, cand = tmp_path / "off.json", tmp_path / "strict.json"
+        for ladder, mode, path in ((two, "off", base), (one, "strict", cand)):
+            assert main(["simulate", "--ladder", str(ladder), "--channel", "constant:22M",
+                         "--mode", mode, "--params", "overall", "--segments", "5",
+                         "--output", str(path)]) == 0
+        digests = {json.loads(p.read_text())["report"]["context"]["ladder_digest"]
+                   for p in (base, cand)}
+        assert len(digests) == 1
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
+        assert "mismatched session contexts" in capsys.readouterr().err
+
+    def vmaf_only(self, tmp_path, name, vmaf):
+        path = tmp_path / name
+        path.write_text("name,psnr,ssim,vmaf\n"
+                        + "".join(f"{rep},,,{v}\n" for rep, v in zip(LADDER_NAMES, vmaf)))
+        return str(path)
+
+    def test_given_quality_replaces_saved_means(self, tmp_path, ladder_file):
+        # at 22M, off plays 2160p and strict 1080p, every segment
+        q1 = self.vmaf_only(tmp_path, "q1.csv", [40 + 3 * i for i in range(10)])
+        q2 = self.vmaf_only(tmp_path, "q2.csv", [30 + 4 * i for i in range(10)])
+        base, cand = tmp_path / "off.json", tmp_path / "strict.json"
+        for mode, path in (("off", base), ("strict", cand)):
+            assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                         "--mode", mode, "--params", "overall", "--segments", "6",
+                         "--quality", q1, "--output", str(path)]) == 0
+        out = tmp_path / "cmp.json"
+        means = {}
+        for quality in (None, q2):
+            flags = [] if quality is None else ["--quality", quality]
+            assert main(["compare", "--baseline", str(base), "--candidate", str(cand),
+                         "--output", str(out), *flags]) == 0
+            rows = json.loads(out.read_text())["comparison"]["rows"]
+            means[quality] = [row["quality"]["vmaf"] for row in rows]
+        assert means == {None: [67.0, 55.0], q2: [66.0, 50.0]}
+
+    def test_quality_needs_a_per_segment_record(self, tmp_path, ladder_file, capsys):
+        base, cand = tmp_path / "off.json", tmp_path / "strict.json"
+        for mode, path in (("off", base), ("strict", cand)):
+            main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                  "--mode", mode, "--params", "overall", "--segments", "5",
+                  "--output", str(path)])
+        payload = json.loads(cand.read_text())
+        payload["report"]["per_segment"] = None
+        cand.write_text(json.dumps(payload))
+        quality = self.vmaf_only(tmp_path, "q.csv", range(10))
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand),
+                     "--quality", quality]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "strict report has no per-segment record" in err
 
 
 class TestErrorPaths:

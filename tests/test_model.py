@@ -190,6 +190,15 @@ class TestCorrelation:
     def test_r_squared_hand_value(self):
         assert r_squared([1, 2, 3], [1.1, 1.9, 3.2]) == pytest.approx(0.97, abs=1e-12)
 
+    @pytest.mark.parametrize("measure", [pearson, spearman, r_squared])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_rejected(self, measure, bad):
+        # pearson once clamped a NaN correlation to -1.0; spearman ranked NaN as a value
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            measure([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            measure([1.0, 2.0, 3.0], [3.0, bad, 1.0])
+
     def test_r_squared_perfect_and_degenerate(self):
         assert r_squared([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
         assert r_squared([2, 2, 2], [1, 2, 3]) == 0.0

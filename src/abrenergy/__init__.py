@@ -20,12 +20,13 @@ _EXPORTS = {
     "_csvio": "ParseError",
     "channel": """DEFAULT_BANDWIDTH_VALUES DEFAULT_BLOCK_LEN DEFAULT_PERIOD_S ChannelTrace
         constant load_trace random_blocks serialize_trace staircase""",
-    "ladder": "AVC HEVC LADDER_HEADER QualityLadder Representation normalize_codec parse_ladder",
-    "measurements": """LTE_4G MEASUREMENT_HEADER NR_5G WIFI Combination MeasurementRecord
-        RelativePoint group_records load_records normalize normalize_connection
-        normalize_group reference_consumption resolution_rank""",
-    "model": """PRESETS FitError FitResult ModelParams evaluate fit pearson preset r_squared
-        spearman""",
+    "ladder": """AVC HEVC LADDER_HEADER LTE_4G NR_5G WIFI QualityLadder Representation
+        normalize_codec normalize_connection parse_ladder""",
+    "measurements": """MEASUREMENT_HEADER Combination MeasurementRecord Measurements RelativePoint
+        group_measurements group_records load_records normalize normalize_columns
+        normalize_group read_measurements reference_consumption resolution_rank""",
+    "model": """PRESETS FitError FitResult ModelParams evaluate fit fit_columns pearson preset
+        r_squared spearman""",
     "policy": """FIXED_GAMMAS AdaptiveConfig EnergyMode PolicyDecision adaptive_gamma
         adaptive_mode light_mode medium_mode off_mode select strict_mode""",
     "prng": "Lcg64",

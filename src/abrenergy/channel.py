@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._csvio import ParseError, data_rows, first_seen, parse_float, parse_int
+from ._csvio import ParseError, check_unique, float_column, int_column, read_columns
 from .prng import Lcg64
 
 DEFAULT_PERIOD_S = 6.0
@@ -150,28 +150,34 @@ def load_trace(text: str, period_duration: float = DEFAULT_PERIOD_S) -> ChannelT
     gaps, duplicates, and non-positive bandwidths are rejected with line
     numbers.
     """
-    entries: dict[int, float] = {}
-    lines: dict[int, int] = {}
-    for line_no, cells in data_rows(text, TRACE_HEADER):
-        period = parse_int(cells[0], line_no, "period")
-        bandwidth = parse_float(cells[1], line_no, "bandwidth_bps")
-        if period < 0:
-            raise ParseError(f"line {line_no}: period must be non-negative, got {period}")
-        if bandwidth <= 0:
+
+    def convert(line_numbers: list[int], columns: list[list[str]]) -> ChannelTrace:
+        periods = int_column(columns[0], line_numbers, "period")
+        bandwidths = float_column(columns[1], line_numbers, "bandwidth_bps")
+        if min(periods, default=0) < 0:
+            row = next(row for row, period in enumerate(periods) if period < 0)
             raise ParseError(
-                f"line {line_no}: bandwidth_bps must be positive, got {bandwidth}"
+                f"period must be non-negative, got {periods[row]}", line_numbers[row]
             )
-        first_seen(lines, period, line_no, "period")
-        entries[period] = bandwidth
-    if not entries:
-        raise ParseError("trace contains no periods")
-    for expected in range(len(entries)):
-        if expected not in entries:
-            raise ParseError(f"gap in period indices: period {expected} missing")
-    return ChannelTrace(
-        period_duration,
-        tuple(entries[i] for i in range(len(entries))),
-    )
+        if min(bandwidths, default=1.0) <= 0:
+            row = next(row for row, bandwidth in enumerate(bandwidths) if bandwidth <= 0)
+            raise ParseError(
+                f"bandwidth_bps must be positive, got {bandwidths[row]}", line_numbers[row]
+            )
+        check_unique(periods, line_numbers, "period")
+        if not periods:
+            raise ParseError("trace contains no periods", None)
+        # distinct non-negative periods cover 0..n-1 when the largest is n-1
+        if max(periods) != len(periods) - 1:
+            present = set(periods)
+            missing = next(p for p in range(len(periods)) if p not in present)
+            raise ParseError(f"gap in period indices: period {missing} missing", None)
+        in_order = [0.0] * len(periods)
+        for period, bandwidth in zip(periods, bandwidths):
+            in_order[period] = bandwidth
+        return ChannelTrace(period_duration, tuple(in_order))
+
+    return read_columns(text, TRACE_HEADER, convert)
 
 
 def serialize_trace(trace: ChannelTrace) -> str:

@@ -237,26 +237,25 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     ``repr`` writes a float as JSON does, since a point's values are finite.
     """
     from ._layout import json_array
-    from .measurements import group_records, load_records, normalize_group
+    from .measurements import group_measurements, normalize_columns, read_measurements
 
-    records = load_records(Path(args.input).read_text())
+    groups = group_measurements(read_measurements(Path(args.input).read_text()))
     combinations, point_rows = [], []
-    grouped = sorted(group_records(records).items(), key=lambda item: item[0].label)
-    for combination, group in grouped:
-        reference, points = normalize_group(group, combination)
-        flagged = [point.flagged for point in points]
+    for combination in sorted(groups, key=lambda c: c.label):
+        reference, bw_rel, ec_rel = normalize_columns(groups[combination], combination)
+        flagged = [value < 1.0 for value in bw_rel]
         combinations.append(
             {
                 "combination": combination.label,
                 "reference_current_ma": reference,
-                "n_points": len(points),
+                "n_points": len(bw_rel),
                 "n_flagged": sum(flagged),
                 "points": None,
             }
         )
         columns = (
-            [repr(point.bw_rel) for point in points],
-            [repr(point.ec_rel) for point in points],
+            list(map(repr, bw_rel)),
+            list(map(repr, ec_rel)),
             [("false", "true")[f] for f in flagged],
         )
         # a group's points are the value of "points", three levels deep
@@ -273,21 +272,30 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    from .measurements import load_records, normalize
-    from .model import fit
+    import numpy as np
 
-    records = load_records(Path(args.input).read_text())
-    groups = normalize(records)
+    from .measurements import group_measurements, normalize_columns, read_measurements
+    from .model import fit_columns
+
+    # every group is normalized, in first-seen order, before any is fitted;
+    # only the ratio columns are still referenced while fitting
+    groups = {
+        combination: normalize_columns(group, combination)[1:]
+        for combination, group in group_measurements(
+            read_measurements(Path(args.input).read_text())
+        ).items()
+    }
     fix_c = None if args.free_c else args.fix_c
     fits = []
     notes = []
     for combination in sorted(groups, key=lambda c: c.label):
-        result = fit(groups[combination], fix_c=fix_c, include_flagged=args.include_flagged)
+        result = fit_columns(*groups[combination], fix_c, args.include_flagged)
         fits.append(result.to_json_dict(combination.label))
         notes.extend(f"{combination.label}: {d}" for d in result.diagnostics)
     if len(groups) > 1:
-        pooled = [point for points in groups.values() for point in points]
-        result = fit(pooled, fix_c=fix_c, include_flagged=args.include_flagged)
+        # pooled in first-seen order, which the fitted bytes depend on
+        pooled = [np.concatenate(column) for column in zip(*groups.values())]
+        result = fit_columns(*pooled, fix_c, args.include_flagged)
         fits.append(result.to_json_dict("overall"))
         notes.extend(f"overall: {d}" for d in result.diagnostics)
     for note in notes:

@@ -1,10 +1,14 @@
-"""Quality ladders: the ordered set of encoded versions a client can request."""
+"""Quality ladders: the ordered set of encoded versions a client can request.
+
+The codec and connection spellings that ladders, measurement files and
+preset labels share are made canonical here as well.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._csvio import ParseError, data_rows, first_seen, parse_int
+from ._csvio import ParseError, check_unique, int_column, read_columns
 
 AVC = "AVC"
 HEVC = "HEVC"
@@ -27,6 +31,29 @@ def normalize_codec(value: str) -> str:
     """Canonical uppercase codec name; unknown codecs pass through uppercased."""
     canon = value.strip().upper()
     return _CODEC_ALIASES.get(canon, canon)
+
+
+WIFI = "WIFI"
+LTE_4G = "LTE_4G"
+NR_5G = "NR_5G"
+
+_CONNECTION_ALIASES = {
+    "WIFI": WIFI,
+    "WI-FI": WIFI,
+    "WLAN": WIFI,
+    "4G": LTE_4G,
+    "LTE": LTE_4G,
+    "LTE_4G": LTE_4G,
+    "5G": NR_5G,
+    "NR": NR_5G,
+    "NR_5G": NR_5G,
+}
+
+
+def normalize_connection(value: str) -> str:
+    """Canonical uppercase connection name; unknown kinds pass through uppercased."""
+    canon = value.strip().upper()
+    return _CONNECTION_ALIASES.get(canon, canon)
 
 
 @dataclass(frozen=True)
@@ -119,24 +146,24 @@ def parse_ladder(text: str) -> QualityLadder:
     Raises:
         ParseError: on any malformed or inconsistent row.
     """
-    reps: list[Representation] = []
-    names: dict[str, int] = {}
-    bitrates: dict[int, int] = {}
-    for line_no, cells in data_rows(text, LADDER_HEADER):
-        width = parse_int(cells[1], line_no, "width")
-        height = parse_int(cells[2], line_no, "height")
-        bitrate = parse_int(cells[4], line_no, "bitrate_bps")
+    return read_columns(text, LADDER_HEADER, _ladder)
+
+
+def _ladder(line_numbers: list[int], columns: list[list[str]]) -> QualityLadder:
+    names, widths, heights, labels, bitrates, codecs = columns
+    width = int_column(widths, line_numbers, "width")
+    height = int_column(heights, line_numbers, "height")
+    bitrate = int_column(bitrates, line_numbers, "bitrate_bps")
+    reps = []
+    rows = zip(line_numbers, names, width, height, labels, bitrate, codecs)
+    for line_no, *fields, codec in rows:
         try:
-            rep = Representation(
-                cells[0], width, height, cells[3], bitrate, normalize_codec(cells[5])
-            )
+            reps.append(Representation(*fields, normalize_codec(codec)))
         except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from None
-        first_seen(names, rep.name, line_no, "name")
-        first_seen(bitrates, bitrate, line_no, "bitrate")
-        reps.append(rep)
+            raise ParseError(str(exc), line_no) from None
+    check_unique(names, line_numbers, "name")
+    check_unique(bitrate, line_numbers, "bitrate")
     if not reps:
-        raise ParseError("ladder contains no representations")
+        raise ParseError("ladder contains no representations", None)
     reps.sort(key=lambda rep: rep.bitrate)
     return QualityLadder(tuple(reps))
-

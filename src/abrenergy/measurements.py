@@ -5,6 +5,11 @@ bandwidth and average battery current observed while playing it.  Each
 (device, connection, codec) group is normalized against the current drawn
 by its cheapest representation, yielding dimensionless points
 (relative bandwidth, relative consumption) that a single model can fit.
+
+A measurement file is read into columns (``Measurements``, one list per
+field) and each group is normalized from its columns.  ``MeasurementRecord``
+and ``RelativePoint`` are row views over these columns, built only by the
+functions that return them.
 """
 
 from __future__ import annotations
@@ -12,14 +17,13 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import truediv
+from typing import NamedTuple
 
-from ._csvio import ParseError, data_rows, parse_float
-from .ladder import normalize_codec
-
-WIFI = "WIFI"
-LTE_4G = "LTE_4G"
-NR_5G = "NR_5G"
+from ._csvio import ParseError, float_column, read_columns
+from .ladder import normalize_codec, normalize_connection
 
 MEASUREMENT_HEADER = [
     "device",
@@ -31,25 +35,10 @@ MEASUREMENT_HEADER = [
     "avg_current_ma",
 ]
 
-_CONNECTION_ALIASES = {
-    "WIFI": WIFI,
-    "WI-FI": WIFI,
-    "WLAN": WIFI,
-    "4G": LTE_4G,
-    "LTE": LTE_4G,
-    "LTE_4G": LTE_4G,
-    "5G": NR_5G,
-    "NR": NR_5G,
-    "NR_5G": NR_5G,
-}
+#: The numeric fields as records name them; the file's header adds the unit.
+_NUMBERS = ("bitrate", "avg_bandwidth", "avg_current")
 
 _LEADING_INT = re.compile(r"(\d+)")
-
-
-def normalize_connection(value: str) -> str:
-    """Canonical uppercase connection name; unknown kinds pass through uppercased."""
-    canon = value.strip().upper()
-    return _CONNECTION_ALIASES.get(canon, canon)
 
 
 @dataclass(frozen=True)
@@ -65,9 +54,63 @@ class Combination:
         return f"{self.device}/{self.connection}/{self.codec}"
 
 
+class Measurements(NamedTuple):
+    """Measurement rows as one list per field, in file order."""
+
+    device: list[str]
+    connection: list[str]
+    codec: list[str]
+    resolution: list[str]
+    bitrate: list[float]
+    avg_bandwidth: list[float]
+    avg_current: list[float]
+
+    def take(self, rows: list[int]) -> Measurements:
+        """The given rows, in the given order."""
+        return Measurements(*([column[row] for row in rows] for column in self))
+
+
+def _record_fault(
+    device: Sequence[str], numbers: Sequence[Sequence[float]]
+) -> tuple[int, str] | None:
+    """The first row failing a record check, and its message.
+
+    The checks run in this order, each over every row: a non-empty device,
+    then each of the finite ``numbers`` (bitrate, bandwidth, current)
+    positive.
+    """
+    if "" in device:
+        return device.index(""), "device must be non-empty"
+    for name, values in zip(_NUMBERS, numbers):
+        if min(values, default=1.0) <= 0:
+            row = next(row for row, value in enumerate(values) if value <= 0)
+            return row, f"{name} must be positive, got {values[row]}"
+    return None
+
+
+def _positive_and_finite(values: Sequence[float]) -> bool:
+    return all(map(math.isfinite, values)) and min(values, default=1.0) > 0
+
+
+def _point_fault(bw_rel: Sequence[float], ec_rel: Sequence[float]) -> str | None:
+    """The message for the first relative value, row by row and ``bw_rel``
+    before ``ec_rel``, that is not positive and finite."""
+    if _positive_and_finite(bw_rel) and _positive_and_finite(ec_rel):
+        return None
+    for row in zip(bw_rel, ec_rel):
+        for name, value in zip(("bw_rel", "ec_rel"), row):
+            if not (math.isfinite(value) and value > 0):
+                return f"{name} must be positive and finite, got {value}"
+    return None
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One playback measurement: what was requested and what it cost."""
+    """One playback measurement: what was requested and what it cost.
+
+    A row view of ``Measurements``, checked as a file row is: each number
+    finite, then the device non-empty, then each number positive.
+    """
 
     device: str
     connection: str
@@ -78,14 +121,13 @@ class MeasurementRecord:
     avg_current: float
 
     def __post_init__(self) -> None:
-        if not self.device:
-            raise ValueError("device must be non-empty")
-        for name in ("bitrate", "avg_bandwidth", "avg_current"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        numbers = (self.bitrate, self.avg_bandwidth, self.avg_current)
+        if not all(map(math.isfinite, numbers)):
+            name, value = next((n, v) for n, v in zip(_NUMBERS, numbers) if not math.isfinite(v))
+            raise ValueError(f"{name} must be finite, got {value}")
+        fault = _record_fault((self.device,), [(value,) for value in numbers])
+        if fault:
+            raise ValueError(fault[1])
 
     @property
     def combination(self) -> Combination:
@@ -101,6 +143,7 @@ class RelativePoint:
     ``bw_rel < 1`` ran below the requested rate and are flagged; they are
     retained but excluded from fitting by default.  Both must be positive
     and finite: a ratio of finite values can still overflow or underflow.
+    A row view of the columns ``normalize_columns`` returns.
     """
 
     bw_rel: float
@@ -108,40 +151,65 @@ class RelativePoint:
     source: Combination
 
     def __post_init__(self) -> None:
-        for name in ("bw_rel", "ec_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{self.source.label}: {name} must be positive and finite, got {value}"
-                )
+        fault = _point_fault((self.bw_rel,), (self.ec_rel,))
+        if fault:
+            raise ValueError(f"{self.source.label}: {fault}")
 
     @property
     def flagged(self) -> bool:
         return self.bw_rel < 1.0
 
 
+def _canonical(values: list[str], canonical: Callable[[str], str]) -> list[str]:
+    """``canonical`` of each value, called once per distinct value."""
+    spelled = {value: canonical(value) for value in set(values)}
+    return list(map(spelled.__getitem__, values))
+
+
+def _measurements(line_numbers: list[int], columns: list[list[str]]) -> Measurements:
+    device, connection, codec, resolution, *cells = columns
+    numbers = [
+        float_column(column, line_numbers, name)
+        for column, name in zip(cells, MEASUREMENT_HEADER[4:])
+    ]
+    fault = _record_fault(device, numbers)
+    if fault:
+        row, message = fault
+        raise ParseError(message, line_numbers[row])
+    if not device:
+        raise ParseError("measurement file contains no records", None)
+    return Measurements(
+        device,
+        _canonical(connection, normalize_connection),
+        _canonical(codec, normalize_codec),
+        resolution,
+        *numbers,
+    )
+
+
+def read_measurements(text: str) -> Measurements:
+    """Parse measurement CSV into columns.
+
+    A malformed file fails at its earliest offending line, and within that
+    line at the first failing check in this order: each number parses and
+    is finite, the device is non-empty, each number is positive.
+    Connection and codec spellings are made canonical.
+
+    Raises:
+        ParseError: on a malformed row, or when the file holds no records.
+    """
+    return read_columns(text, MEASUREMENT_HEADER, _measurements)
+
+
 def load_records(text: str) -> list[MeasurementRecord]:
-    """Parse measurement CSV rows, rejecting malformed input with line numbers."""
-    records = []
-    for line_no, cells in data_rows(text, MEASUREMENT_HEADER):
-        bitrate = parse_float(cells[4], line_no, "bitrate_bps")
-        bandwidth = parse_float(cells[5], line_no, "avg_bandwidth_bps")
-        current = parse_float(cells[6], line_no, "avg_current_ma")
-        try:
-            records.append(
-                MeasurementRecord(
-                    device=cells[0],
-                    connection=normalize_connection(cells[1]),
-                    codec=normalize_codec(cells[2]),
-                    resolution=cells[3],
-                    bitrate=bitrate,
-                    avg_bandwidth=bandwidth,
-                    avg_current=current,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from None
-    return records
+    """Parse measurement CSV into records: ``read_measurements`` row by row."""
+    return [MeasurementRecord(*row) for row in zip(*read_measurements(text))]
+
+
+def _columns(records: list[MeasurementRecord]) -> Measurements:
+    return Measurements(
+        *([getattr(record, name) for record in records] for name in Measurements._fields)
+    )
 
 
 def resolution_rank(label: str) -> int | None:
@@ -150,14 +218,44 @@ def resolution_rank(label: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
+def _group_rows(measurements: Measurements) -> dict[Combination, list[int]]:
+    """Row indices by (device, connection, codec), groups in first-seen order."""
+    rows: dict[tuple[str, str, str], list[int]] = defaultdict(list)
+    keys = zip(measurements.device, measurements.connection, measurements.codec)
+    for row, key in enumerate(keys):
+        rows[key].append(row)
+    return {Combination(*key): group for key, group in rows.items()}
+
+
+def group_measurements(measurements: Measurements) -> dict[Combination, Measurements]:
+    """Each (device, connection, codec) group's rows, groups in first-seen order."""
+    return {
+        combination: measurements.take(rows)
+        for combination, rows in _group_rows(measurements).items()
+    }
+
+
 def group_records(
     records: list[MeasurementRecord],
 ) -> dict[Combination, list[MeasurementRecord]]:
     """Records by (device, connection, codec), groups in first-seen order."""
-    grouped: dict[tuple[str, str, str], list[MeasurementRecord]] = defaultdict(list)
-    for record in records:
-        grouped[(record.device, record.connection, record.codec)].append(record)
-    return {Combination(*key): group for key, group in grouped.items()}
+    return {
+        combination: [records[row] for row in rows]
+        for combination, rows in _group_rows(_columns(records)).items()
+    }
+
+
+def _reference(group: Measurements) -> float:
+    """Mean current of the rows at the minimum bitrate that have the lowest
+    resolution rank; all of them when no resolution label has a rank."""
+    floor = min(group.bitrate)
+    rows = [row for row, bitrate in enumerate(group.bitrate) if bitrate == floor]
+    ranks = [resolution_rank(group.resolution[row]) for row in rows]
+    ranked = [rank for rank in ranks if rank is not None]
+    if ranked:
+        best = min(ranked)
+        rows = [row for row, rank in zip(rows, ranks) if rank == best]
+    return sum(group.avg_current[row] for row in rows) / len(rows)
 
 
 def reference_consumption(records: list[MeasurementRecord], combination: Combination) -> float:
@@ -177,17 +275,33 @@ def reference_consumption(records: list[MeasurementRecord], combination: Combina
     group = [r for r in records if (r.device, r.connection, r.codec) == key]
     if not group:
         raise ValueError(f"no records for combination {combination.label!r}")
-    floor = min(record.bitrate for record in group)
-    candidates = [record for record in group if record.bitrate == floor]
-    ranked = [
-        (rank, record)
-        for record in candidates
-        if (rank := resolution_rank(record.resolution)) is not None
-    ]
-    if ranked:
-        best = min(rank for rank, _ in ranked)
-        candidates = [record for rank, record in ranked if rank == best]
-    return sum(record.avg_current for record in candidates) / len(candidates)
+    return _reference(_columns(group))
+
+
+def _relative(
+    group: Measurements, reference: float, combination: Combination
+) -> tuple[list[float], list[float]]:
+    bw_rel = list(map(truediv, group.avg_bandwidth, group.bitrate))
+    ec_rel = [current / reference for current in group.avg_current]
+    fault = _point_fault(bw_rel, ec_rel)
+    if fault:
+        raise ValueError(f"{combination.label}: {fault}")
+    return bw_rel, ec_rel
+
+
+def normalize_columns(
+    group: Measurements, combination: Combination
+) -> tuple[float, list[float], list[float]]:
+    """One group's reference current and its ``bw_rel`` and ``ec_rel`` columns.
+
+    Pass the group's own rows (see ``group_measurements``).
+
+    Raises:
+        ValueError: when a ratio is not positive and finite, naming the
+            combination; the first such row is named, ``bw_rel`` first.
+    """
+    reference = _reference(group)
+    return reference, *_relative(group, reference, combination)
 
 
 def normalize_group(
@@ -199,14 +313,8 @@ def normalize_group(
     ``reference_consumption(records, combination)``.
     """
     reference = reference_consumption(records, combination)
-    return reference, [
-        RelativePoint(
-            bw_rel=record.avg_bandwidth / record.bitrate,
-            ec_rel=record.avg_current / reference,
-            source=combination,
-        )
-        for record in records
-    ]
+    bw_rel, ec_rel = _relative(_columns(records), reference, combination)
+    return reference, [RelativePoint(bw, ec, combination) for bw, ec in zip(bw_rel, ec_rel)]
 
 
 def normalize(records: list[MeasurementRecord]) -> dict[Combination, list[RelativePoint]]:

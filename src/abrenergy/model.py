@@ -13,12 +13,16 @@ asymptotic floor (1.0 by construction of the normalization).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ladder import normalize_codec
-from .measurements import RelativePoint, normalize_connection
+from .ladder import normalize_codec, normalize_connection
+
+if TYPE_CHECKING:  # simulate and compare never load measurements
+    from .measurements import RelativePoint
 
 
 class FitError(ValueError):
@@ -232,7 +236,20 @@ def fit(
     fix_c: float | None = 1.0,
     include_flagged: bool = False,
 ) -> FitResult:
-    """Least-squares fit of the exponential model to relative points.
+    """``fit_columns`` over the points' ``bw_rel`` and ``ec_rel`` values."""
+    return fit_columns(
+        [p.bw_rel for p in points], [p.ec_rel for p in points], fix_c, include_flagged
+    )
+
+
+def fit_columns(
+    bw_rel: Sequence[float] | np.ndarray,
+    ec_rel: Sequence[float] | np.ndarray,
+    fix_c: float | None,
+    include_flagged: bool,
+) -> FitResult:
+    """Least-squares fit of the exponential model to relative points, given
+    as a column of relative bandwidths and one of relative consumptions.
 
     Starts from a log-linear guess and refines with damped Gauss-Newton
     steps (step halved while the objective worsens), stopping when the
@@ -240,28 +257,34 @@ def fit(
     ``a`` and ``b`` are projected to stay non-negative.
 
     Args:
-        points: relative measurement points.
+        bw_rel: relative bandwidth of each point.
+        ec_rel: relative consumption of each point.
         fix_c: hold the floor at this value; ``None`` frees it.
-        include_flagged: also use points with ``bw_rel < 1``.
+        include_flagged: also use the points with ``bw_rel < 1``.
 
     Returns:
         FitResult over the points actually used; degenerate correlation
         metrics are reported as 0.0 with a diagnostic instead of raising.
 
     Raises:
+        ValueError: when the columns are not 1-d and of equal length.
         FitError: on too few usable points, unidentifiable data (all at
             one bw_rel), a non-finite objective, or a negative floor.
     """
-    usable = [p for p in points if include_flagged or not p.flagged]
-    n_excluded = len(points) - len(usable)
+    bw = np.asarray(bw_rel, dtype=float)
+    ec = np.asarray(ec_rel, dtype=float)
+    if bw.shape != ec.shape or bw.ndim != 1:
+        raise ValueError("bw_rel and ec_rel must be 1-d columns of equal length")
+    n_given = bw.size
+    if not include_flagged:
+        usable = ~(bw < 1.0)
+        bw, ec = bw[usable], ec[usable]
     needed = 2 if fix_c is not None else 3
-    if len(usable) < needed:
+    if bw.size < needed:
         raise FitError(
             f"need at least {needed} usable points"
-            f" ({'fixed' if fix_c is not None else 'free'} floor), got {len(usable)}"
+            f" ({'fixed' if fix_c is not None else 'free'} floor), got {bw.size}"
         )
-    bw = np.array([p.bw_rel for p in usable], dtype=float)
-    ec = np.array([p.ec_rel for p in usable], dtype=float)
     if np.unique(bw).size == 1:
         raise FitError("all points share one bw_rel; decay rate is unidentifiable")
 
@@ -351,7 +374,7 @@ def fit(
         r_squared=r2,
         pcc=pcc,
         srocc=srocc,
-        n_points=len(usable),
-        n_excluded=n_excluded,
+        n_points=bw.size,
+        n_excluded=n_given - bw.size,
         diagnostics=tuple(diagnostics),
     )

@@ -23,7 +23,7 @@ from types import NoneType
 
 import numpy as np
 
-from ._csvio import ParseError, data_rows, first_seen, parse_float
+from ._csvio import ParseError, check_unique, float_column, read_columns
 from ._layout import json_array, lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
@@ -96,22 +96,29 @@ class QualityMap:
 
 
 def load_quality_map(text: str) -> QualityMap:
-    """Parse quality CSV (``name,psnr,ssim,vmaf``); empty cells mean unscored."""
-    columns: dict[str, dict[str, float]] = {metric: {} for metric in QUALITY_METRICS}
-    names: dict[str, int] = {}
-    for line_no, cells in data_rows(text, QUALITY_HEADER):
-        name = cells[0]
-        if not name:
-            raise ParseError(f"line {line_no}: name must be non-empty")
-        first_seen(names, name, line_no, "name")
-        for metric, cell in zip(QUALITY_METRICS, cells[1:]):
-            if cell:
-                columns[metric][name] = parse_float(cell, line_no, metric)
-    return QualityMap(
-        psnr=columns["psnr"] or None,
-        ssim=columns["ssim"] or None,
-        vmaf=columns["vmaf"] or None,
-    )
+    """Parse quality CSV (``name,psnr,ssim,vmaf``); empty cells mean unscored.
+
+    Raises:
+        ParseError: on a malformed row, or when no cell holds a score.
+    """
+    return read_columns(text, QUALITY_HEADER, _quality_map)
+
+
+def _quality_map(line_numbers: list[int], columns: list[list[str]]) -> QualityMap:
+    names, *cells = columns
+    if "" in names:
+        raise ParseError("name must be non-empty", line_numbers[names.index("")])
+    check_unique(names, line_numbers, "name")
+    scores = {}
+    for metric, column in zip(QUALITY_METRICS, cells):
+        rows = [row for row, cell in enumerate(column) if cell]
+        values = float_column(
+            [column[row] for row in rows], [line_numbers[row] for row in rows], metric
+        )
+        scores[metric] = dict(zip([names[row] for row in rows], values)) or None
+    if not any(scores.values()):
+        raise ParseError("quality file contains no scores", None)
+    return QualityMap(**scores)
 
 
 @dataclass(frozen=True)

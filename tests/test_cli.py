@@ -393,6 +393,18 @@ class TestNormalizeAndFit:
         assert err.startswith("error:") and "bw_rel must be positive and finite, got inf" in err
         assert err.count("\n") == 1 and not output.exists()
 
+    @pytest.mark.parametrize("command", ["normalize", "fit"])
+    def test_file_without_records_exits_two(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# nothing measured yet\n"
+                         "device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,"
+                         "avg_current_ma\n")  # fmt: skip
+        output = tmp_path / "out.json"
+        assert main([command, "--input", str(empty), "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: measurement file contains no records\n"
+        assert not output.exists()
+
 
 def dropped(payload, *path):
     """Remove the key at the end of ``path`` from ``payload``."""
@@ -597,6 +609,32 @@ class TestCompareCommand:
                      "--quality", quality]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "strict report has no per-segment record" in err
+
+    @pytest.mark.parametrize("quality_csv", [
+        "name,psnr,ssim,vmaf\n",
+        "name,psnr,ssim,vmaf\n" + "".join(f"{name},,,\n" for name in LADDER_NAMES),
+    ], ids=["header-only", "empty-cells"])  # fmt: skip
+    def test_quality_file_without_scores_exits_two(self, tmp_path, ladder_file, capsys,
+                                                   quality_csv):  # fmt: skip
+        quality = tmp_path / "q.csv"
+        quality.write_text(quality_csv)
+        base, cand = tmp_path / "off.json", tmp_path / "strict.json"
+        for mode, path in (("off", base), ("strict", cand)):
+            assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                         "--mode", mode, "--params", "overall", "--segments", "5",
+                         "--per-segment", str(tmp_path / f"{mode}.csv"),
+                         "--output", str(path)]) == 0  # fmt: skip
+        commands = {
+            "simulate": ["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                         "--mode", "all", "--params", "overall", "--segments", "5"],
+            "compare": ["compare", "--baseline", str(base), "--candidate", str(cand)],
+        }  # fmt: skip
+        for argv in commands.values():
+            capsys.readouterr()
+            output = tmp_path / "out.json"
+            assert main([*argv, "--quality", str(quality), "--output", str(output)]) == 2
+            assert capsys.readouterr().err == "error: quality file contains no scores\n"
+            assert not output.exists()
 
 
 class TestErrorPaths:

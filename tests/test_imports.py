@@ -1,9 +1,10 @@
 """Each subcommand imports only the modules it computes with.
 
-``normalize`` needs neither numpy nor the model, and ``fit`` needs no
-simulator; the package loads its public names on first access, so the
-modules a command never touches stay unloaded.  Each command runs in a
-fresh interpreter, which then reports the modules it loaded.
+``normalize`` needs neither numpy nor the model, ``fit`` needs no
+simulator, and ``simulate`` no measurement code; the package loads its
+public names on first access, so the modules a command never touches stay
+unloaded.  Each command runs in a fresh interpreter, which then reports the
+modules it loaded.
 """
 
 from __future__ import annotations
@@ -57,3 +58,5 @@ def test_simulate_still_loads_the_simulator(tmp_path):
                             "constant:22M", "--segments", "5", "--mode", "off",
                             "--params", "overall", "--output", "o.json")  # fmt: skip
     assert {"numpy", "abrenergy.channel", "abrenergy.simulator"} <= loaded
+    # the preset labels share the measurement vocabulary, but not its module
+    assert "abrenergy.measurements" not in loaded

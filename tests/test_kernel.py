@@ -9,7 +9,9 @@ computes segment by segment.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from abrenergy import (
@@ -216,3 +218,33 @@ def test_writers_on_one_segment_and_on_an_emptied_battery():
     emptied = run_session(ladder, trace, adaptive_mode(), params, battery)
     assert emptied.soc_depleted and emptied.n_segments < 400
     assert_writers_match(emptied, provenance)
+
+
+def scaled_ladder(ladder: QualityLadder, k: float) -> QualityLadder:
+    return QualityLadder(tuple(replace(rep, bitrate=int(rep.bitrate * k)) for rep in ladder))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([-3, -1, 1, 2, 5]))
+def test_scaling_bandwidths_and_bitrates_by_a_power_of_two_changes_nothing(data, m):
+    # multiples of 8, so every bitrate stays an integer at k = 1/8; scaling by
+    # 2**m is exact in floating point, so every ratio is the same number
+    ladder = scaled_ladder(data.draw(ladders()), 8)
+    trace = data.draw(traces(ladder, 6.0))
+    k = 2.0**m
+    bigger = ChannelTrace(trace.period_duration, tuple(bw * k for bw in trace.bandwidths))
+    params = ModelParams(data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 2.0)))
+    battery = BatteryConfig(capacity_mah=10 ** data.draw(st.floats(-1.0, 4.0)),
+                            reference_current_ma=data.draw(st.floats(10.0, 3000.0)))  # fmt: skip
+    for mode, with_battery in ((EnergyMode("off"), None),
+                               (EnergyMode("custom", data.draw(gammas)), None),
+                               (adaptive_mode(), battery)):  # fmt: skip
+        a = run_session(ladder, trace, mode, params, battery=with_battery)
+        b = run_session(scaled_ladder(ladder, k), bigger, mode, params, battery=with_battery)
+        assert (b.n_segments, b.mean_ec_rel) == (a.n_segments, a.mean_ec_rel)
+        for name in ("rung", "ec_rel", "download_time"):
+            assert np.array_equal(getattr(b.segments, name), getattr(a.segments, name)), name
+        if with_battery is None:
+            assert a.segments.soc_after is None and b.segments.soc_after is None
+        else:
+            assert np.array_equal(b.segments.soc_after, a.segments.soc_after)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import rowwise_measurements
 from abrenergy import (
     Combination,
     MeasurementRecord,
@@ -14,7 +17,10 @@ from abrenergy import (
     load_records,
     normalize,
     normalize_connection,
+    group_measurements,
     group_records,
+    normalize_columns,
+    read_measurements,
     reference_consumption,
     resolution_rank,
 )
@@ -36,8 +42,10 @@ def test_load_records_parses_and_normalizes_labels():
     assert records[0].avg_current == 210.5
 
 
-def test_header_only_yields_empty_list():
-    assert load_records(HEADER) == []
+def test_header_only_is_rejected():
+    for text in (HEADER, "# no data\n" + HEADER + "\n   \n# none\n"):
+        with pytest.raises(ParseError, match="^measurement file contains no records$"):
+            load_records(text)
 
 
 def test_malformed_rows_report_line_numbers():
@@ -193,3 +201,139 @@ def test_ratio_that_overflows_is_rejected():
     records = [rec(bitrate=1e-300, bandwidth=1e300)]
     with pytest.raises(ValueError, match="bw_rel must be positive and finite, got inf"):
         normalize(records)
+
+
+# The columnar reader and normalizer against the row-by-row reference.
+
+DEVICES = ["a", " a ", '"b"']
+CONNECTIONS = ["wifi", "WI-FI", "lte"]
+CODECS = ["hevc", "H.265", "avc"]
+RESOLUTIONS = ["240p", "480p", "240p", "", "hd", "1080p60", '" 240p "']
+# Three currents whose sum rounds; a bitrate of 1e-300 under a bandwidth of
+# 1e300 gives a bw_rel that overflows, two 1e308 currents a reference that
+# does, and a 5e-324 current an ec_rel that underflows.
+NUMBERS = (
+    ["650000", "650000", "650000", "2e6", '"7"', "0.5", "1e-300"],
+    ["650000", "2e6", " 310.5 ", "1_0", "1e300"],
+    ["0.1", "0.2", "0.3", " 310.5 ", '"7"', "1e308", "5e-324"],
+)
+BAD_CELLS = {
+    "device": [""],
+    "number": ["", "abc", "inf", "-inf", "nan", "1e400", "0", "-0.0", "-3", '"1,5"'],
+}
+
+
+@st.composite
+def measurement_lines(draw):
+    kind = draw(st.sampled_from(["row"] * 16 + ["bad cell", "comment", "blank", "fields"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# note", "  # a,b", "#"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    cells = [
+        draw(st.sampled_from(DEVICES)),
+        draw(st.sampled_from(CONNECTIONS)),
+        draw(st.sampled_from(CODECS)),
+        draw(st.sampled_from(RESOLUTIONS)),
+        *(draw(st.sampled_from(numbers)) for numbers in NUMBERS),
+    ]
+    if kind == "bad cell":
+        column = draw(st.sampled_from([0, 4, 5, 6]))
+        cells[column] = draw(st.sampled_from(BAD_CELLS["device" if column == 0 else "number"]))
+    if kind == "fields":
+        cells = cells[:-1] if draw(st.booleans()) else cells + ["x"]
+    return ",".join(cells)
+
+
+def outcome(read):
+    """What ``read`` gives: the columns and each group's normalization, or
+    the first error's type and message."""
+    try:
+        return read()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def columnar(text):
+    columns = read_measurements(text)
+    groups = {
+        combination.label: normalize_columns(group, combination)
+        for combination, group in group_measurements(columns).items()
+    }
+    return [list(column) for column in columns], groups
+
+
+def rowwise(text):
+    rows = rowwise_measurements.load_rows(text)
+    return [list(column) for column in zip(*rows)], rowwise_measurements.normalize(rows)
+
+
+def record_views(text):
+    records = load_records(text)
+    groups = {
+        combination.label: (
+            reference_consumption(records, combination),
+            [p.bw_rel for p in points],
+            [p.ec_rel for p in points],
+        )
+        for combination, points in normalize(records).items()
+    }
+    return [list(column) for column in zip(*map(astuple, records))], groups
+
+
+def bits(result):
+    """Floats spelled by their bits, so that equality is bit for bit."""
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, (list, tuple)):
+        return [bits(item) for item in result]
+    if isinstance(result, dict):
+        return {key: bits(value) for key, value in result.items()}
+    return result
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(measurement_lines(), max_size=14), st.sampled_from([HEADER, " device , connection,"
+       "codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma\n"]))  # fmt: skip
+@example(["a,wifi,hevc,240p,1,2," + current for current in ("0.1", "0.2", "0.3")], HEADER)
+def test_columns_and_errors_equal_the_row_by_row_reader(lines, header):
+    text = header + "\n".join(lines)
+    expected = outcome(lambda: rowwise(text))
+    if expected[0] == "ReadError":
+        expected = ("ParseError", expected[1])
+    expected = bits(expected)
+    assert bits(outcome(lambda: columnar(text))) == expected
+    assert bits(outcome(lambda: record_views(text))) == expected
+
+
+@pytest.mark.parametrize("rows, message", [
+    # several faults: the earliest line wins, whatever its kind
+    (["a,wifi,hevc,240p,0,1,1", "a,wifi,hevc,240p,x,1,1"], "line 2: bitrate must be positive"),
+    (["a,wifi,hevc,240p,1,1,1", "a,wifi,hevc,240p,1,1", "a,wifi,hevc,240p,x,1,1"],
+     "line 3: expected 7 fields, got 6"),
+    (["a,wifi,hevc,240p,1,1,1", "a,wifi,hevc,240p,x,1,1", "a,wifi"],
+     "line 3: bitrate_bps must be a number, got 'x'"),
+    # within a line: every number parses and is finite before the device is checked
+    ([",wifi,hevc,240p,1,1,inf"], "line 2: avg_current_ma must be finite, got 'inf'"),
+    ([",wifi,hevc,240p,-1,1,1"], "line 2: device must be non-empty"),
+    (["a,wifi,hevc,240p,1,-1,-1"], "line 2: avg_bandwidth must be positive, got -1.0"),
+])  # fmt: skip
+def test_earliest_fault_is_reported(rows, message):
+    with pytest.raises(ParseError, match=f"^{message}"):
+        read_measurements(HEADER + "\n".join(rows) + "\n")
+
+
+def test_normalize_and_fit_build_no_row_objects(tmp_path, monkeypatch):
+    import abrenergy.measurements as measurements
+    from abrenergy.cli import main
+
+    def refuse(self, *args):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(measurements.MeasurementRecord, "__post_init__", refuse)
+    monkeypatch.setattr(measurements.RelativePoint, "__post_init__", refuse)
+    text = HEADER + "a,wifi,hevc,240p,1,2,3\na,wifi,hevc,480p,2,3,4\nb,lte,avc,240p,1,2,3\n"
+    (tmp_path / "m.csv").write_text(text + "b,lte,avc,480p,2,4,4\nb,lte,avc,720p,4,5,5\n")
+    for command in ("normalize", "fit"):
+        argv = [command, "--input", str(tmp_path / "m.csv"), "--output", str(tmp_path / "o")]
+        assert main(argv) == 0

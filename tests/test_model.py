@@ -27,7 +27,7 @@ from abrenergy import (
     spearman,
 )
 from abrenergy.ladder import _CODEC_ALIASES
-from abrenergy.measurements import _CONNECTION_ALIASES
+from abrenergy.ladder import _CONNECTION_ALIASES
 from abrenergy.model import _average_ranks
 
 SYNTH = Combination("synth", "WIFI", "HEVC")

@@ -23,8 +23,8 @@ _EXPORTS = {
     "ladder": """AVC HEVC LADDER_HEADER LTE_4G NR_5G WIFI QualityLadder Representation
         normalize_codec normalize_connection parse_ladder""",
     "measurements": """MEASUREMENT_HEADER Combination MeasurementRecord Measurements RelativePoint
-        group_measurements group_records load_records normalize normalize_columns
-        normalize_group read_measurements reference_consumption resolution_rank""",
+        group_measurements load_records normalize normalize_columns read_measurements
+        reference_consumption resolution_rank""",
     "model": """PRESETS FitError FitResult ModelParams evaluate fit fit_columns pearson preset
         r_squared spearman""",
     "policy": """FIXED_GAMMAS AdaptiveConfig EnergyMode PolicyDecision adaptive_gamma

@@ -65,22 +65,24 @@ class Measurements(NamedTuple):
     avg_bandwidth: list[float]
     avg_current: list[float]
 
-    def take(self, rows: list[int]) -> Measurements:
-        """The given rows, in the given order."""
-        return Measurements(*([column[row] for row in rows] for column in self))
-
 
 def _record_fault(
-    device: Sequence[str], numbers: Sequence[Sequence[float]]
+    labels: Sequence[Sequence[str]], numbers: Sequence[Sequence[float]]
 ) -> tuple[int, str] | None:
     """The first row failing a record check, and its message.
 
     The checks run in this order, each over every row: a non-empty device,
-    then each of the finite ``numbers`` (bitrate, bandwidth, current)
-    positive.
+    then each of the ``labels`` (device, connection, codec) free of ``/``,
+    so that no two groups share a label, then each of the finite
+    ``numbers`` (bitrate, bandwidth, current) positive.
     """
+    device = labels[0]
     if "" in device:
         return device.index(""), "device must be non-empty"
+    for name, values in zip(MEASUREMENT_HEADER, labels):
+        if "/" in "".join(values):
+            row = next(row for row, value in enumerate(values) if "/" in value)
+            return row, f"{name} must not contain '/', got {values[row]!r}"
     for name, values in zip(_NUMBERS, numbers):
         if min(values, default=1.0) <= 0:
             row = next(row for row, value in enumerate(values) if value <= 0)
@@ -109,7 +111,8 @@ class MeasurementRecord:
     """One playback measurement: what was requested and what it cost.
 
     A row view of ``Measurements``, checked as a file row is: each number
-    finite, then the device non-empty, then each number positive.
+    finite, then the device non-empty, then no ``/`` in the device,
+    connection or codec, then each number positive.
     """
 
     device: str
@@ -125,7 +128,8 @@ class MeasurementRecord:
         if not all(map(math.isfinite, numbers)):
             name, value = next((n, v) for n, v in zip(_NUMBERS, numbers) if not math.isfinite(v))
             raise ValueError(f"{name} must be finite, got {value}")
-        fault = _record_fault((self.device,), [(value,) for value in numbers])
+        labels = [(self.device,), (self.connection,), (self.codec,)]
+        fault = _record_fault(labels, [(value,) for value in numbers])
         if fault:
             raise ValueError(fault[1])
 
@@ -172,7 +176,7 @@ def _measurements(line_numbers: list[int], columns: list[list[str]]) -> Measurem
         float_column(column, line_numbers, name)
         for column, name in zip(cells, MEASUREMENT_HEADER[4:])
     ]
-    fault = _record_fault(device, numbers)
+    fault = _record_fault((device, connection, codec), numbers)
     if fault:
         row, message = fault
         raise ParseError(message, line_numbers[row])
@@ -192,7 +196,8 @@ def read_measurements(text: str) -> Measurements:
 
     A malformed file fails at its earliest offending line, and within that
     line at the first failing check in this order: each number parses and
-    is finite, the device is non-empty, each number is positive.
+    is finite, the device is non-empty, no ``/`` is in the device,
+    connection or codec, each number is positive.
     Connection and codec spellings are made canonical.
 
     Raises:
@@ -214,34 +219,19 @@ def _columns(records: list[MeasurementRecord]) -> Measurements:
 
 def resolution_rank(label: str) -> int | None:
     """Leading integer of a resolution label ('240p' -> 240); None if absent."""
-    match = _LEADING_INT.search(label)
+    match = _LEADING_INT.match(label)
     return int(match.group(1)) if match else None
-
-
-def _group_rows(measurements: Measurements) -> dict[Combination, list[int]]:
-    """Row indices by (device, connection, codec), groups in first-seen order."""
-    rows: dict[tuple[str, str, str], list[int]] = defaultdict(list)
-    keys = zip(measurements.device, measurements.connection, measurements.codec)
-    for row, key in enumerate(keys):
-        rows[key].append(row)
-    return {Combination(*key): group for key, group in rows.items()}
 
 
 def group_measurements(measurements: Measurements) -> dict[Combination, Measurements]:
     """Each (device, connection, codec) group's rows, groups in first-seen order."""
+    rows: dict[tuple[str, str, str], list[int]] = defaultdict(list)
+    keys = zip(measurements.device, measurements.connection, measurements.codec)
+    for row, key in enumerate(keys):
+        rows[key].append(row)
     return {
-        combination: measurements.take(rows)
-        for combination, rows in _group_rows(measurements).items()
-    }
-
-
-def group_records(
-    records: list[MeasurementRecord],
-) -> dict[Combination, list[MeasurementRecord]]:
-    """Records by (device, connection, codec), groups in first-seen order."""
-    return {
-        combination: [records[row] for row in rows]
-        for combination, rows in _group_rows(_columns(records)).items()
+        Combination(*key): Measurements(*([column[i] for i in group] for column in measurements))
+        for key, group in rows.items()
     }
 
 
@@ -262,11 +252,9 @@ def reference_consumption(records: list[MeasurementRecord], combination: Combina
     """Mean current of the group's reference representation.
 
     The reference is the record set with the group's minimum bitrate; ties
-    across distinct resolutions are broken by the lowest parseable
-    resolution label.  Averaging tolerates repeated sessions of the same
-    representation.  Pass the group's own records (see ``group_records``)
-    when computing every group's reference: the scan is linear in
-    ``records``.
+    across distinct resolutions are broken by the lowest
+    ``resolution_rank``.  Averaging tolerates repeated sessions of the same
+    representation.  The scan is linear in ``records``.
 
     Raises:
         ValueError: when the group has no records.
@@ -276,17 +264,6 @@ def reference_consumption(records: list[MeasurementRecord], combination: Combina
     if not group:
         raise ValueError(f"no records for combination {combination.label!r}")
     return _reference(_columns(group))
-
-
-def _relative(
-    group: Measurements, reference: float, combination: Combination
-) -> tuple[list[float], list[float]]:
-    bw_rel = list(map(truediv, group.avg_bandwidth, group.bitrate))
-    ec_rel = [current / reference for current in group.avg_current]
-    fault = _point_fault(bw_rel, ec_rel)
-    if fault:
-        raise ValueError(f"{combination.label}: {fault}")
-    return bw_rel, ec_rel
 
 
 def normalize_columns(
@@ -301,20 +278,12 @@ def normalize_columns(
             combination; the first such row is named, ``bw_rel`` first.
     """
     reference = _reference(group)
-    return reference, *_relative(group, reference, combination)
-
-
-def normalize_group(
-    records: list[MeasurementRecord], combination: Combination
-) -> tuple[float, list[RelativePoint]]:
-    """One group's reference current and its records as relative points.
-
-    Pass the group's own records (see ``group_records``); the reference is
-    ``reference_consumption(records, combination)``.
-    """
-    reference = reference_consumption(records, combination)
-    bw_rel, ec_rel = _relative(_columns(records), reference, combination)
-    return reference, [RelativePoint(bw, ec, combination) for bw, ec in zip(bw_rel, ec_rel)]
+    bw_rel = list(map(truediv, group.avg_bandwidth, group.bitrate))
+    ec_rel = [current / reference for current in group.avg_current]
+    fault = _point_fault(bw_rel, ec_rel)
+    if fault:
+        raise ValueError(f"{combination.label}: {fault}")
+    return reference, bw_rel, ec_rel
 
 
 def normalize(records: list[MeasurementRecord]) -> dict[Combination, list[RelativePoint]]:
@@ -322,9 +291,13 @@ def normalize(records: list[MeasurementRecord]) -> dict[Combination, list[Relati
 
     Every record contributes one point; reference records normalize to
     ``ec_rel`` near 1 by construction.  Scaling all currents of a group by
-    a common factor leaves its points unchanged.
+    a common factor leaves its points unchanged.  A row view of
+    ``group_measurements`` and ``normalize_columns``.
     """
     return {
-        combination: normalize_group(group, combination)[1]
-        for combination, group in group_records(records).items()
+        combination: [
+            RelativePoint(bw, ec, combination)
+            for bw, ec in zip(*normalize_columns(group, combination)[1:])
+        ]
+        for combination, group in group_measurements(_columns(records)).items()
     }

@@ -235,8 +235,8 @@ _AGGREGATE_FIELDS = (
 #: The per-segment record in CSV column order, as (CSV header, JSON key or
 #: None for the CSV-only bitrate, SegmentColumns attribute or None for a
 #: column derived from the stored ones, types).  A report is rebuilt from
-#: the stored columns alone, so only their types are checked on reading;
-#: the CSV writer formats every column by its types.
+#: the stored columns alone; a saved derived column must equal what they
+#: give.  The CSV writer formats every column by its types.
 _SEGMENT_FIELDS = (
     ("segment", "index", None, (int,)),
     ("bandwidth_bps", "bandwidth_bps", "bandwidth", _NUMBER),
@@ -299,6 +299,34 @@ def _write_fields(table: tuple, obj: object) -> dict:
     return {key: getattr(obj, attr) for key, attr, _ in table}
 
 
+def _segment_values(ladder: QualityLadder, cols: SegmentColumns | None) -> dict[str, Sequence]:
+    """Each per-segment column as a list of plain values, by CSV header.
+
+    Columns go through ``tolist`` so that ``repr`` and JSON see ``float``
+    and ``int``, never numpy scalars.
+
+    Raises:
+        ValueError: when the report carries no per-segment record.
+    """
+    if cols is None:
+        raise ValueError("the report carries no per-segment record")
+    rungs = cols.rung.tolist()
+    names = [rep.name for rep in ladder]
+    bitrates = ladder.bitrates
+    derived = {
+        "segment": range(len(cols)),
+        "selected": [names[rung] for rung in rungs],
+        "selected_bitrate_bps": [bitrates[rung] for rung in rungs],
+        "fallback": (cols.candidates == 0).tolist(),
+        "stalled": (np.array(bitrates, dtype=float)[cols.rung] > cols.bandwidth).tolist(),
+        "soc_after": [None] * len(cols) if cols.soc_after is None else cols.soc_after.tolist(),
+    }
+    return {
+        header: derived[header] if header in derived else getattr(cols, attr).tolist()
+        for header, _, attr, _ in _SEGMENT_FIELDS
+    }
+
+
 def _read_segments(rows: object, ladder: QualityLadder, n_segments: int) -> SegmentColumns:
     """The per-segment record of a saved report, checked column by column."""
     check_types("per_segment", [rows], (list,))
@@ -329,7 +357,17 @@ def _read_segments(rows: object, ladder: QualityLadder, n_segments: int) -> Segm
             column = columns[attr] = np.array(values, dtype=float if float in types else np.intp)
             if not np.isfinite(column).all():
                 raise ValueError(f"{key!r} must be finite")
-    return SegmentColumns(**columns)
+    segments = SegmentColumns(**columns)
+    written = _segment_values(ladder, segments)
+    for header, key, attr, types in _SEGMENT_FIELDS:
+        if key and attr is None:  # a derived column must be what the stored ones give
+            saved, given = [row[key] for row in rows], list(written[header])
+            check_types(key, saved, types)
+            if saved != given:
+                i = next(i for i, (a, b) in enumerate(zip(saved, given)) if a != b)
+                raise ValueError(f"per_segment row {i}: {key!r} is {saved[i]!r}, but the"
+                                 f" stored columns give {given[i]!r}")  # fmt: skip
+    return segments
 
 
 def _aggregates(ladder: QualityLadder, cols: SegmentColumns) -> dict:
@@ -380,40 +418,12 @@ class SessionReport:
     def ladder(self) -> QualityLadder:
         return self.context.ladder
 
-    def _segment_values(self) -> dict[str, Sequence]:
-        """Each per-segment column as a list of plain values, by CSV header.
-
-        Columns go through ``tolist`` so that ``repr`` and JSON see
-        ``float`` and ``int``, never numpy scalars.
-
-        Raises:
-            ValueError: when the report carries no per-segment record.
-        """
-        cols = self.segments
-        if cols is None:
-            raise ValueError("the report carries no per-segment record")
-        rungs = cols.rung.tolist()
-        names = [rep.name for rep in self.ladder]
-        bitrates = self.ladder.bitrates
-        derived = {
-            "segment": range(len(cols)),
-            "selected": [names[rung] for rung in rungs],
-            "selected_bitrate_bps": [bitrates[rung] for rung in rungs],
-            "fallback": (cols.candidates == 0).tolist(),
-            "stalled": (np.array(bitrates, dtype=float)[cols.rung] > cols.bandwidth).tolist(),
-            "soc_after": [None] * len(cols) if cols.soc_after is None else cols.soc_after.tolist(),
-        }
-        return {
-            header: derived[header] if header in derived else getattr(cols, attr).tolist()
-            for header, _, attr, _ in _SEGMENT_FIELDS
-        }
-
     @property
     def per_segment(self) -> tuple[SegmentOutcome, ...] | None:
         """The per-segment record as objects, built from the columns on each access."""
         if self.segments is None:
             return None
-        v = self._segment_values()
+        v = _segment_values(self.ladder, self.segments)
         return tuple(
             SegmentOutcome(index, bw, gamma, PolicyDecision(self.ladder[rung], threshold, count,
                            count == 0), bw_rel, ec_rel, dt, soc)
@@ -435,7 +445,7 @@ class SessionReport:
         Booleans are ``true``/``false`` in JSON and 0/1 in the CSV, and a
         charge that was not simulated is ``null`` or an empty cell.
         """
-        values = self._segment_values()
+        values = _segment_values(self.ladder, self.segments)
         as_json: dict[str, list[str]] = {}
         as_csv: dict[str, list[str]] = {}
         for header, _, _, types in _SEGMENT_FIELDS:
@@ -457,7 +467,7 @@ class SessionReport:
     def to_json_dict(self) -> dict:
         segments = None
         if self.segments is not None:
-            values = self._segment_values()
+            values = _segment_values(self.ladder, self.segments)
             keys, columns = zip(*((key, values[h]) for h, key, _, _ in _SEGMENT_FIELDS if key))
             segments = [dict(zip(keys, row)) for row in zip(*columns)]
         return self._json_dict(segments)
@@ -519,7 +529,9 @@ class SessionReport:
                 whose JSON type its field does not accept or that is not
                 finite; on a per-segment record that is empty, whose length
                 is not ``n_segments`` or that selects a rung not in the
-                ladder; when ``ladder_digest`` is not the saved ladder's;
+                ladder, or whose ``index``, ``fallback`` or ``stalled`` in a
+                row differs from what the other columns give; when
+                ``ladder_digest`` is not the saved ladder's;
                 naming an aggregate that differs from the one the
                 per-segment record gives; or for a field its type rejects
                 (for example a mode whose gamma contradicts its kind).

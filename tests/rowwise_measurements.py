@@ -3,8 +3,9 @@ for the columnar ones in ``abrenergy.measurements``.
 
 This is the code the package ran before measurement files were read as
 columns: one ``csv`` split, three number parses and one record check per
-row, and a reference and two ratios per record.  The one addition is the
-refusal of a file without records.  Tests require the columnar reader and
+row, and a reference and two ratios per record.  The additions are the
+refusal of a file without records, of a number spelled with ``_`` or a
+non-ASCII character, and of a ``/`` in a group field.  Tests require the columnar reader and
 normalizer to give the same values, bit for bit, and the same errors.
 """
 
@@ -61,6 +62,8 @@ def data_rows(text: str, expected_header: list[str]):
 
 def parse_float(cell: str, line_no: int, name: str) -> float:
     try:
+        if "_" in cell or not cell.isascii():
+            raise ValueError(cell)
         value = float(cell)
     except ValueError:
         raise ReadError(f"line {line_no}: {name} must be a number, got {cell!r}") from None
@@ -79,6 +82,9 @@ def load_rows(text: str) -> list[tuple]:
         ]
         if not cells[0]:
             raise ReadError(f"line {line_no}: device must be non-empty")
+        for name, cell in zip(HEADER, cells[:3]):
+            if "/" in cell:
+                raise ReadError(f"line {line_no}: {name} must not contain '/', got {cell!r}")
         for name, value in zip(("bitrate", "avg_bandwidth", "avg_current"), numbers):
             if value <= 0:
                 raise ReadError(f"line {line_no}: {name} must be positive, got {value}")

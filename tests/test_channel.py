@@ -151,6 +151,16 @@ class TestTraceFiles:
         with pytest.raises(ParseError, match="line 2.*positive"):
             load_trace(text)
 
+    @pytest.mark.parametrize("row, message", [
+        ("٠,1000000", "period must be an integer, got '٠'"),
+        ("0_0,1000000", "period must be an integer, got '0_0'"),
+        ("0,1_000_000", "bandwidth_bps must be a number, got '1_000_000'"),
+        ("0,٣٠٠٠", "bandwidth_bps must be a number, got '٣٠٠٠'"),
+    ])  # fmt: skip
+    def test_numbers_spelled_as_no_csv_writer_does_are_rejected(self, row, message):
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            load_trace(f"period,bandwidth_bps\n{row}\n")
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ParseError, match="no periods"):
             load_trace("period,bandwidth_bps\n")

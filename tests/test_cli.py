@@ -405,6 +405,21 @@ class TestNormalizeAndFit:
         assert err == "error: measurement file contains no records\n"
         assert not output.exists()
 
+    @pytest.mark.parametrize("command", ["normalize", "fit"])
+    def test_slash_in_a_group_field_exits_two(self, tmp_path, capsys, command):
+        # both groups would be labelled A/WIFI/X/HEVC
+        rows = [f"{group},{res},{rate},{rate * 2},{current}"
+                for group in ("A/WIFI,X,HEVC", "A,WIFI/X,HEVC")
+                for res, rate, current in (("240p", 1, 100), ("480p", 2, 150), ("720p", 4, 200))]
+        source = tmp_path / "m.csv"
+        source.write_text("device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,"
+                          "avg_current_ma\n" + "\n".join(rows) + "\n")  # fmt: skip
+        output = tmp_path / "out.json"
+        assert main([command, "--input", str(source), "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: device must not contain '/', got 'A/WIFI'\n"
+        assert not output.exists()
+
 
 def dropped(payload, *path):
     """Remove the key at the end of ``path`` from ``payload``."""
@@ -509,6 +524,22 @@ class TestCompareCommand:
         (lambda p: p["report"].update(per_segment={}),
          "'per_segment' must be an array, got an object"),
         (rename_selected_rung, "'ladder_digest' is"),
+        # the derived per-segment keys must be what the stored columns give
+        (lambda p: p["report"]["per_segment"][1].update(index=-7),
+         "per_segment row 1: 'index' is -7, but the stored columns give 1"),
+        (lambda p: p["report"]["per_segment"][0].update(index=True),
+         "'index' must be an integer, got true or false"),
+        (lambda p: dropped(p, "report", "per_segment", 3, "index"), "missing key 'index'"),
+        (lambda p: p["report"]["per_segment"][2].update(fallback="banana"),
+         "'fallback' must be true or false, got a string"),
+        (lambda p: p["report"]["per_segment"][3].update(fallback=True),
+         "per_segment row 3: 'fallback' is True, but the stored columns give False"),
+        (lambda p: dropped(p, "report", "per_segment", 0, "fallback"), "missing key 'fallback'"),
+        (lambda p: p["report"]["per_segment"][0].update(stalled=None),
+         "'stalled' must be true or false, got null"),
+        (lambda p: p["report"]["per_segment"][4].update(stalled=True),
+         "per_segment row 4: 'stalled' is True, but the stored columns give False"),
+        (lambda p: dropped(p, "report", "per_segment", 2, "stalled"), "missing key 'stalled'"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):

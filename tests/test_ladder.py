@@ -94,6 +94,19 @@ class TestParseLadder:
         with pytest.raises(ParseError, match="line 2.*integer"):
             parse_ladder(text)
 
+    @pytest.mark.parametrize("field, cell", [
+        ("width", "4_2_8"), ("height", "١٨٢"), ("bitrate_bps", "650_000"),
+    ])  # fmt: skip
+    def test_numbers_spelled_as_no_csv_writer_does_are_rejected(self, field, cell):
+        cells = {"width": "428", "height": "182", "bitrate_bps": "650000", field: cell}
+        text = (
+            "name,width,height,label,bitrate_bps,codec\n"
+            f"a,{cells['width']},{cells['height']},240p,{cells['bitrate_bps']},HEVC\n"
+        )
+        message = f"^line 2: {field} must be an integer, got '{cell}'$"
+        with pytest.raises(ParseError, match=message):
+            parse_ladder(text)
+
     def test_non_positive_bitrate_rejected(self):
         text = "name,width,height,label,bitrate_bps,codec\na,100,100,240p,0,HEVC\n"
         with pytest.raises(ParseError, match="line 2.*positive"):

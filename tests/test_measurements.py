@@ -12,13 +12,13 @@ import rowwise_measurements
 from abrenergy import (
     Combination,
     MeasurementRecord,
+    Measurements,
     ParseError,
     RelativePoint,
     load_records,
     normalize,
     normalize_connection,
     group_measurements,
-    group_records,
     normalize_columns,
     read_measurements,
     reference_consumption,
@@ -74,6 +74,34 @@ def test_resolution_rank():
     assert resolution_rank("unknown") is None
 
 
+def test_resolution_rank_is_the_leading_integer_only():
+    assert resolution_rank("av1-1080p") is None
+    assert resolution_rank("x264-240p") is None
+    # so a label without a leading integer does not outrank 240p
+    records = [
+        rec(resolution="av1-1080p", bitrate=650_000, current=300.0),
+        rec(resolution="240p", bitrate=650_000, current=100.0),
+    ]
+    assert reference_consumption(records, records[0].combination) == 100.0
+
+
+@pytest.mark.parametrize("cell", ["1_000", "2_5", "٣٠٠٠", "٠"])
+def test_numbers_spelled_as_no_csv_writer_does_are_rejected(cell):
+    text = HEADER + "phone,wifi,hevc,240p,650000,2000000,210\n"
+    with pytest.raises(ParseError, match=f"^line 3: bitrate_bps must be a number, got '{cell}'$"):
+        read_measurements(text + f"phone,wifi,hevc,480p,{cell},2000000,250\n")
+
+
+@pytest.mark.parametrize("field", ["device", "connection", "codec"])
+def test_slash_in_a_group_field_is_rejected(field):
+    cells = {"device": "phone", "connection": "wifi", "codec": "hevc", field: "a/b"}
+    row = f"{cells['device']},{cells['connection']},{cells['codec']},240p,650000,2000000,210\n"
+    with pytest.raises(ParseError, match=f"^line 2: {field} must not contain '/', got 'a/b'$"):
+        read_measurements(HEADER + row)
+    with pytest.raises(ValueError, match=f"^{field} must not contain '/', got 'a/b'$"):
+        rec(**{field: "a/b"})
+
+
 class TestReferenceConsumption:
     def test_repeated_sessions_are_averaged(self):
         records = [rec(current=100.0), rec(current=104.0)]
@@ -103,18 +131,21 @@ class TestReferenceConsumption:
             reference_consumption([rec()], Combination("other", "WIFI", "HEVC"))
 
 
-def test_group_records_keeps_first_seen_order_and_references():
+def test_group_measurements_keeps_first_seen_order_and_references():
     records = [
         rec(device="b", current=300.0),
         rec(device="a", current=100.0),
         rec(device="b", resolution="480p", bitrate=1_250_000, current=320.0),
         rec(device="a", current=104.0),
     ]
-    grouped = group_records(records)
+    grouped = group_measurements(Measurements(*map(list, zip(*map(astuple, records)))))
     assert [c.device for c in grouped] == ["b", "a"]
-    assert [len(g) for g in grouped.values()] == [2, 2]
+    assert [list(zip(*group)) for group in grouped.values()] == [
+        [astuple(records[0]), astuple(records[2])],
+        [astuple(records[1]), astuple(records[3])],
+    ]
     for combination, group in grouped.items():
-        assert reference_consumption(group, combination) == reference_consumption(
+        assert normalize_columns(group, combination)[0] == reference_consumption(
             records, combination
         )
 
@@ -214,12 +245,16 @@ RESOLUTIONS = ["240p", "480p", "240p", "", "hd", "1080p60", '" 240p "']
 # does, and a 5e-324 current an ec_rel that underflows.
 NUMBERS = (
     ["650000", "650000", "650000", "2e6", '"7"', "0.5", "1e-300"],
-    ["650000", "2e6", " 310.5 ", "1_0", "1e300"],
+    ["650000", "2e6", " 310.5 ", "1e300"],
     ["0.1", "0.2", "0.3", " 310.5 ", '"7"', "1e308", "5e-324"],
 )
 BAD_CELLS = {
-    "device": [""],
-    "number": ["", "abc", "inf", "-inf", "nan", "1e400", "0", "-0.0", "-3", '"1,5"'],
+    "device": ["", "a/b"],
+    "connection": ["wifi/x", "/"],
+    "codec": ["hevc/"],
+    # "1_0" and the Arabic-Indic "٣٠٠٠" and "٠" are numbers to Python's float
+    "number": ["", "abc", "inf", "-inf", "nan", "1e400", "0", "-0.0", "-3", '"1,5"',
+               "1_0", "1_000", "٣٠٠٠", "٠"],
 }
 
 
@@ -238,8 +273,9 @@ def measurement_lines(draw):
         *(draw(st.sampled_from(numbers)) for numbers in NUMBERS),
     ]
     if kind == "bad cell":
-        column = draw(st.sampled_from([0, 4, 5, 6]))
-        cells[column] = draw(st.sampled_from(BAD_CELLS["device" if column == 0 else "number"]))
+        column = draw(st.sampled_from([0, 1, 2, 4, 5, 6]))
+        field = HEADER.split(",")[column] if column < 3 else "number"
+        cells[column] = draw(st.sampled_from(BAD_CELLS[field]))
     if kind == "fields":
         cells = cells[:-1] if draw(st.booleans()) else cells + ["x"]
     return ",".join(cells)

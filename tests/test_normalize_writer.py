@@ -13,21 +13,20 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from abrenergy import __version__, group_records, load_records, normalize, reference_consumption
+from abrenergy import __version__, load_records, normalize, reference_consumption
 from abrenergy.cli import main
 
 
 def oracle_text(text: str, path: str) -> str:
     records = load_records(text)
     groups = normalize(records)
-    grouped = group_records(records)
     combinations = []
     for combination in sorted(groups, key=lambda c: c.label):
         points = groups[combination]
         combinations.append(
             {
                 "combination": combination.label,
-                "reference_current_ma": reference_consumption(grouped[combination], combination),
+                "reference_current_ma": reference_consumption(records, combination),
                 "n_points": len(points),
                 "n_flagged": sum(1 for p in points if p.flagged),
                 "points": [
@@ -41,15 +40,15 @@ def oracle_text(text: str, path: str) -> str:
     return json.dumps({"provenance": provenance, "combinations": combinations}, indent=2) + "\n"
 
 
-#: Characters a CSV line can carry: no line breaks, since the reader splits
-#: the document into lines first, and no lone surrogates, which UTF-8 cannot
-#: write.
+#: Characters a device name can hold: no line breaks, since the reader
+#: splits the document into lines first, no lone surrogates, which UTF-8
+#: cannot write, and no ``/``, which would join two groups' labels.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 labels = st.one_of(
     st.sampled_from(['"points": null', "null", '"', "\\", "résumé 日本"]),
     st.text(st.one_of(st.sampled_from('"\\\t\x00\x1f\x7f :,{}[]é日\U0001f3a5'),
                       st.characters(exclude_categories=("Cs",),
-                                    exclude_characters=_LINE_BREAKS)),
+                                    exclude_characters=_LINE_BREAKS + "/")),
             min_size=1, max_size=8),
 ).filter(lambda s: s.strip() and not s.strip().startswith("#"))  # fmt: skip
 

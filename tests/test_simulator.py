@@ -11,6 +11,7 @@ from abrenergy import (
     BatteryConfig,
     EnergyMode,
     ModelParams,
+    ParseError,
     QualityMap,
     SessionReport,
     adaptive_gamma,
@@ -148,6 +149,14 @@ class TestQuality:
         qmap = load_quality_map(text)
         assert qmap.ssim is None
         assert qmap.vmaf == {"a": 55.0, "b": 61.0}
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,30,,5_5", "vmaf must be a number, got '5_5'"),
+        ("a,٣٠,,55", "psnr must be a number, got '٣٠'"),
+    ])  # fmt: skip
+    def test_loader_rejects_numbers_spelled_as_no_csv_writer_does(self, row, message):
+        with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+            load_quality_map(f"name,psnr,ssim,vmaf\nb,31,,56\n{row}\n")
 
     def test_loader_rejects_duplicates(self):
         with pytest.raises(Exception, match="duplicate"):

@@ -44,8 +44,7 @@ def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
 
     values: list[str] | None = None
     collecting: list[str] | None = None
-    block = DEFAULT_BLOCK_LEN
-    seed = 0
+    options = {"block": DEFAULT_BLOCK_LEN, "seed": 0}
     for token in rest.split(",") if rest else []:
         token = token.strip()
         if "=" in token:
@@ -54,11 +53,13 @@ def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
             if key == "values":
                 values = [raw]
                 collecting = values
-            elif key == "block":
-                block = int(raw)
-                collecting = None
-            elif key == "seed":
-                seed = int(raw)
+            elif key in options:
+                try:
+                    options[key] = int(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"random-channel option {key!r} must be an integer, got {raw!r}"
+                    ) from None
                 collecting = None
             else:
                 raise ValueError(f"unknown random-channel option {key!r}")
@@ -67,7 +68,7 @@ def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
         elif token:
             raise ValueError(f"unexpected token {token!r} in random channel spec")
     parsed = [parse_bandwidth(v) for v in values] if values is not None else None
-    return parsed, block, seed
+    return parsed, options["block"], options["seed"]
 
 
 def parse_channel_spec(

@@ -38,7 +38,7 @@ MEASUREMENT_HEADER = [
 #: The numeric fields as records name them; the file's header adds the unit.
 _NUMBERS = ("bitrate", "avg_bandwidth", "avg_current")
 
-_LEADING_INT = re.compile(r"(\d+)")
+_LEADING_INT = re.compile(r"([0-9]+)")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import json
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import NoneType
 
@@ -28,7 +28,7 @@ from ._layout import json_array, lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
 from .model import ModelParams, evaluate_array
-from .policy import AdaptiveConfig, EnergyMode, PolicyDecision
+from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, PolicyDecision
 
 #: Mean-opinion deltas below this many VMAF points are typically not noticed.
 PERCEPTIBLE_VMAF_DELTA = 6.0
@@ -234,9 +234,8 @@ _AGGREGATE_FIELDS = (
 )
 #: The per-segment record in CSV column order, as (CSV header, JSON key or
 #: None for the CSV-only bitrate, SegmentColumns attribute or None for a
-#: column derived from the stored ones, types).  A report is rebuilt from
-#: the stored columns alone; a saved derived column must equal what they
-#: give.  The CSV writer formats every column by its types.
+#: column ``_segment_values`` derives, types).  The CSV writer formats every
+#: column by its types.
 _SEGMENT_FIELDS = (
     ("segment", "index", None, (int,)),
     ("bandwidth_bps", "bandwidth_bps", "bandwidth", _NUMBER),
@@ -257,22 +256,20 @@ _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool:
                     NoneType: "null", dict: "an object", list: "an array"}  # fmt: skip
 
 
-def check_types(key: str, values: Iterable, types: tuple[type, ...]) -> set[type]:
-    """The types found among ``values``, each of which must be in ``types``.
+def check_types(key: str, values: Iterable, types: tuple[type, ...]) -> None:
+    """Check that the type of each of ``values`` is in ``types``.
 
     Types are matched exactly, so ``true`` is not an integer.
 
     Raises:
         ValueError: naming ``key`` and the JSON types it accepts.
     """
-    found = set(map(type, values))
-    wrong = found.difference(types)
+    wrong = set(map(type, values)).difference(types)
     if wrong:
         raise ValueError(
             f"{key!r} must be {' or '.join(_JSON_TYPE_NAMES[t] for t in types)}, got"
             f" {' and '.join(sorted(_JSON_TYPE_NAMES.get(t, t.__name__) for t in wrong))}"
         )
-    return found
 
 
 def read_fields(table: tuple, record: object, name: str) -> dict:
@@ -314,7 +311,7 @@ def _segment_values(ladder: QualityLadder, cols: SegmentColumns | None) -> dict[
     names = [rep.name for rep in ladder]
     bitrates = ladder.bitrates
     derived = {
-        "segment": range(len(cols)),
+        "segment": list(range(len(cols))),
         "selected": [names[rung] for rung in rungs],
         "selected_bitrate_bps": [bitrates[rung] for rung in rungs],
         "fallback": (cols.candidates == 0).tolist(),
@@ -327,46 +324,52 @@ def _segment_values(ladder: QualityLadder, cols: SegmentColumns | None) -> dict[
     }
 
 
-def _read_segments(rows: object, ladder: QualityLadder, n_segments: int) -> SegmentColumns:
-    """The per-segment record of a saved report, checked column by column."""
+def _read_segments(
+    rows: object, mode: EnergyMode, context: SessionContext, n_segments: int
+) -> SegmentColumns:
+    """The per-segment record of a saved report, priced again from its inputs.
+
+    Only ``bandwidth_bps``, ``soc_after`` and the adaptive mode's first
+    ``gamma`` are read as data; every other saved value must be what
+    ``_segment_values`` writes for the record ``_price`` gives.
+    """
     check_types("per_segment", [rows], (list,))
     check_types("per_segment row", rows, (dict,))
     if len(rows) != n_segments:
         raise ValueError(f"per_segment holds {len(rows)} rows, but n_segments is {n_segments}")
     if not rows:
         raise ValueError("per_segment must hold at least one row")
-    rung_of = {rep.name: i for i, rep in enumerate(ladder)}
-    columns: dict[str, np.ndarray | None] = {}
-    for _, key, attr, types in _SEGMENT_FIELDS:
-        if attr is None:
-            continue
-        values = [row[key] for row in rows]
-        found = check_types(key, values, types)
-        if attr == "rung":
-            try:
-                columns[attr] = np.array([rung_of[name] for name in values], dtype=np.intp)
-            except KeyError as exc:
-                raise ValueError(
-                    f"per_segment selects {exc.args[0]!r}, which is not in the ladder"
-                ) from None
-        elif found == {NoneType}:
-            columns[attr] = None
-        elif NoneType in found:
-            raise ValueError(f"{key!r} mixes null and numbers")
-        else:
-            column = columns[attr] = np.array(values, dtype=float if float in types else np.intp)
-            if not np.isfinite(column).all():
-                raise ValueError(f"{key!r} must be finite")
-    segments = SegmentColumns(**columns)
-    written = _segment_values(ladder, segments)
-    for header, key, attr, types in _SEGMENT_FIELDS:
-        if key and attr is None:  # a derived column must be what the stored ones give
-            saved, given = [row[key] for row in rows], list(written[header])
-            check_types(key, saved, types)
-            if saved != given:
-                i = next(i for i, (a, b) in enumerate(zip(saved, given)) if a != b)
-                raise ValueError(f"per_segment row {i}: {key!r} is {saved[i]!r}, but the"
-                                 f" stored columns give {given[i]!r}")  # fmt: skip
+    saved = {}
+    for _, key, _, types in _SEGMENT_FIELDS:
+        if key:
+            saved[key] = [row[key] for row in rows]
+            check_types(key, saved[key], types)
+    nulls = saved["soc_after"].count(None)
+    if 0 < nulls < n_segments:
+        raise ValueError("'soc_after' mixes null and numbers")
+    bandwidth = np.array(saved["bandwidth_bps"], dtype=float)
+    soc_after = None if nulls else np.array(saved["soc_after"], dtype=float)
+    for key, column in (("bandwidth_bps", bandwidth), ("soc_after", soc_after)):
+        if column is not None and not np.isfinite(column).all():
+            raise ValueError(f"{key!r} must be finite")
+    if (bandwidth <= 0).any():
+        raise ValueError("'bandwidth_bps' must be positive")
+    gamma = np.full(n_segments, mode.gamma)
+    if mode.adaptive is not None:  # each later gamma is the mode's at the charge before
+        bands = [FIXED_GAMMAS[kind] for kind in ("light", "medium", "strict")]
+        gamma[0] = saved["gamma"][0]
+        if gamma[0] not in bands:
+            raise ValueError(f"per_segment row 0: 'gamma' is {saved['gamma'][0]!r}, but the"
+                             f" adaptive mode gives {' or '.join(map(repr, bands))}")
+        # the last charge picks no gamma, but the mode must be able to read it
+        gamma[1:] = list(map(mode.gamma_for, saved["soc_after"]))[:-1]
+    segments = _price(context, bandwidth, gamma, soc_after)
+    written = _segment_values(context.ladder, segments)
+    for header, key, _, _ in _SEGMENT_FIELDS:
+        if key and saved[key] != written[header]:
+            i = next(i for i, (a, b) in enumerate(zip(saved[key], written[header])) if a != b)
+            raise ValueError(f"per_segment row {i}: {key!r} is {saved[key][i]!r}, but the"
+                             f" stored columns give {written[header][i]!r}")  # fmt: skip
     return segments
 
 
@@ -527,19 +530,23 @@ class SessionReport:
             ValueError: naming the first missing key (``per_segment`` and an
                 adaptive mode's thresholds included) or the key of a value
                 whose JSON type its field does not accept or that is not
-                finite; on a per-segment record that is empty, whose length
-                is not ``n_segments`` or that selects a rung not in the
-                ladder, or whose ``index``, ``fallback`` or ``stalled`` in a
-                row differs from what the other columns give; when
-                ``ladder_digest`` is not the saved ladder's;
-                naming an aggregate that differs from the one the
-                per-segment record gives; or for a field its type rejects
-                (for example a mode whose gamma contradicts its kind).
+                finite; on a ``mean_quality`` other than null or psnr, ssim
+                and vmaf scores; on a per-segment record that is empty, whose
+                length is not ``n_segments``, whose bandwidths are not
+                positive, or one of whose rows differs from what ``_price``
+                gives for its bandwidth, the mode and the charge before it;
+                when ``ladder_digest`` is not the saved ladder's; naming an
+                aggregate that differs from the one the per-segment record
+                gives; or for a field its type rejects (for example a mode
+                whose gamma contradicts its kind).
         """
         try:
             aggregates = read_fields(_AGGREGATE_FIELDS, data, "report")
             quality = aggregates["mean_quality"]
             if quality is not None:
+                if not quality or not set(quality).issubset(QUALITY_METRICS):
+                    raise ValueError("'mean_quality' must be null or hold scores among psnr, ssim"
+                                     f" and vmaf, got keys {sorted(quality)}")  # fmt: skip
                 read_fields(tuple((m, m, _NUMBER) for m in quality), quality, "mean_quality")
             mode = EnergyMode(**read_fields(_MODE_FIELDS, data["mode"], "mode"))
             # the writer saves thresholds exactly when the mode has them
@@ -564,7 +571,7 @@ class SessionReport:
             rows = data["per_segment"]
             segments = None
             if rows is not None:
-                segments = _read_segments(rows, ladder, aggregates["n_segments"])
+                segments = _read_segments(rows, mode, context, aggregates["n_segments"])
                 derived = _aggregates(ladder, segments)
                 for key, attr, _ in _AGGREGATE_FIELDS:
                     if attr in derived and aggregates[attr] != derived[attr]:
@@ -635,32 +642,20 @@ def run_session(
     if quality is not None:
         quality.validate_for(ladder)
 
-    segment_duration = trace.period_duration
-    bitrates = np.array(ladder.bitrates, dtype=float)
+    context = SessionContext(params, trace.period_duration, ladder, trace.digest)
     bandwidth = np.array(trace.bandwidths, dtype=float)
     soc = battery.initial_soc if battery is not None else None
-    pieces: list[tuple[np.ndarray, ...]] = []
+    pieces: list[tuple[SegmentColumns, int]] = []
     played = 0
     depleted = False
     while played < len(bandwidth) and not depleted:
         gamma = mode.gamma_for(soc)
         bw = bandwidth[played:]
-        threshold = bw / gamma
-        candidates = np.searchsorted(bitrates, threshold, side="right")
-        rung = np.maximum(candidates - 1, 0)
-        bw_rel = bw / bitrates[rung]
-        ec_rel = evaluate_array(params, bw_rel)
+        piece = _price(context, bw, np.full(len(bw), gamma), None)
         end = len(bw)
-        soc_after = None
         if battery is not None:
-            drain = (
-                100.0
-                * battery.reference_current_ma
-                * ec_rel
-                * segment_duration
-                / 3600.0
-                / battery.capacity_mah
-            )
+            drain = (100.0 * battery.reference_current_ma * piece.ec_rel
+                     * context.segment_duration / 3600.0 / battery.capacity_mah)  # fmt: skip
             # the same sequential subtractions as soc -= drain, segment by segment
             soc_after = np.subtract.accumulate(np.concatenate(([soc], drain)))[1:]
             empty = np.flatnonzero(soc_after <= 0.0)
@@ -675,44 +670,44 @@ def run_session(
             if switch < end - 1:
                 end = switch + 1
                 depleted = False
-            soc_after = soc_after[:end]
             if depleted:
-                soc_after[-1] = 0.0
-            soc = float(soc_after[-1])
-        pieces.append(
-            (np.full(end, gamma, dtype=float), threshold[:end], candidates[:end], rung[:end],
-             bw_rel[:end], ec_rel[:end], soc_after)
-        )  # fmt: skip
+                soc_after[end - 1] = 0.0
+            soc = float(soc_after[end - 1])
+            piece = replace(piece, soc_after=soc_after)
+        pieces.append((piece, end))
         played += end
 
-    gammas, thresholds, counts, rungs, bw_rels, ec_rels, socs = (
-        np.concatenate(parts) if parts[0] is not None else None for parts in zip(*pieces)
-    )
-    bandwidth = bandwidth[:played]
-    context = SessionContext(
-        params=params,
-        segment_duration=segment_duration,
-        ladder=ladder,
-        trace_digest=trace.digest,
-    )
-    segments = SegmentColumns(
-        bandwidth=bandwidth,
-        gamma=gammas,
-        rung=rungs,
-        threshold=thresholds,
-        candidates=counts,
-        bw_rel=bw_rels,
-        ec_rel=ec_rels,
-        download_time=bitrates[rungs] * segment_duration / bandwidth,
-        soc_after=socs,
-    )
+    segments = SegmentColumns(**{
+        name: None if getattr(pieces[0][0], name) is None
+        else np.concatenate([getattr(piece, name)[:end] for piece, end in pieces])
+        for name in _COLUMN_NAMES
+    })  # fmt: skip
     return SessionReport(
         mode=mode,
         context=context,
-        mean_quality=_mean_scores(ladder, rungs, quality) if quality is not None else None,
+        mean_quality=_mean_scores(ladder, segments.rung, quality) if quality is not None else None,
         segments=segments if include_segments else None,
         **_aggregates(ladder, segments),
     )
+
+
+def _price(
+    context: SessionContext, bandwidth: np.ndarray, gamma: np.ndarray, soc_after: np.ndarray | None
+) -> SegmentColumns:
+    """The per-segment record of each bandwidth at its gamma: the best rung
+    within ``bandwidth / gamma`` (the lowest as a fallback when none fits),
+    priced at its relative bandwidth.  Sessions and the report loader both
+    build their records with it.
+    """
+    bitrates = np.array(context.ladder.bitrates, dtype=float)
+    threshold = bandwidth / gamma
+    candidates = np.searchsorted(bitrates, threshold, side="right")
+    rung = np.maximum(candidates - 1, 0)
+    bw_rel = bandwidth / bitrates[rung]
+    ec_rel = evaluate_array(context.params, bw_rel)
+    download_time = bitrates[rung] * context.segment_duration / bandwidth
+    return SegmentColumns(bandwidth, gamma, rung, threshold, candidates, bw_rel, ec_rel,
+                          download_time, soc_after)  # fmt: skip
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,18 @@ class TestChannelGrammar:
         with pytest.raises(ValueError, match="unknown channel kind"):
             parse_channel_spec("fading:22M", None, 6.0)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("random:block=abc", "random-channel option 'block' must be an integer, got 'abc'"),
+        ("random:seed=x", "random-channel option 'seed' must be an integer, got 'x'"),
+        ("random:values=1M,4M,block=2.5",
+         "random-channel option 'block' must be an integer, got '2.5'"),
+    ])  # fmt: skip
+    def test_random_option_that_is_not_an_integer_exits_two(self, ladder_file, capsys, spec,
+                                                            message):
+        assert main(["simulate", "--ladder", ladder_file, "--channel", spec,
+                     "--mode", "off", "--params", "overall", "--segments", "5"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("segments", [0, -1])
     def test_segments_below_one_exit_two(self, tmp_path, ladder_file, capsys, segments):
         path = tmp_path / "t.csv"
@@ -440,6 +452,11 @@ def rename_selected_rung(payload):
                 row[key] = "renamed"
 
 
+def edited_row(i, **values):
+    """An edit that sets ``values`` in row ``i`` of the per-segment record."""
+    return lambda payload: payload["report"]["per_segment"][i].update(values)
+
+
 class TestCompareCommand:
     def write_quality(self, tmp_path, ladder_names):
         path = tmp_path / "quality.csv"
@@ -481,7 +498,7 @@ class TestCompareCommand:
         (lambda p: p["report"]["mode"].pop("gamma"), "missing key 'gamma'"),
         (lambda p: p["report"]["context"].pop("params"), "missing key 'params'"),
         (lambda p: p["report"]["per_segment"][0].update(selected="8K"),
-         "'8K', which is not in the ladder"),
+         "per_segment row 0: 'selected' is '8K', but the stored columns give '2160p'"),
         (lambda p: p["report"]["mode"].update(kind=5), "'kind' must be a string, got an integer"),
         (lambda p: p["report"]["ladder"][0].update(width="wide"),
          "'width' must be an integer, got a string"),
@@ -540,6 +557,11 @@ class TestCompareCommand:
         (lambda p: p["report"]["per_segment"][4].update(stalled=True),
          "per_segment row 4: 'stalled' is True, but the stored columns give False"),
         (lambda p: dropped(p, "report", "per_segment", 2, "stalled"), "missing key 'stalled'"),
+        # compare would write a column for any key here
+        (lambda p: p["report"].update(mean_quality={"foo": 1.0}),
+         "'mean_quality' must be null or hold scores among psnr, ssim and vmaf, got keys ['foo']"),
+        (lambda p: p["report"].update(mean_quality={}),
+         "'mean_quality' must be null or hold scores among psnr, ssim and vmaf, got keys []"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):
@@ -579,6 +601,47 @@ class TestCompareCommand:
         cand.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("mode, edit, message", [
+        # each derived value of a strict report, and the mode it was run under
+        ("strict", edited_row(0, threshold_bps=5e6),
+         "per_segment row 0: 'threshold_bps' is 5000000.0, but the stored columns give 5500000.0"),
+        ("strict", edited_row(0, candidates=5),
+         "per_segment row 0: 'candidates' is 5, but the stored columns give 6"),
+        ("strict", edited_row(0, bw_rel=4.0),
+         "per_segment row 0: 'bw_rel' is 4.0, but the stored columns give 4.4"),
+        ("strict", edited_row(0, download_time_s=1.0),
+         "per_segment row 0: 'download_time_s' is 1.0, but the stored columns give 1.36363"),
+        ("strict", edited_row(0, gamma=2.0),
+         "per_segment row 0: 'gamma' is 2.0, but the stored columns give 4.0"),
+        ("strict", lambda p: p["report"].update(mode={"kind": "off", "gamma": 1.0}),
+         "per_segment row 0: 'gamma' is 4.0, but the stored columns give 1.0"),
+        ("strict", edited_row(2, bandwidth_bps=0), "'bandwidth_bps' must be positive"),
+        # the adaptive mode's first gamma is read; each later one follows the charge
+        ("adaptive", edited_row(0, gamma=3.0),
+         "per_segment row 0: 'gamma' is 3.0, but the adaptive mode gives 1.5 or 2.0 or 4.0"),
+        ("adaptive", edited_row(0, soc_after=50.0),
+         "per_segment row 1: 'gamma' is 1.5, but the stored columns give 2.0"),
+        ("adaptive", lambda p: [row.update(soc_after=None) for row in p["report"]["per_segment"]],
+         "adaptive mode requires a battery"),
+    ])  # fmt: skip
+    def test_saved_record_is_priced_again_from_its_inputs(self, tmp_path, ladder_file, capsys,
+                                                          mode, edit, message):
+        base, cand = tmp_path / "off.json", tmp_path / f"{mode}.json"
+        battery = ["--battery-capacity-mah", "1000", "--reference-current-ma", "500"]
+        for name, path in (("off", base), (mode, cand)):
+            assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                         "--mode", name, "--params", "overall", "--segments", "5",
+                         "--output", str(path), *(battery if name == "adaptive" else [])]) == 0
+        argv = ["compare", "--baseline", str(base), "--candidate", str(cand)]
+        assert main(argv) == 0
+        payload = json.loads(cand.read_text())
+        edit(payload)
+        cand.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 

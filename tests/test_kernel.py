@@ -12,12 +12,14 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from abrenergy import (
     AdaptiveConfig,
     BatteryConfig,
     ChannelTrace,
+    FIXED_GAMMAS,
     EnergyMode,
     ModelParams,
     QualityLadder,
@@ -218,6 +220,41 @@ def test_writers_on_one_segment_and_on_an_emptied_battery():
     emptied = run_session(ladder, trace, adaptive_mode(), params, battery)
     assert emptied.soc_depleted and emptied.n_segments < 400
     assert_writers_match(emptied, provenance)
+
+
+#: Each per-segment key the loader derives, with values of its JSON type.
+DERIVED = {
+    "index": st.integers(-5, 100),
+    "gamma": st.floats(allow_nan=False, allow_infinity=False),
+    "selected": st.text(max_size=4),
+    "threshold_bps": st.floats(allow_nan=False, allow_infinity=False),
+    "candidates": st.integers(-1, 20),
+    "fallback": st.booleans(),
+    "stalled": st.booleans(),
+    "bw_rel": st.floats(allow_nan=False, allow_infinity=False),
+    "ec_rel": st.floats(allow_nan=False, allow_infinity=False),
+    "download_time_s": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sessions(), st.data())
+def test_loader_names_the_row_and_key_of_any_edited_derived_value(session, data):
+    ladder, trace, mode, params, battery, quality = session
+    if mode.adaptive is None:
+        mode = data.draw(st.sampled_from([mode, *map(EnergyMode, FIXED_GAMMAS)]))
+    report = run_session(ladder, trace, mode, params, battery=battery, quality=quality)
+    payload = json.loads(json.dumps(report.to_json_dict()))
+    assert SessionReport.from_json_dict(payload) == report
+    row = data.draw(st.integers(0, report.n_segments - 1))
+    key = data.draw(st.sampled_from(sorted(DERIVED)))
+    saved = payload["per_segment"][row][key]
+    payload["per_segment"][row][key] = data.draw(DERIVED[key].filter(lambda v: v != saved))
+    named = repr(key)
+    if (row, key, mode.kind) == (0, "gamma", "adaptive"):
+        named = "'(gamma|threshold_bps)'"  # the first gamma is read, and sets the row's budget
+    with pytest.raises(ValueError, match=f"^per_segment row {row}: {named} is "):
+        SessionReport.from_json_dict(payload)
 
 
 def scaled_ladder(ladder: QualityLadder, k: float) -> QualityLadder:

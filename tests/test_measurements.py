@@ -85,6 +85,12 @@ def test_resolution_rank_is_the_leading_integer_only():
     assert reference_consumption(records, records[0].combination) == 100.0
 
 
+@pytest.mark.parametrize("label", ["\u0662\u0664\u0660p", "\uff12\uff14\uff10p", "\u0968\u096a\u0966p"])
+def test_resolution_rank_reads_ascii_digits_only(label):
+    # Arabic-Indic, fullwidth and Devanagari 240p: str.isdigit is true for each
+    assert label[0].isdigit() and resolution_rank(label) is None
+
+
 @pytest.mark.parametrize("cell", ["1_000", "2_5", "٣٠٠٠", "٠"])
 def test_numbers_spelled_as_no_csv_writer_does_are_rejected(cell):
     text = HEADER + "phone,wifi,hevc,240p,650000,2000000,210\n"

@@ -5,8 +5,10 @@ model, applies bandwidth-budgeted request modes on a quality ladder, and
 simulates sessions over channel traces to quantify the energy/quality
 trade-off of each mode against the energy-saving-off baseline.
 
-Public names load with their module on first access, so a program that
-only normalizes measurements never imports numpy or the simulator.
+Public names load with their module on first access.  Only fitting needs
+numpy: ``simulate`` and ``compare`` run on the standard library, and a
+program that only normalizes measurements never imports the model or the
+simulator.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ _EXPORTS = {
     "measurements": """MEASUREMENT_HEADER Combination MeasurementRecord Measurements RelativePoint
         group_measurements load_records normalize normalize_columns read_measurements
         reference_consumption resolution_rank""",
-    "model": """PRESETS FitError FitResult ModelParams evaluate fit fit_columns pearson preset
-        r_squared spearman""",
+    "fitting": "FitError FitResult fit fit_columns pearson r_squared spearman",
+    "model": "PRESETS ModelParams evaluate preset",
     "policy": """FIXED_GAMMAS AdaptiveConfig EnergyMode PolicyDecision adaptive_gamma
         adaptive_mode light_mode medium_mode off_mode select strict_mode""",
     "prng": "Lcg64",

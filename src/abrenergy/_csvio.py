@@ -93,7 +93,7 @@ def read_columns(
         return result
 
 
-def _plain(text: str) -> str:
+def plain(text: str) -> str:
     """``text``, or ValueError if it holds ``_`` or a non-ASCII character:
     ``int`` and ``float`` accept ``1_000`` and ``٣``, which no CSV writer emits."""
     if "_" in text or not text.isascii():
@@ -104,12 +104,12 @@ def _plain(text: str) -> str:
 def int_column(cells: list[str], line_numbers: list[int], name: str) -> list[int]:
     """The cells as integers; ParseError at the first cell that is not one."""
     try:
-        _plain("".join(cells))
+        plain("".join(cells))
         return list(map(int, cells))
     except ValueError:
         for line_no, cell in zip(line_numbers, cells):
             try:
-                int(_plain(cell))
+                int(plain(cell))
             except ValueError:
                 raise ParseError(f"{name} must be an integer, got {cell!r}", line_no) from None
         raise
@@ -118,14 +118,14 @@ def int_column(cells: list[str], line_numbers: list[int], name: str) -> list[int
 def float_column(cells: list[str], line_numbers: list[int], name: str) -> list[float]:
     """The cells as floats; ParseError at the first cell that is not a finite number."""
     try:
-        _plain("".join(cells))
+        plain("".join(cells))
         values = list(map(float, cells))
     except ValueError:
         values = []
     if len(values) < len(cells) or not all(map(math.isfinite, values)):
         for line_no, cell in zip(line_numbers, cells):
             try:
-                value = float(_plain(cell))
+                value = float(plain(cell))
             except ValueError:
                 raise ParseError(f"{name} must be a number, got {cell!r}", line_no) from None
             if not math.isfinite(value):

@@ -14,8 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from ._csvio import ParseError, check_unique, float_column, int_column, read_columns
 from .prng import Lcg64
 
@@ -48,16 +46,15 @@ class ChannelTrace:
             raise ValueError(
                 f"period_duration must be positive and finite, got {self.period_duration}"
             )
-        values = np.array(self.bandwidths, dtype=float)
-        if not values.size:
+        values = tuple(map(float, self.bandwidths))
+        if not values:
             raise ValueError("trace must contain at least one period")
-        bad = np.flatnonzero(~np.isfinite(values) | (values <= 0))
-        if bad.size:
-            i, bandwidth = int(bad[0]), float(values[bad[0]])
+        if not (all(map(math.isfinite, values)) and min(values) > 0):
+            i, bandwidth = next((i, v) for i, v in enumerate(values) if not 0.0 < v < math.inf)
             rule = "finite" if not math.isfinite(bandwidth) else "positive"
             raise ValueError(f"period {i}: bandwidth must be {rule}, got {bandwidth}")
         object.__setattr__(self, "period_duration", float(self.period_duration))
-        object.__setattr__(self, "bandwidths", tuple(values.tolist()))
+        object.__setattr__(self, "bandwidths", values)
 
     @cached_property
     def digest(self) -> str:

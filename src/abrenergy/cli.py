@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 
 # Each subcommand imports the modules it computes with when it runs, so that
-# normalize loads no numpy and fit no simulator.
+# only fit loads numpy, and fit loads no simulator.
 
 DEFAULT_SEGMENTS = 360
 
@@ -40,6 +40,7 @@ def parse_bandwidth(token: str) -> float:
 
 
 def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
+    from ._csvio import plain
     from .channel import DEFAULT_BLOCK_LEN
 
     values: list[str] | None = None
@@ -55,7 +56,7 @@ def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
                 collecting = values
             elif key in options:
                 try:
-                    options[key] = int(raw)
+                    options[key] = int(plain(raw))
                 except ValueError:
                     raise ValueError(
                         f"random-channel option {key!r} must be an integer, got {raw!r}"
@@ -276,7 +277,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .measurements import group_measurements, normalize_columns, read_measurements
-    from .model import fit_columns
+    from .fitting import fit_columns
 
     # every group is normalized, in first-seen order, before any is fitted;
     # only the ratio columns are still referenced while fitting

@@ -2,10 +2,10 @@
 
 One session applies the request policy to every segment of a bandwidth
 trace, prices each download with the consumption model, and optionally
-drains a battery.  It is computed as array operations over the trace, and
-its per-segment record is kept as columns.  Sessions under different modes
-but identical conditions are then compared against the energy-saving-off
-baseline.
+drains a battery.  It is computed column by column over the trace with the
+standard library alone, and its per-segment record is kept as columns.
+Sessions under different modes but identical conditions are then compared
+against the energy-saving-off baseline.
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ import hashlib
 import io
 import json
 import math
-from bisect import bisect_left
+import operator
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import accumulate, groupby
 from types import NoneType
-
-import numpy as np
 
 from ._csvio import ParseError, check_unique, float_column, read_columns
 from ._layout import json_array, lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
-from .model import ModelParams, evaluate_array
+from .model import ModelParams, evaluate
 from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, PolicyDecision
 
 #: Mean-opinion deltas below this many VMAF points are typically not noticed.
@@ -163,9 +163,9 @@ class SegmentOutcome:
         return self.decision.selected.bitrate > self.bandwidth
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SegmentColumns:
-    """The per-segment record of a session, one array per field.
+    """The per-segment record of a session, one list of plain values per field.
 
     ``rung`` indexes the report's ladder and ``candidates`` counts the rungs
     that fit the budget (0 means the lowest rung was a fallback).
@@ -173,29 +173,18 @@ class SegmentColumns:
     fell back or stalled follows from these columns and the ladder.
     """
 
-    bandwidth: np.ndarray
-    gamma: np.ndarray
-    rung: np.ndarray
-    threshold: np.ndarray
-    candidates: np.ndarray
-    bw_rel: np.ndarray
-    ec_rel: np.ndarray
-    download_time: np.ndarray
-    soc_after: np.ndarray | None
+    bandwidth: list[float]
+    gamma: list[float]
+    rung: list[int]
+    threshold: list[float]
+    candidates: list[int]
+    bw_rel: list[float]
+    ec_rel: list[float]
+    download_time: list[float]
+    soc_after: list[float] | None
 
     def __len__(self) -> int:
         return len(self.bandwidth)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SegmentColumns):
-            return NotImplemented
-        for name in _COLUMN_NAMES:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if (mine is None) != (theirs is None):
-                return False
-            if mine is not None and not np.array_equal(mine, theirs):
-                return False
-        return True
 
 
 _COLUMN_NAMES = tuple(f.name for f in fields(SegmentColumns))
@@ -299,29 +288,42 @@ def _write_fields(table: tuple, obj: object) -> dict:
 def _segment_values(ladder: QualityLadder, cols: SegmentColumns | None) -> dict[str, Sequence]:
     """Each per-segment column as a list of plain values, by CSV header.
 
-    Columns go through ``tolist`` so that ``repr`` and JSON see ``float``
-    and ``int``, never numpy scalars.
-
     Raises:
         ValueError: when the report carries no per-segment record.
     """
     if cols is None:
         raise ValueError("the report carries no per-segment record")
-    rungs = cols.rung.tolist()
     names = [rep.name for rep in ladder]
     bitrates = ladder.bitrates
     derived = {
         "segment": list(range(len(cols))),
-        "selected": [names[rung] for rung in rungs],
-        "selected_bitrate_bps": [bitrates[rung] for rung in rungs],
-        "fallback": (cols.candidates == 0).tolist(),
-        "stalled": (np.array(bitrates, dtype=float)[cols.rung] > cols.bandwidth).tolist(),
-        "soc_after": [None] * len(cols) if cols.soc_after is None else cols.soc_after.tolist(),
+        "selected": list(map(names.__getitem__, cols.rung)),
+        "selected_bitrate_bps": list(map(bitrates.__getitem__, cols.rung)),
+        "fallback": [count == 0 for count in cols.candidates],
+        "stalled": list(map(operator.gt, _selected_rates(ladder, cols), cols.bandwidth)),
+        "soc_after": [None] * len(cols) if cols.soc_after is None else cols.soc_after,
     }
     return {
-        header: derived[header] if header in derived else getattr(cols, attr).tolist()
+        header: derived[header] if header in derived else getattr(cols, attr)
         for header, _, attr, _ in _SEGMENT_FIELDS
     }
+
+
+def _float_rates(ladder: QualityLadder) -> list[float]:
+    """The ladder's bitrates as floats, as selection compares them with budgets."""
+    return [float(bitrate) for bitrate in ladder.bitrates]
+
+
+def _selected_rates(ladder: QualityLadder, cols: SegmentColumns) -> list[float]:
+    return list(map(_float_rates(ladder).__getitem__, cols.rung))
+
+
+def _finite_floats(key: str, values: list) -> list[float]:
+    """Saved JSON numbers as floats; ValueError naming ``key`` unless all are finite."""
+    floats = list(map(float, values))
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{key!r} must be finite")
+    return floats
 
 
 def _read_segments(
@@ -342,28 +344,34 @@ def _read_segments(
     saved = {}
     for _, key, _, types in _SEGMENT_FIELDS:
         if key:
-            saved[key] = [row[key] for row in rows]
+            saved[key] = list(map(operator.itemgetter(key), rows))
             check_types(key, saved[key], types)
     nulls = saved["soc_after"].count(None)
     if 0 < nulls < n_segments:
         raise ValueError("'soc_after' mixes null and numbers")
-    bandwidth = np.array(saved["bandwidth_bps"], dtype=float)
-    soc_after = None if nulls else np.array(saved["soc_after"], dtype=float)
-    for key, column in (("bandwidth_bps", bandwidth), ("soc_after", soc_after)):
-        if column is not None and not np.isfinite(column).all():
-            raise ValueError(f"{key!r} must be finite")
-    if (bandwidth <= 0).any():
+    bandwidth = _finite_floats("bandwidth_bps", saved["bandwidth_bps"])
+    soc_after = None if nulls else _finite_floats("soc_after", saved["soc_after"])
+    if min(bandwidth) <= 0:
         raise ValueError("'bandwidth_bps' must be positive")
-    gamma = np.full(n_segments, mode.gamma)
+    if soc_after is not None:  # consumption is never negative
+        i = next((i for i in range(1, n_segments) if soc_after[i] > soc_after[i - 1]), None)
+        if i is not None:
+            raise ValueError(f"per_segment row {i}: 'soc_after' rises from"
+                             f" {soc_after[i - 1]!r} to {soc_after[i]!r}")  # fmt: skip
+    gamma = [mode.gamma] * n_segments
     if mode.adaptive is not None:  # each later gamma is the mode's at the charge before
         bands = [FIXED_GAMMAS[kind] for kind in ("light", "medium", "strict")]
-        gamma[0] = saved["gamma"][0]
-        if gamma[0] not in bands:
+        if saved["gamma"][0] not in bands:
             raise ValueError(f"per_segment row 0: 'gamma' is {saved['gamma'][0]!r}, but the"
                              f" adaptive mode gives {' or '.join(map(repr, bands))}")
         # the last charge picks no gamma, but the mode must be able to read it
-        gamma[1:] = list(map(mode.gamma_for, saved["soc_after"]))[:-1]
-    segments = _price(context, bandwidth, gamma, soc_after)
+        gamma = [float(saved["gamma"][0]), *map(mode.gamma_for, saved["soc_after"])][:-1]
+    pieces, start = [], 0
+    for run_gamma, run in groupby(gamma):
+        end = start + len(list(run))
+        pieces.append((_price(context, bandwidth[start:end], run_gamma), end - start))
+        start = end
+    segments = replace(_joined(pieces), soc_after=soc_after)
     written = _segment_values(context.ladder, segments)
     for header, key, _, _ in _SEGMENT_FIELDS:
         if key and saved[key] != written[header]:
@@ -379,14 +387,14 @@ def _aggregates(ladder: QualityLadder, cols: SegmentColumns) -> dict:
     A session ends with the battery depleted exactly when its last charge
     is zero, since the drain clamps the charge there and stops.
     """
-    selected = np.array(ladder.bitrates, dtype=float)[cols.rung]
-    final_soc = None if cols.soc_after is None else float(cols.soc_after[-1])
+    selected = _selected_rates(ladder, cols)
+    final_soc = None if cols.soc_after is None else cols.soc_after[-1]
     return {
         "n_segments": len(cols),
         "mean_ec_rel": _fmean(cols.ec_rel),
         "mean_bitrate": _fmean(selected),
-        "stall_count": int(np.count_nonzero(selected > cols.bandwidth)),
-        "fallback_count": int(np.count_nonzero(cols.candidates == 0)),
+        "stall_count": sum(map(operator.gt, selected, cols.bandwidth)),
+        "fallback_count": cols.candidates.count(0),
         "final_soc": final_soc,
         "soc_depleted": final_soc is not None and final_soc <= 0.0,
     }
@@ -431,7 +439,7 @@ class SessionReport:
             SegmentOutcome(index, bw, gamma, PolicyDecision(self.ladder[rung], threshold, count,
                            count == 0), bw_rel, ec_rel, dt, soc)
             for index, bw, gamma, rung, threshold, count, bw_rel, ec_rel, dt, soc in zip(
-                v["segment"], v["bandwidth_bps"], v["gamma"], self.segments.rung.tolist(),
+                v["segment"], v["bandwidth_bps"], v["gamma"], self.segments.rung,
                 v["threshold_bps"], v["candidates"], v["bw_rel"], v["ec_rel"],
                 v["download_time_s"], v["soc_after"],
             )
@@ -526,14 +534,19 @@ class SessionReport:
     def from_json_dict(cls, data: dict) -> "SessionReport":
         """Rebuild a report from ``to_json_dict`` output, checking every value.
 
+        The report must carry its per-segment record, as a single-mode
+        ``simulate`` always writes it: the aggregates are checked against it.
+
         Raises:
             ValueError: naming the first missing key (``per_segment`` and an
                 adaptive mode's thresholds included) or the key of a value
-                whose JSON type its field does not accept or that is not
-                finite; on a ``mean_quality`` other than null or psnr, ssim
-                and vmaf scores; on a per-segment record that is empty, whose
-                length is not ``n_segments``, whose bandwidths are not
-                positive, or one of whose rows differs from what ``_price``
+                whose JSON type its field does not accept (a null
+                ``per_segment`` among them) or that is not finite; on a
+                ``mean_quality`` other than null or psnr, ssim and vmaf
+                scores; on a per-segment record that is empty, whose length
+                is not ``n_segments``, whose bandwidths are not positive,
+                whose charge rises from one row to the next (naming the
+                row), or one of whose rows differs from what ``_price``
                 gives for its bandwidth, the mode and the charge before it;
                 when ``ladder_digest`` is not the saved ladder's; naming an
                 aggregate that differs from the one the per-segment record
@@ -568,30 +581,27 @@ class SessionReport:
                 raise ValueError(
                     f"'ladder_digest' is {digest!r}, but the ladder gives {context.ladder_digest!r}"
                 )
-            rows = data["per_segment"]
-            segments = None
-            if rows is not None:
-                segments = _read_segments(rows, mode, context, aggregates["n_segments"])
-                derived = _aggregates(ladder, segments)
-                for key, attr, _ in _AGGREGATE_FIELDS:
-                    if attr in derived and aggregates[attr] != derived[attr]:
-                        raise ValueError(
-                            f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
-                            f" gives {derived[attr]!r}"
-                        )
+            segments = _read_segments(data["per_segment"], mode, context, aggregates["n_segments"])
+            derived = _aggregates(ladder, segments)
+            for key, attr, _ in _AGGREGATE_FIELDS:
+                if attr in derived and aggregates[attr] != derived[attr]:
+                    raise ValueError(
+                        f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
+                        f" gives {derived[attr]!r}"
+                    )
             return cls(mode=mode, context=context, segments=segments, **aggregates)
         except KeyError as exc:
             raise ValueError(f"report is missing key {exc}") from None
 
 
-def _fmean(column: np.ndarray) -> float:
+def _fmean(column: Sequence[float]) -> float:
     # statistics.fmean's arithmetic: a correctly rounded sum over the count
-    return math.fsum(column.tolist()) / len(column)
+    return math.fsum(column) / len(column)
 
 
-def _mean_scores(ladder: QualityLadder, rung: np.ndarray, quality: QualityMap) -> dict[str, float]:
+def _mean_scores(ladder: QualityLadder, rung: list[int], quality: QualityMap) -> dict[str, float]:
     return {
-        metric: _fmean(np.array([scores[rep.name] for rep in ladder], dtype=float)[rung])
+        metric: _fmean(list(map([float(scores[rep.name]) for rep in ladder].__getitem__, rung)))
         for metric, scores in quality.metrics().items()
     }
 
@@ -614,8 +624,8 @@ def run_session(
     battery, when configured, drains linearly in the modeled current.  The
     session stops early if the battery empties.
 
-    The session is computed as array operations over the trace, one piece
-    per intensity in force.  Consumption is never negative, so the state of
+    The session is computed column by column over the trace, one piece per
+    intensity in force.  Consumption is never negative, so the state of
     charge never rises and the adaptive mode moves only towards stricter
     bands: a piece ends at the first segment after which the mode asks for
     another intensity.  Every value equals the segment-by-segment
@@ -643,45 +653,41 @@ def run_session(
         quality.validate_for(ladder)
 
     context = SessionContext(params, trace.period_duration, ladder, trace.digest)
-    bandwidth = np.array(trace.bandwidths, dtype=float)
     soc = battery.initial_soc if battery is not None else None
     pieces: list[tuple[SegmentColumns, int]] = []
     played = 0
     depleted = False
-    while played < len(bandwidth) and not depleted:
+    while played < len(trace) and not depleted:
         gamma = mode.gamma_for(soc)
-        bw = bandwidth[played:]
-        piece = _price(context, bw, np.full(len(bw), gamma), None)
-        end = len(bw)
+        piece = _price(context, trace.bandwidths[played:], gamma)
+        end = len(piece)
         if battery is not None:
-            drain = (100.0 * battery.reference_current_ma * piece.ec_rel
-                     * context.segment_duration / 3600.0 / battery.capacity_mah)  # fmt: skip
+            scale = 100.0 * battery.reference_current_ma
+            drain = {ec: scale * ec * context.segment_duration / 3600.0 / battery.capacity_mah
+                     for ec in set(piece.ec_rel)}  # fmt: skip
             # the same sequential subtractions as soc -= drain, segment by segment
-            soc_after = np.subtract.accumulate(np.concatenate(([soc], drain)))[1:]
-            empty = np.flatnonzero(soc_after <= 0.0)
-            if empty.size:
-                end = int(empty[0]) + 1
+            soc_after = list(accumulate(map(drain.__getitem__, piece.ec_rel), operator.sub,
+                                        initial=soc))[1:]  # fmt: skip
+            # SoC never rises, so the charges at or below zero come last
+            empty = bisect_left(soc_after, True, key=lambda charge: charge <= 0.0)
+            if empty < end:
+                end = empty + 1
                 depleted = True
-            # SoC never rises, so once the mode asks for another intensity it
-            # keeps asking; the charge before the last segment decides nothing
-            switch = bisect_left(
-                range(end - 1), True, key=lambda i: mode.gamma_for(float(soc_after[i])) != gamma
-            )
+            # once the mode asks for another intensity it keeps asking; the
+            # charge before the last segment decides nothing
+            switch = bisect_left(soc_after, True, 0, end - 1,
+                                 key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
             if switch < end - 1:
                 end = switch + 1
                 depleted = False
             if depleted:
                 soc_after[end - 1] = 0.0
-            soc = float(soc_after[end - 1])
+            soc = soc_after[end - 1]
             piece = replace(piece, soc_after=soc_after)
         pieces.append((piece, end))
         played += end
 
-    segments = SegmentColumns(**{
-        name: None if getattr(pieces[0][0], name) is None
-        else np.concatenate([getattr(piece, name)[:end] for piece, end in pieces])
-        for name in _COLUMN_NAMES
-    })  # fmt: skip
+    segments = _joined(pieces)
     return SessionReport(
         mode=mode,
         context=context,
@@ -691,23 +697,41 @@ def run_session(
     )
 
 
-def _price(
-    context: SessionContext, bandwidth: np.ndarray, gamma: np.ndarray, soc_after: np.ndarray | None
-) -> SegmentColumns:
-    """The per-segment record of each bandwidth at its gamma: the best rung
-    within ``bandwidth / gamma`` (the lowest as a fallback when none fits),
-    priced at its relative bandwidth.  Sessions and the report loader both
-    build their records with it.
+def _price(context: SessionContext, bandwidth: Sequence[float], gamma: float) -> SegmentColumns:
+    """The per-segment record of bandwidths requested at one gamma: the best
+    rung within ``bandwidth / gamma`` (the lowest as a fallback when none
+    fits), priced at its relative bandwidth.  Sessions and the report loader
+    both build their records with it, one run of equal gammas at a time.
+
+    Each distinct bandwidth is priced once, by ``select``'s rule
+    (``bisect_right`` over the bitrates, here as floats), and its row is
+    mapped over the run.
     """
-    bitrates = np.array(context.ladder.bitrates, dtype=float)
-    threshold = bandwidth / gamma
-    candidates = np.searchsorted(bitrates, threshold, side="right")
-    rung = np.maximum(candidates - 1, 0)
-    bw_rel = bandwidth / bitrates[rung]
-    ec_rel = evaluate_array(context.params, bw_rel)
-    download_time = bitrates[rung] * context.segment_duration / bandwidth
-    return SegmentColumns(bandwidth, gamma, rung, threshold, candidates, bw_rel, ec_rel,
-                          download_time, soc_after)  # fmt: skip
+    bitrates = _float_rates(context.ladder)
+    params, duration = context.params, context.segment_duration
+    rows = {}
+    for bw in set(bandwidth):
+        threshold = bw / gamma
+        candidates = bisect_right(bitrates, threshold)
+        rung = candidates - 1 if candidates else 0
+        bw_rel = bw / bitrates[rung]
+        rows[bw] = (threshold, candidates, rung, bw_rel, evaluate(params, bw_rel),
+                    bitrates[rung] * duration / bw)  # fmt: skip
+    threshold, candidates, rung, bw_rel, ec_rel, download_time = map(
+        list, zip(*map(rows.__getitem__, bandwidth))
+    )
+    return SegmentColumns(list(bandwidth), [gamma] * len(bandwidth), rung, threshold, candidates,
+                          bw_rel, ec_rel, download_time, None)  # fmt: skip
+
+
+def _joined(pieces: list[tuple[SegmentColumns, int]]) -> SegmentColumns:
+    """The records of consecutive pieces as one, each piece cut at its end."""
+    columns = {name: None if getattr(pieces[0][0], name) is None else [] for name in _COLUMN_NAMES}
+    for piece, end in pieces:
+        for name, column in columns.items():
+            if column is not None:
+                column += getattr(piece, name)[:end]
+    return SegmentColumns(**columns)
 
 
 @dataclass(frozen=True)

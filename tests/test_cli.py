@@ -98,6 +98,9 @@ class TestChannelGrammar:
         ("random:seed=x", "random-channel option 'seed' must be an integer, got 'x'"),
         ("random:values=1M,4M,block=2.5",
          "random-channel option 'block' must be an integer, got '2.5'"),
+        # spellings that int() accepts but no CSV reader of the package does
+        ("random:seed=\u0663", "random-channel option 'seed' must be an integer, got '\u0663'"),
+        ("random:block=1_0", "random-channel option 'block' must be an integer, got '1_0'"),
     ])  # fmt: skip
     def test_random_option_that_is_not_an_integer_exits_two(self, ladder_file, capsys, spec,
                                                             message):
@@ -622,8 +625,11 @@ class TestCompareCommand:
         # the adaptive mode's first gamma is read; each later one follows the charge
         ("adaptive", edited_row(0, gamma=3.0),
          "per_segment row 0: 'gamma' is 3.0, but the adaptive mode gives 1.5 or 2.0 or 4.0"),
-        ("adaptive", edited_row(0, soc_after=50.0),
+        ("adaptive", lambda p: [row.update(soc_after=50.0) for row in p["report"]["per_segment"]],
          "per_segment row 1: 'gamma' is 1.5, but the stored columns give 2.0"),
+        # consumption is never negative, so a saved charge never rises
+        ("adaptive", edited_row(1, soc_after=100.0),
+         "per_segment row 1: 'soc_after' rises from 99.89"),
         ("adaptive", lambda p: [row.update(soc_after=None) for row in p["report"]["per_segment"]],
          "adaptive mode requires a battery"),
     ])  # fmt: skip
@@ -702,7 +708,7 @@ class TestCompareCommand:
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand),
                      "--quality", quality]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "strict report has no per-segment record" in err
+        assert err.startswith("error:") and "'per_segment' must be an array, got null" in err
 
     @pytest.mark.parametrize("quality_csv", [
         "name,psnr,ssim,vmaf\n",

@@ -1,7 +1,8 @@
 """Each subcommand imports only the modules it computes with.
 
 ``normalize`` needs neither numpy nor the model, ``fit`` needs no
-simulator, and ``simulate`` no measurement code; the package loads its
+simulator, ``simulate`` and ``compare`` no measurement code, and only
+``fit`` needs numpy; the package loads its
 public names on first access, so the modules a command never touches stay
 unloaded.  Each command runs in a fresh interpreter, which then reports the
 modules it loaded.
@@ -51,12 +52,21 @@ def test_command_leaves_unused_modules_unloaded(tmp_path, command, absent):
     assert loaded & absent == set()
 
 
-def test_simulate_still_loads_the_simulator(tmp_path):
-    # the guard above must see the modules a command does load
+def test_only_fit_loads_numpy(tmp_path):
     (tmp_path / "ladder.csv").write_text(STOCK_LADDER_CSV)
-    loaded = loaded_modules(tmp_path, "simulate", "--ladder", "ladder.csv", "--channel",
-                            "constant:22M", "--segments", "5", "--mode", "off",
-                            "--params", "overall", "--output", "o.json")  # fmt: skip
-    assert {"numpy", "abrenergy.channel", "abrenergy.simulator"} <= loaded
-    # the preset labels share the measurement vocabulary, but not its module
-    assert "abrenergy.measurements" not in loaded
+    loaded = {
+        mode: loaded_modules(tmp_path, "simulate", "--ladder", "ladder.csv", "--channel",
+                             "constant:22M", "--segments", "5", "--mode", mode, "--params",
+                             "overall", "--per-segment", f"{mode}.csv", "--output", f"{mode}.json")
+        for mode in ("off", "strict")
+    }  # fmt: skip
+    loaded["compare"] = loaded_modules(tmp_path, "compare", "--baseline", "off.json",
+                                       "--candidate", "strict.json", "--output", "c.json")
+    loaded["fit"] = loaded_modules(tmp_path, "fit", "--input", str(MEASUREMENTS), "--output",
+                                   "f.json")  # fmt: skip
+    assert [command for command, modules in loaded.items() if "numpy" in modules] == ["fit"]
+    for command in ("off", "strict", "compare"):
+        # the guard above must see the modules a command does load
+        assert {"abrenergy.channel", "abrenergy.model", "abrenergy.simulator"} <= loaded[command]
+        # the preset labels share the measurement vocabulary, but not its module
+        assert loaded[command] & {"abrenergy.fitting", "abrenergy.measurements"} == set()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +26,7 @@ from abrenergy import (
     Representation,
     SessionReport,
     adaptive_mode,
+    constant,
     random_blocks,
     run_session,
 )
@@ -160,7 +160,15 @@ def test_long_adaptive_session_matches(ladder, overall):
     battery = BatteryConfig(capacity_mah=2500.0, reference_current_ma=450.0)
     report = assert_matches_scalar(ladder, trace, adaptive_mode(), overall, battery)
     assert report.soc_depleted and report.n_segments < 4000
-    assert set(report.segments.gamma.tolist()) == {1.5, 2.0, 4.0}
+    assert set(report.segments.gamma) == {1.5, 2.0, 4.0}
+
+
+def test_a_charge_that_lands_exactly_on_zero_ends_the_session(ladder):
+    # each drain is exactly one point: 100 * 600 mA * ec_rel 1.0 * 6 s / 3600 / 100 mAh
+    battery = BatteryConfig(capacity_mah=100.0, reference_current_ma=600.0, initial_soc=3.0)
+    report = assert_matches_scalar(ladder, constant(22e6, 10), EnergyMode("off"),
+                                   ModelParams(0.0, 0.0, 1.0), battery)  # fmt: skip
+    assert report.segments.soc_after == [2.0, 1.0, 0.0] and report.soc_depleted
 
 
 def test_many_distinct_bandwidths_match(ladder, overall):
@@ -280,8 +288,8 @@ def test_scaling_bandwidths_and_bitrates_by_a_power_of_two_changes_nothing(data,
         b = run_session(scaled_ladder(ladder, k), bigger, mode, params, battery=with_battery)
         assert (b.n_segments, b.mean_ec_rel) == (a.n_segments, a.mean_ec_rel)
         for name in ("rung", "ec_rel", "download_time"):
-            assert np.array_equal(getattr(b.segments, name), getattr(a.segments, name)), name
+            assert getattr(b.segments, name) == getattr(a.segments, name), name
         if with_battery is None:
             assert a.segments.soc_after is None and b.segments.soc_after is None
         else:
-            assert np.array_equal(b.segments.soc_after, a.segments.soc_after)
+            assert b.segments.soc_after == a.segments.soc_after

@@ -28,7 +28,7 @@ from abrenergy import (
 )
 from abrenergy.ladder import _CODEC_ALIASES
 from abrenergy.ladder import _CONNECTION_ALIASES
-from abrenergy.model import _average_ranks
+from abrenergy.fitting import _average_ranks
 
 SYNTH = Combination("synth", "WIFI", "HEVC")
 

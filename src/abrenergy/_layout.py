@@ -1,4 +1,5 @@
-"""Text laid out from columns of formatted cells, shared by the JSON and CSV writers."""
+"""Text laid out from columns of formatted cells, shared by the JSON and CSV writers,
+and the format version that every saved report, fit and points file carries."""
 
 from __future__ import annotations
 
@@ -6,8 +7,12 @@ import json
 from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
 
+#: The ``schema`` of the reports, fits and points files this version writes,
+#: and the only one it reads.
+SCHEMA = 2
 
-def lay_out(columns: Sequence[Sequence[str]], template: Sequence[str]) -> str:
+
+def lay_out(columns: Iterable[Iterable[str]], template: Sequence[str]) -> str:
     """Rows of cells as text: for each row, ``template[0]``, the row's first
     cell, ``template[1]``, its second cell, and so on, ending with
     ``template[-1]``."""

@@ -148,7 +148,7 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
     """Model parameters from a preset label, ``a=..,b=..[,c=..]``, or
     ``fit:<path>[#<combination>]``."""
     from .model import ModelParams, preset
-    from .simulator import PARAMS_FIELDS, read_fields
+    from .simulator import PARAMS_FIELDS, check_schema, read_fields
 
     spec = spec.strip()
     if spec.lower().startswith("fit:"):
@@ -156,7 +156,9 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
         ref = spec[4:]
         path, _, combination = ref.partition("#")
         try:
-            document = read_fields(_FIT_FILE_FIELDS, json.loads(Path(path).read_text()), path)
+            document = json.loads(Path(path).read_text())
+            check_schema(document, path)
+            document = read_fields(_FIT_FILE_FIELDS, document, path)
             fits = [read_fields(fit_fields, fit, "fit") for fit in document["fits"]]
             if combination:
                 matches = [f for f in fits if f["combination"] == combination]
@@ -238,7 +240,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
     ``repr`` writes a float as JSON does, since a point's values are finite.
     """
-    from ._layout import json_array
+    from ._layout import SCHEMA, json_array
     from .measurements import group_measurements, normalize_columns, read_measurements
 
     groups = group_measurements(read_measurements(Path(args.input).read_text()))
@@ -263,6 +265,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         # a group's points are the value of "points", three levels deep
         point_rows.append(json_array(("bw_rel", "ec_rel", "flagged"), columns, 3))
     payload = {
+        "schema": SCHEMA,
         "provenance": _provenance("normalize", {"input": args.input}),
         "combinations": combinations,
     }
@@ -276,6 +279,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from ._layout import SCHEMA
     from .measurements import group_measurements, normalize_columns, read_measurements
     from .fitting import fit_columns
 
@@ -303,6 +307,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     payload = {
+        "schema": SCHEMA,
         "provenance": _provenance(
             "fit",
             {

@@ -16,19 +16,20 @@ import io
 import json
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from types import NoneType
 
 from ._csvio import ParseError, check_unique, float_column, read_columns
-from ._layout import json_array, lay_out
+from ._layout import SCHEMA, json_array, lay_out
 from .channel import ChannelTrace
 from .ladder import QualityLadder, Representation
 from .model import ModelParams, evaluate
-from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, PolicyDecision
+from .policy import AdaptiveConfig, EnergyMode, PolicyDecision
 
 #: Mean-opinion deltas below this many VMAF points are typically not noticed.
 PERCEPTIBLE_VMAF_DELTA = 6.0
@@ -37,6 +38,8 @@ QUALITY_HEADER = ["name", "psnr", "ssim", "vmaf"]
 QUALITY_METRICS = ("psnr", "ssim", "vmaf")
 
 COMPARISON_CSV_HEADER = "channel,mode,energy_pct,psnr,d_psnr,ssim,d_ssim,vmaf,d_vmaf"
+
+_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,11 @@ class BatteryConfig:
         if self.reference_current_ma <= 0:
             raise ValueError(
                 f"reference_current_ma must be positive, got {self.reference_current_ma}"
+            )
+        if math.isinf(100.0 * self.reference_current_ma):  # the drain's first product
+            raise ValueError(
+                "reference_current_ma is too large: 100 * reference_current_ma overflows,"
+                f" got {self.reference_current_ma}"
             )
         if not 0.0 < self.initial_soc <= 100.0:
             raise ValueError(f"initial_soc must be within (0, 100], got {self.initial_soc}")
@@ -132,11 +140,10 @@ class SessionContext:
 
     @property
     def ladder_digest(self) -> str:
-        """Short sha256 of the ladder's fields, as reports record it."""
-        payload = ";".join(
-            f"{rep.name},{rep.width},{rep.height},{rep.label},{rep.bitrate},{rep.codec}"
-            for rep in self.ladder
-        )
+        """Short sha256 of the ladder's rows as canonical JSON (sorted keys, no
+        spaces, ASCII escapes), as reports record it."""
+        rows = [_write_fields(_LADDER_FIELDS, rep) for rep in self.ladder]
+        payload = json.dumps(rows, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -221,25 +228,16 @@ _AGGREGATE_FIELDS = (
     ("final_soc", "final_soc", (*_NUMBER, NoneType)),
     ("soc_depleted", "soc_depleted", (bool,)),
 )
-#: The per-segment record in CSV column order, as (CSV header, JSON key or
-#: None for the CSV-only bitrate, SegmentColumns attribute or None for a
-#: column ``_segment_values`` derives, types).  The CSV writer formats every
-#: column by its types.
-_SEGMENT_FIELDS = (
-    ("segment", "index", None, (int,)),
-    ("bandwidth_bps", "bandwidth_bps", "bandwidth", _NUMBER),
-    ("gamma", "gamma", "gamma", _NUMBER),
-    ("selected", "selected", "rung", (str,)),
-    ("selected_bitrate_bps", None, None, (int,)),
-    ("threshold_bps", "threshold_bps", "threshold", _NUMBER),
-    ("candidates", "candidates", "candidates", (int,)),
-    ("fallback", "fallback", None, (bool,)),
-    ("stalled", "stalled", None, (bool,)),
-    ("bw_rel", "bw_rel", "bw_rel", _NUMBER),
-    ("ec_rel", "ec_rel", "ec_rel", _NUMBER),
-    ("download_time_s", "download_time_s", "download_time", _NUMBER),
-    ("soc_after", "soc_after", "soc_after", (*_NUMBER, NoneType)),
-)
+_START_FIELDS = (("initial_soc", "initial_soc", (*_NUMBER, NoneType)),)  # after the aggregates
+#: A saved per-segment row: the inputs the loader prices again, as (JSON key, types).
+_ROW_FIELDS = (("bandwidth_bps", _NUMBER), ("soc_after", (*_NUMBER, NoneType)))
+_ROW_KEYS = tuple(key for key, _ in _ROW_FIELDS)
+
+_CSV_HEADER = ("segment,bandwidth_bps,gamma,selected,selected_bitrate_bps,threshold_bps,"
+               "candidates,fallback,stalled,bw_rel,ec_rel,download_time_s,soc_after\n")
+#: A CSV row: its index, the cells from ``bandwidth_bps`` to ``download_time_s``
+#: (which follow from the row's bandwidth and gamma) and its charge.
+_CSV_ROW_TEMPLATE = ("", ",", ",", "\n")
 
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
                     NoneType: "null", dict: "an object", list: "an array"}  # fmt: skip
@@ -277,6 +275,8 @@ def read_fields(table: tuple, record: object, name: str) -> dict:
         check_types(key, [value], types)
         if type(value) is float and not math.isfinite(value):
             raise ValueError(f"{key!r} must be finite, got {value}")
+        if type(value) is int and abs(value) > _MAX_FLOAT:
+            raise ValueError(f"{key!r} must be finite, got an integer beyond the float range")
     return values
 
 
@@ -285,28 +285,20 @@ def _write_fields(table: tuple, obj: object) -> dict:
     return {key: getattr(obj, attr) for key, attr, _ in table}
 
 
-def _segment_values(ladder: QualityLadder, cols: SegmentColumns | None) -> dict[str, Sequence]:
-    """Each per-segment column as a list of plain values, by CSV header.
+def check_schema(record: object, name: str) -> None:
+    """Refuse a saved record whose ``schema`` is not the one this version writes.
 
     Raises:
-        ValueError: when the report carries no per-segment record.
+        ValueError: when ``record`` is not a JSON object (naming ``name``), or
+            naming ``schema`` when the record lacks it or holds another value.
     """
-    if cols is None:
-        raise ValueError("the report carries no per-segment record")
-    names = [rep.name for rep in ladder]
-    bitrates = ladder.bitrates
-    derived = {
-        "segment": list(range(len(cols))),
-        "selected": list(map(names.__getitem__, cols.rung)),
-        "selected_bitrate_bps": list(map(bitrates.__getitem__, cols.rung)),
-        "fallback": [count == 0 for count in cols.candidates],
-        "stalled": list(map(operator.gt, _selected_rates(ladder, cols), cols.bandwidth)),
-        "soc_after": [None] * len(cols) if cols.soc_after is None else cols.soc_after,
-    }
-    return {
-        header: derived[header] if header in derived else getattr(cols, attr)
-        for header, _, attr, _ in _SEGMENT_FIELDS
-    }
+    check_types(name, [record], (dict,))
+    if "schema" not in record:
+        raise ValueError(f"{name!r} has no 'schema': it predates schema {SCHEMA},"
+                         " the only one read")
+    schema = record["schema"]
+    if type(schema) is not int or schema != SCHEMA:
+        raise ValueError(f"{name!r} has 'schema' {schema!r}, but only schema {SCHEMA} is read")
 
 
 def _float_rates(ladder: QualityLadder) -> list[float]:
@@ -320,20 +312,24 @@ def _selected_rates(ladder: QualityLadder, cols: SegmentColumns) -> list[float]:
 
 def _finite_floats(key: str, values: list) -> list[float]:
     """Saved JSON numbers as floats; ValueError naming ``key`` unless all are finite."""
-    floats = list(map(float, values))
+    try:
+        floats = list(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{key!r} must be finite, got an integer beyond the float range") from None
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"{key!r} must be finite")
     return floats
 
 
 def _read_segments(
-    rows: object, mode: EnergyMode, context: SessionContext, n_segments: int
+    rows: object, mode: EnergyMode, context: SessionContext, n_segments: int,
+    initial_soc: float | None,
 ) -> SegmentColumns:
     """The per-segment record of a saved report, priced again from its inputs.
 
-    Only ``bandwidth_bps``, ``soc_after`` and the adaptive mode's first
-    ``gamma`` are read as data; every other saved value must be what
-    ``_segment_values`` writes for the record ``_price`` gives.
+    A row holds exactly its ``bandwidth_bps`` and ``soc_after``.  Each
+    segment's gamma is the mode's at the charge before it, ``initial_soc``
+    for the first, and ``_price`` gives every other value.
     """
     check_types("per_segment", [rows], (list,))
     check_types("per_segment row", rows, (dict,))
@@ -341,44 +337,50 @@ def _read_segments(
         raise ValueError(f"per_segment holds {len(rows)} rows, but n_segments is {n_segments}")
     if not rows:
         raise ValueError("per_segment must hold at least one row")
-    saved = {}
-    for _, key, _, types in _SEGMENT_FIELDS:
-        if key:
-            saved[key] = list(map(operator.itemgetter(key), rows))
-            check_types(key, saved[key], types)
-    nulls = saved["soc_after"].count(None)
-    if 0 < nulls < n_segments:
-        raise ValueError("'soc_after' mixes null and numbers")
-    bandwidth = _finite_floats("bandwidth_bps", saved["bandwidth_bps"])
-    soc_after = None if nulls else _finite_floats("soc_after", saved["soc_after"])
+    try:  # a row that holds every key and no more keys than there are holds no other
+        saved = [list(map(operator.itemgetter(key), rows)) for key in _ROW_KEYS]
+        exact = set(map(len, rows)) == {len(_ROW_KEYS)}
+    except KeyError:
+        exact = False
+    if not exact:
+        i, row = next((i, row) for i, row in enumerate(rows) if row.keys() != set(_ROW_KEYS))
+        missing = [key for key in _ROW_KEYS if key not in row]
+        named = (f"missing key {missing[0]!r}" if missing
+                 else f"unexpected key {next(key for key in row if key not in _ROW_KEYS)!r}")
+        raise ValueError(f"per_segment row {i}: {named}")
+    for (key, types), column in zip(_ROW_FIELDS, saved):
+        check_types(key, column, types)
+    bandwidth = _finite_floats("bandwidth_bps", saved[0])
     if min(bandwidth) <= 0:
         raise ValueError("'bandwidth_bps' must be positive")
+    nulls = saved[1].count(None)
+    if 0 < nulls < n_segments:
+        raise ValueError("'soc_after' mixes null and numbers")
+    if (initial_soc is None) != bool(nulls):
+        raise ValueError("'initial_soc' and 'soc_after' must both be null (no battery) or both"
+                         " hold charges")  # fmt: skip
+    soc_after = None if nulls else _finite_floats("soc_after", saved[1])
+    # the charge before each segment, and after the last
+    charges = [initial_soc] * (n_segments + 1) if soc_after is None else [initial_soc, *soc_after]
     if soc_after is not None:  # consumption is never negative
-        i = next((i for i in range(1, n_segments) if soc_after[i] > soc_after[i - 1]), None)
-        if i is not None:
+        rises = list(map(operator.gt, soc_after, charges))
+        if True in rises:
+            i = rises.index(True)
             raise ValueError(f"per_segment row {i}: 'soc_after' rises from"
-                             f" {soc_after[i - 1]!r} to {soc_after[i]!r}")  # fmt: skip
-    gamma = [mode.gamma] * n_segments
-    if mode.adaptive is not None:  # each later gamma is the mode's at the charge before
-        bands = [FIXED_GAMMAS[kind] for kind in ("light", "medium", "strict")]
-        if saved["gamma"][0] not in bands:
-            raise ValueError(f"per_segment row 0: 'gamma' is {saved['gamma'][0]!r}, but the"
-                             f" adaptive mode gives {' or '.join(map(repr, bands))}")
-        # the last charge picks no gamma, but the mode must be able to read it
-        gamma = [float(saved["gamma"][0]), *map(mode.gamma_for, saved["soc_after"])][:-1]
+                             f" {charges[i]!r} to {soc_after[i]!r}")  # fmt: skip
+        if soc_after[-1] < 0.0:
+            i = bisect_left(soc_after, True, key=lambda charge: charge < 0.0)
+            raise ValueError(f"per_segment row {i}: 'soc_after' is {soc_after[i]!r}, below 0")
     pieces, start = [], 0
-    for run_gamma, run in groupby(gamma):
-        end = start + len(list(run))
-        pieces.append((_price(context, bandwidth[start:end], run_gamma), end - start))
+    while start < n_segments:
+        gamma = mode.gamma_for(charges[start])
+        # the charge never rises, so once the mode asks for another gamma it keeps asking
+        end = bisect_left(charges, True, start + 1, n_segments,
+                          key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
+        run = bandwidth[start:end]
+        pieces.append(_record(_price(context, run, gamma), run, gamma))
         start = end
-    segments = replace(_joined(pieces), soc_after=soc_after)
-    written = _segment_values(context.ladder, segments)
-    for header, key, _, _ in _SEGMENT_FIELDS:
-        if key and saved[key] != written[header]:
-            i = next(i for i, (a, b) in enumerate(zip(saved[key], written[header])) if a != b)
-            raise ValueError(f"per_segment row {i}: {key!r} is {saved[key][i]!r}, but the"
-                             f" stored columns give {written[header][i]!r}")  # fmt: skip
-    return segments
+    return replace(_joined(pieces), soc_after=soc_after)
 
 
 def _aggregates(ladder: QualityLadder, cols: SegmentColumns) -> dict:
@@ -406,12 +408,20 @@ def _provenance_comment(provenance: dict | None) -> str:
     return "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
 
 
-_CSV_ROW_TEMPLATE = ("", *[","] * (len(_SEGMENT_FIELDS) - 1), "\n")
+def _csv_cell(text: str) -> str:
+    """``text`` as one cell of a ``csv.writer`` row, quoted by ``QUOTE_MINIMAL``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 @dataclass(frozen=True)
 class SessionReport:
-    """Aggregates (and optionally the per-segment record) of one session."""
+    """Aggregates (and optionally the per-segment record) of one session.
+
+    ``initial_soc`` is the battery's charge before the first segment, None
+    when no battery was simulated.
+    """
 
     mode: EnergyMode
     context: SessionContext
@@ -423,6 +433,7 @@ class SessionReport:
     fallback_count: int
     final_soc: float | None
     soc_depleted: bool
+    initial_soc: float | None
     segments: SegmentColumns | None
 
     @property
@@ -432,55 +443,25 @@ class SessionReport:
     @property
     def per_segment(self) -> tuple[SegmentOutcome, ...] | None:
         """The per-segment record as objects, built from the columns on each access."""
-        if self.segments is None:
+        cols = self.segments
+        if cols is None:
             return None
-        v = _segment_values(self.ladder, self.segments)
+        charges = repeat(None) if cols.soc_after is None else cols.soc_after
         return tuple(
             SegmentOutcome(index, bw, gamma, PolicyDecision(self.ladder[rung], threshold, count,
                            count == 0), bw_rel, ec_rel, dt, soc)
-            for index, bw, gamma, rung, threshold, count, bw_rel, ec_rel, dt, soc in zip(
-                v["segment"], v["bandwidth_bps"], v["gamma"], self.segments.rung,
-                v["threshold_bps"], v["candidates"], v["bw_rel"], v["ec_rel"],
-                v["download_time_s"], v["soc_after"],
+            for index, (bw, gamma, rung, threshold, count, bw_rel, ec_rel, dt, soc) in enumerate(
+                zip(cols.bandwidth, cols.gamma, cols.rung, cols.threshold, cols.candidates,
+                    cols.bw_rel, cols.ec_rel, cols.download_time, charges)
             )
         )  # fmt: skip
-
-    @cached_property
-    def _segment_cells(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """Each per-segment column as text, by CSV header: as JSON spells it
-        and as the CSV does.
-
-        Every column is formatted once.  Numbers are ``repr`` of plain
-        ``float`` and ``int`` values, as ``json.dumps`` writes them, and both
-        spellings share them; each rung name is JSON-escaped once.
-        Booleans are ``true``/``false`` in JSON and 0/1 in the CSV, and a
-        charge that was not simulated is ``null`` or an empty cell.
-        """
-        values = _segment_values(self.ladder, self.segments)
-        as_json: dict[str, list[str]] = {}
-        as_csv: dict[str, list[str]] = {}
-        for header, _, _, types in _SEGMENT_FIELDS:
-            column = values[header]
-            if str in types:
-                escaped = {rep.name: json.dumps(rep.name) for rep in self.ladder}
-                as_json[header] = list(map(escaped.__getitem__, column))
-                as_csv[header] = column
-            elif bool in types:
-                as_json[header] = list(map(("false", "true").__getitem__, column))
-                as_csv[header] = list(map(("0", "1").__getitem__, column))
-            elif NoneType in types and column[:1] == [None]:
-                as_json[header] = ["null"] * len(column)
-                as_csv[header] = [""] * len(column)
-            else:
-                as_json[header] = as_csv[header] = list(map(repr, column))
-        return as_json, as_csv
 
     def to_json_dict(self) -> dict:
         segments = None
         if self.segments is not None:
-            values = _segment_values(self.ladder, self.segments)
-            keys, columns = zip(*((key, values[h]) for h, key, _, _ in _SEGMENT_FIELDS if key))
-            segments = [dict(zip(keys, row)) for row in zip(*columns)]
+            cols = self.segments
+            charges = [None] * len(cols) if cols.soc_after is None else cols.soc_after
+            segments = [dict(zip(_ROW_KEYS, row)) for row in zip(cols.bandwidth, charges)]
         return self._json_dict(segments)
 
     def _json_dict(self, segments: list | None) -> dict:
@@ -488,6 +469,7 @@ class SessionReport:
         if self.mode.adaptive is not None:
             mode["adaptive"] = _write_fields(_ADAPTIVE_FIELDS, self.mode.adaptive)
         return {
+            "schema": SCHEMA,
             "mode": mode,
             "context": {
                 "params": _write_fields(PARAMS_FIELDS, self.context.params),
@@ -495,6 +477,7 @@ class SessionReport:
             },
             "ladder": [_write_fields(_LADDER_FIELDS, rep) for rep in self.ladder],
             **_write_fields(_AGGREGATE_FIELDS, self),
+            **_write_fields(_START_FIELDS, self),
             "per_segment": segments,
         }
 
@@ -503,57 +486,107 @@ class SessionReport:
         ``json.dumps(..., indent=2)`` writes it, with a final newline.
 
         Only the part outside the per-segment record goes through
-        ``json.dumps``; the record's rows are laid out from the formatted
-        columns and put in place of its ``null``, the last value written.
+        ``json.dumps``; the record's rows are laid out from two formatted
+        columns, ``repr`` of each number as ``json.dumps`` spells it, and
+        put in place of its ``null``, the last value written.
         """
         payload = {"provenance": provenance, "report": self._json_dict(None)}
         text = json.dumps(payload, indent=2) + "\n"
         if self.segments is None:
             return text
-        as_json, _ = self._segment_cells
-        keys, columns = zip(*((key, as_json[h]) for h, key, _, _ in _SEGMENT_FIELDS if key))
+        bandwidth, charges = self._input_cells
         head, _, tail = text.rpartition("null")
         # the record is the value of "per_segment", two levels deep
-        return head + json_array(keys, columns, 2) + tail
+        columns = (bandwidth, charges or ["null"] * len(bandwidth))
+        return head + json_array(_ROW_KEYS, columns, 2) + tail
+
+    @cached_property
+    def _input_cells(self) -> tuple[list[str], list[str] | None]:
+        """``repr`` of each segment's bandwidth and charge (None without a
+        battery), which both writers print."""
+        cols = self.segments
+        charges = None if cols.soc_after is None else list(map(repr, cols.soc_after))
+        return list(map(repr, cols.bandwidth)), charges
 
     def to_csv(self, provenance: dict | None = None) -> str:
         """The per-segment record as CSV, one row per segment.
 
-        Booleans are written as 0/1, numbers by ``repr``, and the charge
-        after a segment as an empty cell when no battery was simulated.
+        Booleans are written as 0/1, numbers by ``repr``, rung names as
+        ``csv.writer`` quotes them, and the charge after a segment as an
+        empty cell when no battery was simulated.  A row's cells from its
+        bandwidth to its download time follow from its bandwidth and gamma,
+        so within each run of one gamma they are formatted once per distinct
+        bandwidth, column by column, and looked up for every row.
 
         Raises:
             ValueError: when the report carries no per-segment record.
         """
-        _, as_csv = self._segment_cells
-        headers = [header for header, *_ in _SEGMENT_FIELDS]
-        rows = lay_out([as_csv[header] for header in headers], _CSV_ROW_TEMPLATE)
-        return _provenance_comment(provenance) + ",".join(headers) + "\n" + rows
+        cols = self.segments
+        if cols is None:
+            raise ValueError("the report carries no per-segment record")
+        # the selected and selected_bitrate_bps cells of each rung
+        rung_cells = [f"{_csv_cell(rep.name)},{rep.bitrate}" for rep in self.ladder]
+        rates = _float_rates(self.ladder)
+        bandwidth_cells, charges = self._input_cells
+        bodies: list[str] = []
+        start = 0
+        for gamma, run in groupby(cols.gamma):
+            end = start + len(list(run))
+            bandwidth = cols.bandwidth[start:end]
+            # the last row of each distinct bandwidth stands for all of its rows
+            rows = list(dict(zip(bandwidth, range(start, end))).values())
+            bw, rung, threshold, count, bw_rel, ec_rel, download_time = (
+                list(map(column.__getitem__, rows))
+                for column in (cols.bandwidth, cols.rung, cols.threshold, cols.candidates,
+                               cols.bw_rel, cols.ec_rel, cols.download_time)
+            )  # fmt: skip
+            cells = (
+                map(bandwidth_cells.__getitem__, rows), repeat(repr(gamma)),
+                map(rung_cells.__getitem__, rung),
+                map(repr, threshold), map(repr, count),
+                map(("1", "0").__getitem__, map(bool, count)),
+                map(("0", "1").__getitem__, map(operator.gt, map(rates.__getitem__, rung), bw)),
+                map(repr, bw_rel), map(repr, ec_rel), map(repr, download_time),
+            )  # fmt: skip
+            joined = map(",".join, zip(*cells))
+            if len(rows) < len(bandwidth):  # else each row has its own bandwidth, in order
+                joined = map(dict(zip(bw, joined)).__getitem__, bandwidth)
+            bodies += joined
+            start = end
+        charges = repeat("") if charges is None else charges
+        rows_text = lay_out((map(str, range(len(cols))), bodies, charges), _CSV_ROW_TEMPLATE)
+        return _provenance_comment(provenance) + _CSV_HEADER + rows_text
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SessionReport":
         """Rebuild a report from ``to_json_dict`` output, checking every value.
 
         The report must carry its per-segment record, as a single-mode
-        ``simulate`` always writes it: the aggregates are checked against it.
+        ``simulate`` always writes it: the record is priced again from its
+        inputs, and the aggregates are checked against it.
 
         Raises:
-            ValueError: naming the first missing key (``per_segment`` and an
-                adaptive mode's thresholds included) or the key of a value
+            ValueError: naming ``schema`` when it is missing or is not
+                ``SCHEMA``; naming the first missing key (``per_segment`` and
+                an adaptive mode's thresholds included) or the key of a value
                 whose JSON type its field does not accept (a null
                 ``per_segment`` among them) or that is not finite; on a
                 ``mean_quality`` other than null or psnr, ssim and vmaf
-                scores; on a per-segment record that is empty, whose length
-                is not ``n_segments``, whose bandwidths are not positive,
-                whose charge rises from one row to the next (naming the
-                row), or one of whose rows differs from what ``_price``
-                gives for its bandwidth, the mode and the charge before it;
-                when ``ladder_digest`` is not the saved ladder's; naming an
+                scores; on an ``initial_soc`` outside (0, 100]; on a
+                per-segment record that is empty, whose length is not
+                ``n_segments``, one of whose rows holds other keys than
+                ``bandwidth_bps`` and ``soc_after`` (naming the row and the
+                key), whose bandwidths are not positive, whose charges are
+                null where ``initial_soc`` is not (or the other way round),
+                or whose charge rises from ``initial_soc`` or from one row to
+                the next or falls below 0 (naming the row); when
+                ``ladder_digest`` is not the saved ladder's; naming an
                 aggregate that differs from the one the per-segment record
                 gives; or for a field its type rejects (for example a mode
                 whose gamma contradicts its kind).
         """
         try:
+            check_schema(data, "report")
             aggregates = read_fields(_AGGREGATE_FIELDS, data, "report")
             quality = aggregates["mean_quality"]
             if quality is not None:
@@ -581,7 +614,13 @@ class SessionReport:
                 raise ValueError(
                     f"'ladder_digest' is {digest!r}, but the ladder gives {context.ladder_digest!r}"
                 )
-            segments = _read_segments(data["per_segment"], mode, context, aggregates["n_segments"])
+            initial_soc = read_fields(_START_FIELDS, data, "report")["initial_soc"]
+            if initial_soc is not None:
+                initial_soc = float(initial_soc)
+                if not 0.0 < initial_soc <= 100.0:
+                    raise ValueError(f"'initial_soc' must be within (0, 100], got {initial_soc}")
+            segments = _read_segments(data["per_segment"], mode, context, aggregates["n_segments"],
+                                      initial_soc)  # fmt: skip
             derived = _aggregates(ladder, segments)
             for key, attr, _ in _AGGREGATE_FIELDS:
                 if attr in derived and aggregates[attr] != derived[attr]:
@@ -589,7 +628,8 @@ class SessionReport:
                         f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
                         f" gives {derived[attr]!r}"
                     )
-            return cls(mode=mode, context=context, segments=segments, **aggregates)
+            return cls(mode=mode, context=context, initial_soc=initial_soc, segments=segments,
+                       **aggregates)  # fmt: skip
         except KeyError as exc:
             raise ValueError(f"report is missing key {exc}") from None
 
@@ -654,19 +694,21 @@ def run_session(
 
     context = SessionContext(params, trace.period_duration, ladder, trace.digest)
     soc = battery.initial_soc if battery is not None else None
-    pieces: list[tuple[SegmentColumns, int]] = []
+    pieces: list[SegmentColumns] = []
     played = 0
     depleted = False
     while played < len(trace) and not depleted:
         gamma = mode.gamma_for(soc)
-        piece = _price(context, trace.bandwidths[played:], gamma)
-        end = len(piece)
+        remainder = trace.bandwidths[played:]
+        priced = _price(context, remainder, gamma)
+        end = len(remainder)
+        soc_after = None
         if battery is not None:
             scale = 100.0 * battery.reference_current_ma
-            drain = {ec: scale * ec * context.segment_duration / 3600.0 / battery.capacity_mah
-                     for ec in set(piece.ec_rel)}  # fmt: skip
+            drain = {bw: scale * ec * context.segment_duration / 3600.0 / battery.capacity_mah
+                     for bw, (*_, ec, _) in priced.items()}  # fmt: skip
             # the same sequential subtractions as soc -= drain, segment by segment
-            soc_after = list(accumulate(map(drain.__getitem__, piece.ec_rel), operator.sub,
+            soc_after = list(accumulate(map(drain.__getitem__, remainder), operator.sub,
                                         initial=soc))[1:]  # fmt: skip
             # SoC never rises, so the charges at or below zero come last
             empty = bisect_left(soc_after, True, key=lambda charge: charge <= 0.0)
@@ -680,11 +722,13 @@ def run_session(
             if switch < end - 1:
                 end = switch + 1
                 depleted = False
+            del soc_after[end:]
             if depleted:
-                soc_after[end - 1] = 0.0
-            soc = soc_after[end - 1]
-            piece = replace(piece, soc_after=soc_after)
-        pieces.append((piece, end))
+                soc_after[-1] = 0.0
+            soc = soc_after[-1]
+        # the piece ends here, so only its own segments get columns
+        piece = remainder[:end]
+        pieces.append(replace(_record(priced, piece, gamma), soc_after=soc_after))
         played += end
 
     segments = _joined(pieces)
@@ -692,45 +736,59 @@ def run_session(
         mode=mode,
         context=context,
         mean_quality=_mean_scores(ladder, segments.rung, quality) if quality is not None else None,
+        initial_soc=battery.initial_soc if battery is not None else None,
         segments=segments if include_segments else None,
         **_aggregates(ladder, segments),
     )
 
 
-def _price(context: SessionContext, bandwidth: Sequence[float], gamma: float) -> SegmentColumns:
-    """The per-segment record of bandwidths requested at one gamma: the best
-    rung within ``bandwidth / gamma`` (the lowest as a fallback when none
-    fits), priced at its relative bandwidth.  Sessions and the report loader
-    both build their records with it, one run of equal gammas at a time.
+def _price(
+    context: SessionContext, bandwidths: Iterable[float], gamma: float
+) -> dict[float, tuple[float, int, int, float, float, float]]:
+    """Each distinct bandwidth requested at one gamma, selected and priced:
+    its budget ``bandwidth / gamma``, the number of rungs that fit it, the
+    best of them (the lowest as a fallback when none fits), its relative
+    bandwidth, the modelled consumption there and the download time.
+    Sessions and the report loader both price with it, one run of equal
+    gammas at a time, and ``_record`` maps it over the run.
 
-    Each distinct bandwidth is priced once, by ``select``'s rule
-    (``bisect_right`` over the bitrates, here as floats), and its row is
-    mapped over the run.
+    The rung follows ``select``'s rule (``bisect_right`` over the bitrates,
+    here as floats).
     """
     bitrates = _float_rates(context.ladder)
     params, duration = context.params, context.segment_duration
     rows = {}
-    for bw in set(bandwidth):
+    for bw in set(bandwidths):
         threshold = bw / gamma
         candidates = bisect_right(bitrates, threshold)
         rung = candidates - 1 if candidates else 0
         bw_rel = bw / bitrates[rung]
         rows[bw] = (threshold, candidates, rung, bw_rel, evaluate(params, bw_rel),
                     bitrates[rung] * duration / bw)  # fmt: skip
+    return rows
+
+
+def _record(
+    priced: dict[float, tuple], bandwidth: Sequence[float], gamma: float
+) -> SegmentColumns:
+    """The per-segment record of a run of bandwidths at one gamma, from the
+    rows ``_price`` gave for them; without charges."""
     threshold, candidates, rung, bw_rel, ec_rel, download_time = map(
-        list, zip(*map(rows.__getitem__, bandwidth))
+        list, zip(*map(priced.__getitem__, bandwidth))
     )
     return SegmentColumns(list(bandwidth), [gamma] * len(bandwidth), rung, threshold, candidates,
                           bw_rel, ec_rel, download_time, None)  # fmt: skip
 
 
-def _joined(pieces: list[tuple[SegmentColumns, int]]) -> SegmentColumns:
-    """The records of consecutive pieces as one, each piece cut at its end."""
-    columns = {name: None if getattr(pieces[0][0], name) is None else [] for name in _COLUMN_NAMES}
-    for piece, end in pieces:
+def _joined(pieces: list[SegmentColumns]) -> SegmentColumns:
+    """The records of consecutive pieces as one."""
+    if len(pieces) == 1:
+        return pieces[0]
+    columns = {name: None if getattr(pieces[0], name) is None else [] for name in _COLUMN_NAMES}
+    for piece in pieces:
         for name, column in columns.items():
             if column is not None:
-                column += getattr(piece, name)[:end]
+                column += getattr(piece, name)
     return SegmentColumns(**columns)
 
 

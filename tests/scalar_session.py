@@ -41,24 +41,8 @@ class ScalarSession:
         return len(self.outcomes)
 
     def segment_dicts(self) -> list[dict]:
-        """The per-segment record as the report's JSON writes it."""
-        return [
-            {
-                "index": o.index,
-                "bandwidth_bps": o.bandwidth,
-                "gamma": o.gamma_used,
-                "selected": o.selected.name,
-                "threshold_bps": o.decision.threshold,
-                "candidates": o.decision.candidate_set_size,
-                "fallback": o.decision.fallback_used,
-                "stalled": o.stalled,
-                "bw_rel": o.bw_rel,
-                "ec_rel": o.ec_rel,
-                "download_time_s": o.download_time,
-                "soc_after": o.soc_after,
-            }
-            for o in self.outcomes
-        ]
+        """The per-segment record as the report's JSON writes it: each row's inputs."""
+        return [{"bandwidth_bps": o.bandwidth, "soc_after": o.soc_after} for o in self.outcomes]
 
 
 def scalar_session(

@@ -9,11 +9,16 @@ import math
 
 import pytest
 
-from abrenergy import load_trace
+from abrenergy import SessionReport, load_trace
 from abrenergy.cli import main, parse_bandwidth, parse_channel_spec
 from conftest import STOCK_LADDER_CSV
 
 LADDER_NAMES = [line.split(",")[0] for line in STOCK_LADDER_CSV.splitlines()[1:]]
+
+
+def loaded_report(path) -> SessionReport:
+    """The report a single-mode ``simulate`` wrote to ``path``, loaded."""
+    return SessionReport.from_json_dict(json.loads(path.read_text())["report"])
 
 
 @pytest.fixture()
@@ -192,6 +197,19 @@ class TestSimulateSingle:
         assert lines[1].startswith("segment,bandwidth_bps,gamma,selected,")
         assert len(lines) == 2 + 120
 
+    def test_per_segment_csv_quotes_rung_names(self, tmp_path):
+        ladder = tmp_path / "ladder.csv"
+        ladder.write_text('name,width,height,label,bitrate_bps,codec\n'
+                          '"lo,w",428,182,240p,650000,HEVC\n')  # fmt: skip
+        seg = tmp_path / "segments.csv"
+        assert main(["simulate", "--ladder", str(ladder), "--channel", "constant:500k",
+                     "--segments", "2", "--mode", "off", "--params", "overall",
+                     "--output", str(tmp_path / "off.json"), "--per-segment", str(seg)]) == 0
+        lines = seg.read_text().splitlines(keepends=True)
+        rows = list(csv.reader(lines[1:]))  # after the provenance comment
+        assert [len(row) for row in rows] == [13, 13, 13]
+        assert [row[3] for row in rows] == ["selected", "lo,w", "lo,w"]
+
     def test_custom_gamma(self, tmp_path, ladder_file):
         out = tmp_path / "c.json"
         code = main([
@@ -203,7 +221,7 @@ class TestSimulateSingle:
         report = json.loads(out.read_text())["report"]
         assert report["mode"] == {"kind": "custom", "gamma": 2.5}
         # 22/2.5 = 8.8 Mbps budget -> the 7.5 Mbps rung
-        assert report["per_segment"][0]["selected"] == "1200p"
+        assert loaded_report(out).per_segment[0].selected.name == "1200p"
 
     def test_gamma_with_named_mode_is_rejected(self, ladder_file, capsys):
         code = main([
@@ -220,6 +238,9 @@ class TestSimulateSingle:
         (["--mode", "off", "--battery-capacity-mah", "3000",
           "--reference-current-ma", "inf"], "reference_current_ma"),
         (["--mode", "off", "--params", "a=1,b=1,c=-5"], "c must be non-negative"),
+        # 100 * 1e307 mA overflows, and the drain at an ec_rel of 0 was NaN
+        (["--mode", "off", "--params", "a=0,b=1,c=0", "--battery-capacity-mah", "1000",
+          "--reference-current-ma", "1e307"], "reference_current_ma is too large"),
     ])
     def test_non_finite_or_negative_inputs_exit_two(self, ladder_file, capsys, flags, field):
         argv = ["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
@@ -290,8 +311,7 @@ class TestSimulateSingle:
             "--initial-soc", "25", "--output", str(out),
         ])
         assert code == 0
-        report = json.loads(out.read_text())["report"]
-        assert all(s["gamma"] == 4.0 for s in report["per_segment"])
+        assert loaded_report(out).segments.gamma == [4.0] * 20
 
 
 class TestNormalizeAndFit:
@@ -445,14 +465,9 @@ def dropped(payload, *path):
 
 
 def rename_selected_rung(payload):
-    """Rename the first segment's rung in the ladder and the per-segment record,
+    """Rename the rung that every segment of the off report at 22M selects,
     keeping the saved digest."""
-    report = payload["report"]
-    old = report["per_segment"][0]["selected"]
-    for row in report["ladder"] + report["per_segment"]:
-        for key in ("name", "selected"):
-            if row.get(key) == old:
-                row[key] = "renamed"
+    payload["report"]["ladder"][-1]["name"] = "renamed"
 
 
 def edited_row(i, **values):
@@ -501,7 +516,7 @@ class TestCompareCommand:
         (lambda p: p["report"]["mode"].pop("gamma"), "missing key 'gamma'"),
         (lambda p: p["report"]["context"].pop("params"), "missing key 'params'"),
         (lambda p: p["report"]["per_segment"][0].update(selected="8K"),
-         "per_segment row 0: 'selected' is '8K', but the stored columns give '2160p'"),
+         "per_segment row 0: unexpected key 'selected'"),
         (lambda p: p["report"]["mode"].update(kind=5), "'kind' must be a string, got an integer"),
         (lambda p: p["report"]["ladder"][0].update(width="wide"),
          "'width' must be an integer, got a string"),
@@ -544,22 +559,31 @@ class TestCompareCommand:
         (lambda p: p["report"].update(per_segment={}),
          "'per_segment' must be an array, got an object"),
         (rename_selected_rung, "'ladder_digest' is"),
-        # the derived per-segment keys must be what the stored columns give
-        (lambda p: p["report"]["per_segment"][1].update(index=-7),
-         "per_segment row 1: 'index' is -7, but the stored columns give 1"),
-        (lambda p: p["report"]["per_segment"][0].update(index=True),
-         "'index' must be an integer, got true or false"),
-        (lambda p: dropped(p, "report", "per_segment", 3, "index"), "missing key 'index'"),
-        (lambda p: p["report"]["per_segment"][2].update(fallback="banana"),
-         "'fallback' must be true or false, got a string"),
-        (lambda p: p["report"]["per_segment"][3].update(fallback=True),
-         "per_segment row 3: 'fallback' is True, but the stored columns give False"),
-        (lambda p: dropped(p, "report", "per_segment", 0, "fallback"), "missing key 'fallback'"),
-        (lambda p: p["report"]["per_segment"][0].update(stalled=None),
-         "'stalled' must be true or false, got null"),
-        (lambda p: p["report"]["per_segment"][4].update(stalled=True),
-         "per_segment row 4: 'stalled' is True, but the stored columns give False"),
-        (lambda p: dropped(p, "report", "per_segment", 2, "stalled"), "missing key 'stalled'"),
+        # a row holds its inputs, bandwidth_bps and soc_after, and nothing else
+        (lambda p: p["report"]["per_segment"][1].update(index=1),
+         "per_segment row 1: unexpected key 'index'"),
+        (lambda p: p["report"]["per_segment"][2].update(fallback=False, stalled=False),
+         "per_segment row 2: unexpected key 'fallback'"),
+        (lambda p: dropped(p, "report", "per_segment", 3, "bandwidth_bps"),
+         "per_segment row 3: missing key 'bandwidth_bps'"),
+        (lambda p: dropped(p, "report", "per_segment", 4, "soc_after"),
+         "per_segment row 4: missing key 'soc_after'"),
+        # a file of the first format, which had no schema and wrote derived keys
+        (lambda p: dropped(p, "report", "schema"),
+         "'report' has no 'schema': it predates schema 2, the only one read"),
+        (lambda p: p["report"].update(schema=1),
+         "'report' has 'schema' 1, but only schema 2 is read"),
+        (lambda p: p["report"].update(schema=3),
+         "'report' has 'schema' 3, but only schema 2 is read"),
+        (lambda p: p["report"].update(schema="2"), "'report' has 'schema' '2'"),
+        (lambda p: p["report"].update(schema=True), "'report' has 'schema' True"),
+        # a JSON integer beyond the float range is refused, not an OverflowError
+        (lambda p: p["report"]["per_segment"][1].update(bandwidth_bps=10**400),
+         "'bandwidth_bps' must be finite, got an integer beyond the float range"),
+        (lambda p: p["report"]["context"]["params"].update(a=10**400),
+         "'a' must be finite, got an integer beyond the float range"),
+        (lambda p: p["report"].update(initial_soc=100.0),
+         "'initial_soc' and 'soc_after' must both be null (no battery) or both hold charges"),
         # compare would write a column for any key here
         (lambda p: p["report"].update(mean_quality={"foo": 1.0}),
          "'mean_quality' must be null or hold scores among psnr, ssim and vmaf, got keys ['foo']"),
@@ -608,29 +632,32 @@ class TestCompareCommand:
         assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("mode, edit, message", [
-        # each derived value of a strict report, and the mode it was run under
-        ("strict", edited_row(0, threshold_bps=5e6),
-         "per_segment row 0: 'threshold_bps' is 5000000.0, but the stored columns give 5500000.0"),
-        ("strict", edited_row(0, candidates=5),
-         "per_segment row 0: 'candidates' is 5, but the stored columns give 6"),
-        ("strict", edited_row(0, bw_rel=4.0),
-         "per_segment row 0: 'bw_rel' is 4.0, but the stored columns give 4.4"),
-        ("strict", edited_row(0, download_time_s=1.0),
-         "per_segment row 0: 'download_time_s' is 1.0, but the stored columns give 1.36363"),
-        ("strict", edited_row(0, gamma=2.0),
-         "per_segment row 0: 'gamma' is 2.0, but the stored columns give 4.0"),
+        # a strict report relabelled as off is priced at gamma 1
         ("strict", lambda p: p["report"].update(mode={"kind": "off", "gamma": 1.0}),
-         "per_segment row 0: 'gamma' is 4.0, but the stored columns give 1.0"),
+         "'mean_ec_rel' is 1.058685310416065, but the per-segment record gives 1.548"),
+        # 11M at gamma 4 selects 720p, at the same bw_rel as 1080p at 22M
+        ("strict", edited_row(0, bandwidth_bps=11e6),
+         "'mean_bitrate_bps' is 5000000.0, but the per-segment record gives 4500000.0"),
         ("strict", edited_row(2, bandwidth_bps=0), "'bandwidth_bps' must be positive"),
-        # the adaptive mode's first gamma is read; each later one follows the charge
-        ("adaptive", edited_row(0, gamma=3.0),
-         "per_segment row 0: 'gamma' is 3.0, but the adaptive mode gives 1.5 or 2.0 or 4.0"),
+        # the adaptive mode's gamma follows the charge before each segment
         ("adaptive", lambda p: [row.update(soc_after=50.0) for row in p["report"]["per_segment"]],
-         "per_segment row 1: 'gamma' is 1.5, but the stored columns give 2.0"),
-        # consumption is never negative, so a saved charge never rises
+         "'final_soc' is 99.4749016086071, but the per-segment record gives 50.0"),
+        # consumption is never negative, so a saved charge never rises, from
+        # the initial charge on, and never falls below 0
         ("adaptive", edited_row(1, soc_after=100.0),
          "per_segment row 1: 'soc_after' rises from 99.89"),
-        ("adaptive", lambda p: [row.update(soc_after=None) for row in p["report"]["per_segment"]],
+        ("adaptive", lambda p: p["report"].update(initial_soc=99.0),
+         "per_segment row 0: 'soc_after' rises from 99.0 to 99.89"),
+        ("adaptive", edited_row(4, soc_after=-1.0),
+         "per_segment row 4: 'soc_after' is -1.0, below 0"),
+        ("adaptive", lambda p: p["report"].update(initial_soc=150.0),
+         "'initial_soc' must be within (0, 100], got 150.0"),
+        ("adaptive", lambda p: p["report"].update(initial_soc=None),
+         "'initial_soc' and 'soc_after' must both be null (no battery) or both hold charges"),
+        ("adaptive", edited_row(0, soc_after=10**400),
+         "'soc_after' must be finite, got an integer beyond the float range"),
+        ("adaptive", lambda p: [p["report"].update(initial_soc=None),
+                                *(r.update(soc_after=None) for r in p["report"]["per_segment"])],
          "adaptive mode requires a battery"),
     ])  # fmt: skip
     def test_saved_record_is_priced_again_from_its_inputs(self, tmp_path, ladder_file, capsys,
@@ -651,8 +678,28 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_an_edited_initial_charge_moves_the_first_gamma(self, tmp_path, ladder_file, capsys):
+        # at 100 the first segment plays in the light band; at 99.9, the high
+        # threshold, in the medium band, which requests a lower rung at 16M
+        base, cand = tmp_path / "off.json", tmp_path / "adaptive.json"
+        for mode, path in (("off", base), ("adaptive", cand)):
+            assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:16M",
+                         "--mode", mode, "--params", "overall", "--segments", "5",
+                         "--battery-capacity-mah", "1000", "--reference-current-ma", "500",
+                         *(["--adaptive-high", "99.9"] if mode == "adaptive" else []),
+                         "--output", str(path)]) == 0  # fmt: skip
+        assert loaded_report(cand).segments.gamma == [1.5, 2.0, 2.0, 2.0, 2.0]
+        payload = json.loads(cand.read_text())
+        payload["report"]["initial_soc"] = 99.9
+        cand.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'mean_ec_rel' is 1.2959286761673734, but the per-segment record gives"
+            " 1.2722505495612215\n")
+
     def test_colliding_ladder_digests_are_told_apart(self, tmp_path, capsys):
-        # the digest joins raw fields with "," and ";", so these two ladders share it
+        # joining raw fields with "," and ";" gave these two ladders one digest
         header = "name,width,height,label,bitrate_bps,codec\n"
         two, one = tmp_path / "two.csv", tmp_path / "one.csv"
         two.write_text(header + "a,1,1,l,100,HEVC\nb,16,9,hi,5000000,HEVC\n")
@@ -664,7 +711,7 @@ class TestCompareCommand:
                          "--output", str(path)]) == 0
         digests = {json.loads(p.read_text())["report"]["context"]["ladder_digest"]
                    for p in (base, cand)}
-        assert len(digests) == 1
+        assert len(digests) == 2
         capsys.readouterr()
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
         assert "mismatched session contexts" in capsys.readouterr().err
@@ -767,12 +814,19 @@ class TestErrorPaths:
         assert "reference-current" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fits, message", [
-        ({"fits": [{"combination": "x", "a": 0.9, "c": 1.0}]}, "missing key 'b'"),
-        ({"combinations": []}, "missing key 'fits'"),
-        ({"fits": [{"combination": "x", "a": "0.9", "b": 0.5, "c": 1.0}]},
+        ({"schema": 2, "fits": [{"combination": "x", "a": 0.9, "c": 1.0}]}, "missing key 'b'"),
+        ({"schema": 2, "combinations": []}, "missing key 'fits'"),
+        ({"schema": 2, "fits": [{"combination": "x", "a": "0.9", "b": 0.5, "c": 1.0}]},
          "'a' must be a number or an integer, got a string"),
-        ({"fits": [{"combination": "x", "a": 0.9, "b": 0.5, "c": None}]},
+        ({"schema": 2, "fits": [{"combination": "x", "a": 0.9, "b": 0.5, "c": None}]},
          "'c' must be a number or an integer, got null"),
+        ({"schema": 2, "fits": [{"combination": "x", "a": 10**400, "b": 0.5, "c": 1.0}]},
+         "'a' must be finite, got an integer beyond the float range"),
+        ({"fits": [{"combination": "x", "a": 0.9, "b": 0.5, "c": 1.0}]},
+         "has no 'schema': it predates schema 2, the only one read"),
+        ({"schema": 1, "fits": [{"combination": "x", "a": 0.9, "b": 0.5, "c": 1.0}]},
+         "has 'schema' 1, but only schema 2 is read"),
+        ([], "must be an object, got an array"),
     ])
     def test_malformed_fit_file_exits_two(self, tmp_path, ladder_file, capsys, fits, message):
         path = tmp_path / "fits.json"

@@ -9,6 +9,7 @@ echo the paths) are identical on every machine.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -66,22 +67,33 @@ COMMANDS = [
      "--quality", "quality.csv", "--output", "cmp.json", "--csv", "cmp.csv"),
 ]  # fmt: skip
 
-#: Recorded with the scalar session loop, before the column kernel.
+#: The CSVs, all.json and cmp.json were recorded with the scalar session
+#: loop, before the column kernel; the four report JSONs with schema 2, whose
+#: rows hold only each segment's inputs.
 GOLDEN_SHA256 = {
     'adaptive.csv': '52159228d2ffc24b4d3337aba6820603559d4756d9ed534d41e2ad332516adad',
-    'adaptive.json': 'b69958112c4f36bda11621260a2a655d77679379d97aa21d107f1c1efbc5ae1e',
+    'adaptive.json': 'a2f023b962e372bc8ba18814622e46051af08058898757b7a473ac4492b8e285',
     'all.csv': '7b7df3c4f91a7d6a550fa965033154bdb1551bb6a785f50335d381bc8d621fb6',
     'all.json': '010dbd6121e6f315cceb7f9c7b08c53fa7a26b9bd94e525c2170952b4c522cdd',
     'cmp.csv': 'f5a9143740dca2dbab3b45212260420206d6cbe5290a27ea9741fb51c1885966',
     'cmp.json': '21b73ffd7e8cc92f02364fcbc50b137030960ee3cd38f224e67d36b3d5e876ed',
     'custom.csv': '37fa3e2d2bd0aca283f320e846c6d1d19a7cb78b1b95d3d22b8452ed0b3ec513',
-    'custom.json': '08a06ae2eda44f242919cea0b2503006608cc1c086217ba7eb3f919589d93481',
+    'custom.json': '4db6dec61826572758f1dcc5ff80d6144ea280bc7b1e5343a1e9d43fa07a85fd',
     'off.csv': 'b62c15aa4b155ce7c1ce0244def2c7d16dd0b227085f7a959b79048a0bffc7db',
-    'off.json': '4cc708ba81b95c55f7f33fc4e666905ab8e8c508dcc11f7bb8ab1a27e6da7ef2',
+    'off.json': 'e71edf3d757e17a1327a48e36f18017102a4b2b4e8ef05853db57cabc0ea1af3',
     'random.csv': 'a9b081792d543d6d5c3d5c2344f1e5711a2cf241b3f98c8cf941607c289edf1e',
     'strict.csv': 'd899389631989fb57a4dfeab29c94d618ae6469039100ae3ae6d1d69c2467952',
-    'strict.json': 'b680cc77563b348bbc0a42825dfabf997220b5e96f5f2c004311a1dc96da4235',
+    'strict.json': 'f52b25bab23f4ee1c40670680cf2a885cde10ea6b4858c5716d08e19db4170a5',
 }
+
+
+def read_segment_csv(path: Path) -> list[dict[str, str]]:
+    """The rows of a per-segment CSV, by header, after its provenance comment."""
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# provenance: ")
+    rows = list(csv.reader(lines[1:]))
+    assert {len(row) for row in rows} == {13}
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
 
 
 def run_golden_commands(workdir) -> dict[str, str]:
@@ -112,10 +124,11 @@ ESCAPED_LADDER_CSV = (
     "\u00bd-\U0001f3a5,3840,1714,2160p,11000000,HEVC\n"
 )
 
-#: Recorded before the per-segment record was written from formatted columns.
+#: Recorded with schema 2, whose per-segment CSV quotes rung names as
+#: ``csv.writer`` does.
 ESCAPED_SHA256 = {
-    'medium.csv': 'd7c2879cc633847e64287ae4c47ac3d0843c57f19212e62ac6618b17bf7b06f2',
-    'medium.json': 'b9382af6cc06354618fbe69d0e5e225c27d0f5b1285b3afe0fff7fe1d7ccbb70',
+    'medium.csv': '242a1048d79c0ed370bf34d8691b7aac523c6582ecee6d54e99f9f2ccee7f6f3',
+    'medium.json': 'de4cbe3315c02dc96bee215ec576becb58f5eb7cda668948dc41c674fdd66b8e',
 }
 
 
@@ -130,7 +143,7 @@ def test_escaped_rung_names_are_byte_identical(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     report = json.loads((tmp_path / "medium.json").read_text())["report"]
     names = {row["name"] for row in report["ladder"]}
-    assert {row["selected"] for row in report["per_segment"]} == names
+    assert {row["selected"] for row in read_segment_csv(tmp_path / "medium.csv")} == names
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("medium.json", "medium.csv")}  # fmt: skip
     assert digests == ESCAPED_SHA256
@@ -144,7 +157,8 @@ def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
     # bands, and a battery that empties mid-session
     report = json.loads((tmp_path / "adaptive.json").read_text())["report"]
     assert report["soc_depleted"] and report["n_segments"] < 400
-    assert {row["gamma"] for row in report["per_segment"]} == {1.5, 2.0, 4.0}
+    assert {row["gamma"] for row in read_segment_csv(tmp_path / "adaptive.csv")} == {
+        "1.5", "2.0", "4.0"}
     assert report["fallback_count"] > 0
     assert report["per_segment"][-1]["soc_after"] == 0.0
     assert digests == GOLDEN_SHA256
@@ -164,12 +178,12 @@ MEASUREMENT_COMMANDS = [
      "--output", "fits_free.json"),
 ]  # fmt: skip
 
-#: Recorded before normalize wrote its points from formatted columns.  The
-#: fit digests also pin the last bits of numpy's least-squares solver.
+#: Recorded with schema 2.  The fit digests also pin the last bits of numpy's
+#: least-squares solver.
 MEASUREMENT_SHA256 = {
-    'fits.json': 'f88b7270df85e2c73bfd1cc5559ba6800327cd12f33c40dbb7238435d82dcc2a',
-    'fits_free.json': '140c1404eb2f083ff24dfa7f1fb95d66373f1f488aac486ca59d1ed483c7483a',
-    'points.json': 'f5ef6a06a8be885b573cd7f4d537b111c4efb6958d9f77ed0312e37b78b094e5',
+    'fits.json': '3d841cdf75b84378dfcb761a9bb1e2d989f6409fb02aa9ebeba14700d5fddbdc',
+    'fits_free.json': '1613e019949da7b6d664ed32c4748a6da0c097fdb28da19b14f02eb625ed0a47',
+    'points.json': '56bad8228a9bac02790d53404b232c6926332aff4a14a61cccba1d9420f0f068',
 }
 
 

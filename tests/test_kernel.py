@@ -1,5 +1,5 @@
 """The column kernel against the scalar session loop it replaced, and the
-report writers against ``json.dumps`` and a row-by-row CSV formatter.
+report writers against ``json.dumps`` and a row-by-row ``csv.writer``.
 
 Every aggregate, every per-segment field and the serialized report must be
 exactly equal (``==``, never approximately) to what ``scalar_session``
@@ -8,7 +8,10 @@ computes segment by segment.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -179,19 +182,22 @@ def test_many_distinct_bandwidths_match(ladder, overall):
 
 def csv_oracle(report: SessionReport, provenance: dict | None) -> str:
     """The per-segment CSV written row by row from the segment objects."""
-    lines = [] if provenance is None else [
-        "# provenance: " + json.dumps(provenance, separators=(",", ":"))]
-    lines.append("segment,bandwidth_bps,gamma,selected,selected_bitrate_bps,threshold_bps,"
-                 "candidates,fallback,stalled,bw_rel,ec_rel,download_time_s,soc_after")
+    buffer = io.StringIO()
+    if provenance is not None:
+        buffer.write("# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["segment", "bandwidth_bps", "gamma", "selected", "selected_bitrate_bps",
+                     "threshold_bps", "candidates", "fallback", "stalled", "bw_rel", "ec_rel",
+                     "download_time_s", "soc_after"])  # fmt: skip
     for o in report.per_segment:
         d = o.decision
-        soc = "" if o.soc_after is None else repr(o.soc_after)
-        lines.append(
-            f"{o.index},{o.bandwidth!r},{o.gamma_used!r},{o.selected.name},{o.selected.bitrate},"
-            f"{d.threshold!r},{d.candidate_set_size},{int(d.fallback_used)},{int(o.stalled)},"
-            f"{o.bw_rel!r},{o.ec_rel!r},{o.download_time!r},{soc}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([
+            o.index, repr(o.bandwidth), repr(o.gamma_used), o.selected.name, o.selected.bitrate,
+            repr(d.threshold), d.candidate_set_size, int(d.fallback_used), int(o.stalled),
+            repr(o.bw_rel), repr(o.ec_rel), repr(o.download_time),
+            "" if o.soc_after is None else repr(o.soc_after),
+        ])  # fmt: skip
+    return buffer.getvalue()
 
 
 def assert_writers_match(report: SessionReport, provenance: dict) -> None:
@@ -230,7 +236,8 @@ def test_writers_on_one_segment_and_on_an_emptied_battery():
     assert_writers_match(emptied, provenance)
 
 
-#: Each per-segment key the loader derives, with values of its JSON type.
+#: Each per-segment key that the first report format also saved, and that the
+#: loader now derives, with values of its JSON type.
 DERIVED = {
     "index": st.integers(-5, 100),
     "gamma": st.floats(allow_nan=False, allow_infinity=False),
@@ -247,7 +254,7 @@ DERIVED = {
 
 @settings(max_examples=300, deadline=None)
 @given(sessions(), st.data())
-def test_loader_names_the_row_and_key_of_any_edited_derived_value(session, data):
+def test_loader_names_the_row_and_key_of_any_row_that_holds_other_keys(session, data):
     ladder, trace, mode, params, battery, quality = session
     if mode.adaptive is None:
         mode = data.draw(st.sampled_from([mode, *map(EnergyMode, FIXED_GAMMAS)]))
@@ -255,13 +262,16 @@ def test_loader_names_the_row_and_key_of_any_edited_derived_value(session, data)
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert SessionReport.from_json_dict(payload) == report
     row = data.draw(st.integers(0, report.n_segments - 1))
-    key = data.draw(st.sampled_from(sorted(DERIVED)))
-    saved = payload["per_segment"][row][key]
-    payload["per_segment"][row][key] = data.draw(DERIVED[key].filter(lambda v: v != saved))
-    named = repr(key)
-    if (row, key, mode.kind) == (0, "gamma", "adaptive"):
-        named = "'(gamma|threshold_bps)'"  # the first gamma is read, and sets the row's budget
-    with pytest.raises(ValueError, match=f"^per_segment row {row}: {named} is "):
+    saved = payload["per_segment"][row]
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(saved)))
+        del saved[key]
+        named = f"missing key {key!r}"
+    else:
+        key = data.draw(st.sampled_from(sorted(DERIVED)))
+        saved[key] = data.draw(DERIVED[key])
+        named = f"unexpected key {key!r}"
+    with pytest.raises(ValueError, match=f"^per_segment row {row}: {re.escape(named)}$"):
         SessionReport.from_json_dict(payload)
 
 

@@ -37,7 +37,8 @@ def oracle_text(text: str, path: str) -> str:
         )
     provenance = {"tool": "abrenergy", "version": __version__, "subcommand": "normalize",
                   "config": {"input": path}}  # fmt: skip
-    return json.dumps({"provenance": provenance, "combinations": combinations}, indent=2) + "\n"
+    payload = {"schema": 2, "provenance": provenance, "combinations": combinations}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 #: Characters a device name can hold: no line breaks, since the reader

@@ -1,7 +1,11 @@
 """Fitting the consumption model to relative points, and fit-quality metrics.
 
 The least-squares refinement and the metrics are numpy array programs: the
-bytes ``fit`` writes depend on numpy's ``lstsq`` and dot products.
+bytes ``fit`` writes depend on numpy's ``lstsq``.  Every dot product (the
+objective, the correlations, the coefficient of determination and the
+constant-observation check) is exact: a correctly rounded sum of the
+elementwise products, whose bits do not depend on how many threads the
+BLAS library would split it across.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x @ y`` as the correctly rounded sum (``math.fsum``) of the elementwise
+    products, which does not depend on the order they are summed in."""
+    return math.fsum((x * y).tolist())
+
+
 def pearson(x, y) -> float:
     """Pearson correlation coefficient.
 
@@ -84,12 +94,12 @@ def pearson(x, y) -> float:
     xa, ya = _paired(x, y)
     dx = xa - xa.mean()
     dy = ya - ya.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
+    sx = math.sqrt(_dot(dx, dx))
+    sy = math.sqrt(_dot(dy, dy))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("zero variance: correlation undefined")
     # rounding can push |r| a hair past 1
-    return min(1.0, max(-1.0, float(dx @ dy) / (sx * sy)))
+    return min(1.0, max(-1.0, _dot(dx, dy) / (sx * sy)))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -113,10 +123,10 @@ def r_squared(observed, predicted) -> float:
     obs, pred = _paired(observed, predicted)
     residual = obs - pred
     deviation = obs - obs.mean()
-    ss_tot = float(deviation @ deviation)
+    ss_tot = _dot(deviation, deviation)
     if ss_tot == 0.0:
         return 0.0
-    return 1.0 - float(residual @ residual) / ss_tot
+    return 1.0 - _dot(residual, residual) / ss_tot
 
 
 #: The refinement's iteration cap, and the relative objective change at
@@ -210,7 +220,7 @@ def fit_columns(
     def objective(t: np.ndarray) -> tuple[np.ndarray, float]:
         a, b, c = unpack(t)
         residual = ec - (a * np.exp(-b * bw) + c)
-        return residual, float(residual @ residual)
+        return residual, _dot(residual, residual)
 
     def clamp(t: np.ndarray) -> np.ndarray:
         out = t.copy()
@@ -263,7 +273,8 @@ def fit_columns(
     if not converged:
         diagnostics.append(f"stopped after {_MAX_ITERATIONS} iterations without convergence")
     r2 = r_squared(ec, predicted)
-    if float((ec - ec.mean()) @ (ec - ec.mean())) == 0.0:
+    deviation = ec - ec.mean()
+    if _dot(deviation, deviation) == 0.0:
         diagnostics.append("constant observations: r_squared reported as 0")
     try:
         pcc = pearson(ec, predicted)

@@ -82,6 +82,9 @@ class Representation:
                     f"representation {field} {getattr(self, field)!r} cannot be written"
                     f" as UTF-8: {exc.reason}"
                 ) from None
+        if "\r" in self.name or "\n" in self.name:
+            # the per-segment CSV writes the name in a cell of one line
+            raise ValueError(f"representation name {self.name!r} must not hold a line break")
         if self.bitrate <= 0:
             raise ValueError(
                 f"representation {self.name!r}: bitrate must be positive, got {self.bitrate}"

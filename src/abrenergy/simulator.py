@@ -2,8 +2,10 @@
 
 One session applies the request policy to every segment of a bandwidth
 trace, prices each download with the consumption model, and optionally
-drains a battery.  It is computed column by column over the trace with the
-standard library alone, and its per-segment record is kept as columns.
+drains a battery.  It is computed with the standard library alone: each
+distinct bandwidth is selected and priced once, the aggregates are means
+over those values weighted by how many segments requested them, and a
+per-segment record, when one is kept, is a set of columns.
 Sessions under different modes but identical conditions are then compared
 against the energy-saving-off baseline.
 """
@@ -18,10 +20,11 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from types import NoneType
 
 from ._csvio import ParseError, check_unique, float_column, read_columns
@@ -306,10 +309,6 @@ def _float_rates(ladder: QualityLadder) -> list[float]:
     return [float(bitrate) for bitrate in ladder.bitrates]
 
 
-def _selected_rates(ladder: QualityLadder, cols: SegmentColumns) -> list[float]:
-    return list(map(_float_rates(ladder).__getitem__, cols.rung))
-
-
 def _finite_floats(key: str, values: list) -> list[float]:
     """Saved JSON numbers as floats; ValueError naming ``key`` unless all are finite."""
     try:
@@ -324,8 +323,9 @@ def _finite_floats(key: str, values: list) -> list[float]:
 def _read_segments(
     rows: object, mode: EnergyMode, context: SessionContext, n_segments: int,
     initial_soc: float | None,
-) -> SegmentColumns:
-    """The per-segment record of a saved report, priced again from its inputs.
+) -> tuple[SegmentColumns, list[_Tally]]:
+    """The per-segment record of a saved report, priced again from its
+    inputs, and its tally.
 
     A row holds exactly its ``bandwidth_bps`` and ``soc_after``.  Each
     segment's gamma is the mode's at the charge before it, ``initial_soc``
@@ -371,32 +371,42 @@ def _read_segments(
         if soc_after[-1] < 0.0:
             i = bisect_left(soc_after, True, key=lambda charge: charge < 0.0)
             raise ValueError(f"per_segment row {i}: 'soc_after' is {soc_after[i]!r}, below 0")
-    pieces, start = [], 0
+    pieces: list[SegmentColumns] = []
+    tally: list[_Tally] = []
+    start = 0
     while start < n_segments:
         gamma = mode.gamma_for(charges[start])
         # the charge never rises, so once the mode asks for another gamma it keeps asking
         end = bisect_left(charges, True, start + 1, n_segments,
                           key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
         run = bandwidth[start:end]
-        pieces.append(_record(_price(context, run, gamma), run, gamma))
+        counts = Counter(run)
+        priced = _price(context, counts, gamma)
+        tally += _tallied(priced, counts)
+        pieces.append(_record(priced, run, gamma))
         start = end
-    return replace(_joined(pieces), soc_after=soc_after)
+    return replace(_joined(pieces), soc_after=soc_after), tally
 
 
-def _aggregates(ladder: QualityLadder, cols: SegmentColumns) -> dict:
-    """The aggregates that follow from a per-segment record, by attribute.
+def _aggregates(ladder: QualityLadder, tally: list[_Tally], final_soc: float | None) -> dict:
+    """The aggregates of a session, by attribute, from its tally and its
+    last charge (None without a battery).
 
-    A session ends with the battery depleted exactly when its last charge
-    is zero, since the drain clamps the charge there and stops.
+    Each mean sums every segment's value, each distinct value repeated as
+    many times as segments hold it.  A session ends with the battery
+    depleted exactly when its last charge is zero, since the drain clamps
+    the charge there and stops.
     """
-    selected = _selected_rates(ladder, cols)
-    final_soc = None if cols.soc_after is None else cols.soc_after[-1]
+    rates = _float_rates(ladder)
+    bandwidth, rows, counts = zip(*tally)
+    _, candidates, rung, _, ec_rel, _ = zip(*rows)
+    selected = list(map(rates.__getitem__, rung))
     return {
-        "n_segments": len(cols),
-        "mean_ec_rel": _fmean(cols.ec_rel),
-        "mean_bitrate": _fmean(selected),
-        "stall_count": sum(map(operator.gt, selected, cols.bandwidth)),
-        "fallback_count": cols.candidates.count(0),
+        "n_segments": sum(counts),
+        "mean_ec_rel": _tally_mean(ec_rel, counts),
+        "mean_bitrate": _tally_mean(selected, counts),
+        "stall_count": sum(compress(counts, map(operator.gt, selected, bandwidth))),
+        "fallback_count": sum(compress(counts, map(operator.not_, candidates))),
         "final_soc": final_soc,
         "soc_depleted": final_soc is not None and final_soc <= 0.0,
     }
@@ -619,9 +629,10 @@ class SessionReport:
                 initial_soc = float(initial_soc)
                 if not 0.0 < initial_soc <= 100.0:
                     raise ValueError(f"'initial_soc' must be within (0, 100], got {initial_soc}")
-            segments = _read_segments(data["per_segment"], mode, context, aggregates["n_segments"],
-                                      initial_soc)  # fmt: skip
-            derived = _aggregates(ladder, segments)
+            segments, tally = _read_segments(data["per_segment"], mode, context,
+                                             aggregates["n_segments"], initial_soc)  # fmt: skip
+            final_soc = None if segments.soc_after is None else segments.soc_after[-1]
+            derived = _aggregates(ladder, tally, final_soc)
             for key, attr, _ in _AGGREGATE_FIELDS:
                 if attr in derived and aggregates[attr] != derived[attr]:
                     raise ValueError(
@@ -634,14 +645,23 @@ class SessionReport:
             raise ValueError(f"report is missing key {exc}") from None
 
 
-def _fmean(column: Sequence[float]) -> float:
-    # statistics.fmean's arithmetic: a correctly rounded sum over the count
-    return math.fsum(column) / len(column)
+def _tally_mean(values: Iterable[float], counts: Sequence[int]) -> float:
+    """The mean of ``values``, each repeated its count of times.
+
+    This is ``statistics.fmean``'s arithmetic over the expanded column: the
+    sum is correctly rounded, so it does not depend on the order of the
+    values and equals the column's bit for bit.
+    """
+    return math.fsum(chain.from_iterable(map(repeat, values, counts))) / sum(counts)
 
 
-def _mean_scores(ladder: QualityLadder, rung: list[int], quality: QualityMap) -> dict[str, float]:
+def _mean_scores(
+    ladder: QualityLadder, rungs: Sequence[int], counts: Sequence[int], quality: QualityMap
+) -> dict[str, float]:
+    """Each scored metric's mean over the segments, given as rungs each
+    played by its count of segments."""
     return {
-        metric: _fmean(list(map([float(scores[rep.name]) for rep in ladder].__getitem__, rung)))
+        metric: _tally_mean([float(scores[ladder[rung].name]) for rung in rungs], counts)
         for metric, scores in quality.metrics().items()
     }
 
@@ -664,12 +684,15 @@ def run_session(
     battery, when configured, drains linearly in the modeled current.  The
     session stops early if the battery empties.
 
-    The session is computed column by column over the trace, one piece per
-    intensity in force.  Consumption is never negative, so the state of
-    charge never rises and the adaptive mode moves only towards stricter
-    bands: a piece ends at the first segment after which the mode asks for
-    another intensity.  Every value equals the segment-by-segment
-    computation bit for bit.
+    The session is computed one piece per intensity in force.  Consumption
+    is never negative, so the state of charge never rises and the adaptive
+    mode moves only towards stricter bands: a piece ends at the first
+    segment after which the mode asks for another intensity.  A piece
+    counts its segments per distinct bandwidth and prices each distinct
+    bandwidth once; the aggregates follow from those counts, and only the
+    battery drain and the kept per-segment record are computed segment by
+    segment.  Every value equals the segment-by-segment computation bit for
+    bit.
 
     Args:
         ladder: requestable representations.
@@ -695,12 +718,14 @@ def run_session(
     context = SessionContext(params, trace.period_duration, ladder, trace.digest)
     soc = battery.initial_soc if battery is not None else None
     pieces: list[SegmentColumns] = []
+    tally: list[_Tally] = []
     played = 0
     depleted = False
     while played < len(trace) and not depleted:
         gamma = mode.gamma_for(soc)
         remainder = trace.bandwidths[played:]
-        priced = _price(context, remainder, gamma)
+        counts = Counter(remainder)
+        priced = _price(context, counts, gamma)
         end = len(remainder)
         soc_after = None
         if battery is not None:
@@ -726,19 +751,26 @@ def run_session(
             if depleted:
                 soc_after[-1] = 0.0
             soc = soc_after[-1]
-        # the piece ends here, so only its own segments get columns
+        # the piece ends here, so only its own segments are counted
         piece = remainder[:end]
-        pieces.append(replace(_record(priced, piece, gamma), soc_after=soc_after))
+        if end < len(remainder):
+            counts = Counter(piece)
+        tally += _tallied(priced, counts)
+        if include_segments:
+            pieces.append(replace(_record(priced, piece, gamma), soc_after=soc_after))
         played += end
 
-    segments = _joined(pieces)
+    mean_quality = None
+    if quality is not None:
+        rungs = [row[2] for _, row, _ in tally]
+        mean_quality = _mean_scores(ladder, rungs, [count for *_, count in tally], quality)
     return SessionReport(
         mode=mode,
         context=context,
-        mean_quality=_mean_scores(ladder, segments.rung, quality) if quality is not None else None,
+        mean_quality=mean_quality,
         initial_soc=battery.initial_soc if battery is not None else None,
-        segments=segments if include_segments else None,
-        **_aggregates(ladder, segments),
+        segments=_joined(pieces) if include_segments else None,
+        **_aggregates(ladder, tally, soc),
     )
 
 
@@ -750,7 +782,8 @@ def _price(
     best of them (the lowest as a fallback when none fits), its relative
     bandwidth, the modelled consumption there and the download time.
     Sessions and the report loader both price with it, one run of equal
-    gammas at a time, and ``_record`` maps it over the run.
+    gammas at a time; ``_tallied`` counts the run's segments against it, and
+    ``_record`` maps it over the run.
 
     The rung follows ``select``'s rule (``bisect_right`` over the bitrates,
     here as floats).
@@ -766,6 +799,16 @@ def _price(
         rows[bw] = (threshold, candidates, rung, bw_rel, evaluate(params, bw_rel),
                     bitrates[rung] * duration / bw)  # fmt: skip
     return rows
+
+
+#: One distinct bandwidth of a run of equal gammas: the bandwidth, the row
+#: ``_price`` gave for it and the number of segments that requested it.
+_Tally = tuple[float, tuple[float, int, int, float, float, float], int]
+
+
+def _tallied(priced: dict[float, tuple], counts: Mapping[float, int]) -> list[_Tally]:
+    """A run's segments as ``_Tally`` entries, from its segments per distinct bandwidth."""
+    return [(bw, priced[bw], count) for bw, count in counts.items()]
 
 
 def _record(
@@ -846,7 +889,8 @@ def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[st
     if report.segments is None:
         raise ValueError(f"the {report.mode.label} report has no per-segment record to score")
     quality.validate_for(report.ladder)
-    return _mean_scores(report.ladder, report.segments.rung, quality)
+    rung_counts = Counter(report.segments.rung)
+    return _mean_scores(report.ladder, list(rung_counts), list(rung_counts.values()), quality)
 
 
 def compare(

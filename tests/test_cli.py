@@ -546,6 +546,8 @@ class TestCompareCommand:
          "per_segment must hold at least one row"),
         (lambda p: p["report"]["ladder"][0].update(name="\ud800"),
          "representation name '\\ud800' cannot be written as UTF-8"),
+        (lambda p: p["report"]["ladder"][0].update(name="lo\rw"),
+         "representation name 'lo\\rw' must not hold a line break"),
         # compare reads only the document simulate writes
         (lambda p: [p.update(p.pop("report")), p.pop("provenance")], "missing key 'provenance'"),
         (lambda p: dropped(p, "provenance"), "missing key 'provenance'"),

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import random
 from pathlib import Path
 
 from abrenergy.cli import main
@@ -178,11 +180,12 @@ MEASUREMENT_COMMANDS = [
      "--output", "fits_free.json"),
 ]  # fmt: skip
 
-#: Recorded with schema 2.  The fit digests also pin the last bits of numpy's
-#: least-squares solver.
+#: Recorded with schema 2; the fits with exact dot products, which changed
+#: the last bit of some ``pcc`` values.  The fit digests also pin the last
+#: bits of numpy's least-squares solver.
 MEASUREMENT_SHA256 = {
-    'fits.json': '3d841cdf75b84378dfcb761a9bb1e2d989f6409fb02aa9ebeba14700d5fddbdc',
-    'fits_free.json': '1613e019949da7b6d664ed32c4748a6da0c097fdb28da19b14f02eb625ed0a47',
+    'fits.json': '970c47459bbc6c007e986cb7266a59b21bf71c15552bd71e8e7810174c91fb17',
+    'fits_free.json': 'f8ca4d85f67df77ac76c194d838a561003bd63233aecc419343236a8816d59c1',
     'points.json': '56bad8228a9bac02790d53404b232c6926332aff4a14a61cccba1d9420f0f068',
 }
 
@@ -200,3 +203,39 @@ def test_normalize_and_fit_are_byte_identical(tmp_path, monkeypatch, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in MEASUREMENT_SHA256}  # fmt: skip
     assert digests == MEASUREMENT_SHA256
+
+
+def _large_measurements_csv(per_group: int = 5_001) -> str:
+    """Two groups on known curves with multiplicative noise and no flagged
+    record, so that the pooled fit runs over 10 002 points: more than the
+    10 000 at which OpenBLAS splits a dot product across its threads."""
+    rng = random.Random(14)
+    rungs = (("240p", 400_000), ("720p", 2_500_000), ("1080p", 5_000_000))
+    rows = ["device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma"]
+    for device, a, b in (("LA", 0.8, 0.4), ("LB", 0.5, 0.6)):
+        for i in range(per_group):
+            resolution, bitrate = rungs[i % 3]
+            bw_rel = 1.0 + 7.0 * rng.random()
+            noise = 1.0 + 0.1 * (rng.random() - 0.5)
+            current = round(300.0 * (a * math.exp(-b * bw_rel) + 1.0) * noise, 4)
+            rows.append(f"{device},WIFI,HEVC,{resolution},{bitrate},"
+                        f"{round(bitrate * bw_rel, 1)!r},{current!r}")  # fmt: skip
+    return "\n".join(rows) + "\n"
+
+
+#: The same bytes under any BLAS thread count (CI runs this file under one
+#: and two OpenBLAS threads).
+LARGE_FIT_SHA256 = "7e52046b176684d68da0ca20adf8a81474db496d98d217e64d2b9ee52873cbea"
+
+
+def test_a_fit_over_more_than_ten_thousand_points_is_byte_identical(tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "large.csv").write_text(_large_measurements_csv())
+    assert main(["fit", "--input", "large.csv", "--output", "large_fits.json"]) == 0
+    capsys.readouterr()
+    fits = json.loads((tmp_path / "large_fits.json").read_text())["fits"]
+    assert [(f["combination"], f["n"], f["excluded"]) for f in fits] == [
+        ("LA/WIFI/HEVC", 5_001, 0), ("LB/WIFI/HEVC", 5_001, 0), ("overall", 10_002, 0)]
+    digest = hashlib.sha256((tmp_path / "large_fits.json").read_bytes()).hexdigest()
+    assert digest == LARGE_FIT_SHA256

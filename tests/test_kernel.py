@@ -3,7 +3,8 @@ report writers against ``json.dumps`` and a row-by-row ``csv.writer``.
 
 Every aggregate, every per-segment field and the serialized report must be
 exactly equal (``==``, never approximately) to what ``scalar_session``
-computes segment by segment.
+computes segment by segment, with the per-segment record kept and without
+it (as ``simulate --mode all`` runs); the aggregates to the bit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from scalar_session import scalar_session
 
 def assert_matches_scalar(ladder, trace, mode, params, battery=None,
                           quality=None) -> SessionReport:
+    lean = run_session(ladder, trace, mode, params, battery=battery, quality=quality,
+                       include_segments=False)  # fmt: skip
     report = run_session(ladder, trace, mode, params, battery=battery, quality=quality)
     oracle = scalar_session(ladder, trace, mode, params, battery=battery, quality=quality)
     aggregates = {
@@ -50,9 +53,12 @@ def assert_matches_scalar(ladder, trace, mode, params, battery=None,
         "final_soc": oracle.final_soc,
         "soc_depleted": oracle.soc_depleted,
     }
-    assert (report.n_segments, report.mean_ec_rel, report.mean_bitrate, report.mean_quality,
-            report.stall_count, report.fallback_count, report.final_soc,
-            report.soc_depleted) == tuple(aggregates.values())
+    for run in (report, lean):
+        # repr spells every float exactly, so equal text is equal bits
+        assert repr((run.n_segments, run.mean_ec_rel, run.mean_bitrate, run.mean_quality,
+                     run.stall_count, run.fallback_count, run.final_soc,
+                     run.soc_depleted)) == repr(tuple(aggregates.values()))  # fmt: skip
+    assert lean.segments is None
     assert report.per_segment == oracle.outcomes
     expected = report.to_json_dict()  # mode, context and ladder come from unchanged code
     expected.update(aggregates, per_segment=oracle.segment_dicts())
@@ -78,11 +84,13 @@ def ladders(draw, names=None) -> QualityLadder:
 #: Rung names that JSON must escape: quotes, backslashes, control and
 #: non-ASCII characters, and a name that reads like the JSON null.  Lone
 #: surrogates (category Cs) are left out: ``Representation`` rejects them,
-#: since no UTF-8 writer can emit them.
+#: since no UTF-8 writer can emit them.  So are line breaks, which a rung
+#: name may not hold, since the per-segment CSV writes it on one line.
 escaped_names = st.one_of(
     st.just("null"),
-    st.text(st.one_of(st.sampled_from('"\\\t\n\x00\x1f\x7f\u2028\xe9\u65e5\U0001f3a5,'),
-                      st.characters(exclude_categories=("Cs",))), min_size=1, max_size=6),
+    st.text(st.one_of(st.sampled_from('"\\\t\x00\x1f\x7f\u2028\xe9\u65e5\U0001f3a5,'),
+                      st.characters(exclude_categories=("Cs",), exclude_characters="\r\n")),
+            min_size=1, max_size=6),
 )  # fmt: skip
 
 
@@ -180,6 +188,30 @@ def test_many_distinct_bandwidths_match(ladder, overall):
     assert_matches_scalar(ladder, trace, EnergyMode("custom", 1.7), overall, battery)
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(0.0, 0.7, 1.0),  # no curve: every segment costs the floor
+    ModelParams(0.9, 0.0, 1.2),  # no decay: every segment costs a + c
+    ModelParams(0.9, 800.0, 1.0),  # exp(-800 * bw_rel) is 0 wherever bw_rel >= 1
+    ModelParams(1e-20, 0.5, 1.0),  # the curve is below the floor's last place
+])  # fmt: skip
+def test_distinct_bandwidths_that_share_a_rung_and_a_price_match(ladder, params):
+    # three bandwidths between each pair of rungs, repeated in blocks, and a
+    # battery that empties after the adaptive mode has visited all three bands
+    quality_map = QualityMap(vmaf={rep.name: 30.0 + 6.5 * i for i, rep in enumerate(ladder)},
+                             ssim={rep.name: 0.9 + 0.005 * i for i, rep in enumerate(ladder)})
+    rates = [rep.bitrate for rep in ladder]
+    values = [low + (high - low) * k / 4 for low, high in zip(rates, rates[1:]) for k in (1, 2, 3)]
+    trace = random_blocks(values, 900, seed=11)
+    battery = BatteryConfig(capacity_mah=400.0, reference_current_ma=300.0)
+    for mode in (EnergyMode("off"), EnergyMode("strict"), adaptive_mode()):
+        report = assert_matches_scalar(ladder, trace, mode, params, battery, quality_map)
+        cols = report.segments
+        shared = {}
+        for bw, rung, ec in zip(cols.bandwidth, cols.rung, cols.ec_rel):
+            shared.setdefault((rung, ec), set()).add(bw)
+        assert max(map(len, shared.values())) > 1
+
+
 def csv_oracle(report: SessionReport, provenance: dict | None) -> str:
     """The per-segment CSV written row by row from the segment objects."""
     buffer = io.StringIO()
@@ -211,7 +243,8 @@ def assert_writers_match(report: SessionReport, provenance: dict) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(sessions(escaped_names), st.booleans(), st.dictionaries(escaped_names, escaped_names))
+@given(sessions(escaped_names), st.booleans(),
+       st.dictionaries(escaped_names, escaped_names | st.just("line\r\nbreak")))
 def test_writers_equal_json_dumps_and_the_row_formatter(session, keep, config):
     ladder, trace, mode, params, battery, quality = session
     report = run_session(ladder, trace, mode, params, battery=battery, quality=quality,

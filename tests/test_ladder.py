@@ -197,6 +197,12 @@ class TestLadderInvariants:
         with pytest.raises(ValueError, match=f"representation {field} .*UTF-8"):
             Representation(fields["name"], 10, 10, fields["label"], 1000, fields["codec"])
 
+    @pytest.mark.parametrize("name", ["lo\rw", "lo\nw", "\r\n", "lo\r"])
+    def test_line_break_in_a_name_is_rejected(self, name):
+        # csv.writer leaves a lone \r unquoted, which would split a per-segment CSV row
+        with pytest.raises(ValueError, match="representation name .* must not hold a line break"):
+            Representation(name, 10, 10, "x", 1000, "AVC")
+
 
 def test_codec_normalization():
     assert normalize_codec("h264") == "AVC"

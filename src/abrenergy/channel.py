@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
 
 from ._csvio import ParseError, check_unique, float_column, int_column, read_columns
 from .prng import Lcg64
@@ -57,17 +59,30 @@ class ChannelTrace:
         object.__setattr__(self, "bandwidths", values)
 
     @cached_property
+    def counts(self) -> dict[float, int]:
+        """Periods per distinct bandwidth, in order of first appearance.
+
+        Sessions over the trace select, price and tally each distinct
+        bandwidth once; the table is counted once per trace and must not be
+        changed.
+        """
+        return Counter(self.bandwidths)
+
+    @cached_property
     def digest(self) -> str:
         """Short sha256 of the duration and bandwidths.
 
         Reports record it so that only sessions over the same trace are
         compared; it is computed once per trace.  The hashed text is
-        ``repr(period_duration) + "|" + ",".join(map(repr, bandwidths))``,
-        fed in pieces: a long trace's text is several times its size.
+        ``repr(period_duration) + "|" + ",".join(map(repr, bandwidths))``.
+        Each distinct bandwidth is formatted once (bandwidths are positive,
+        so equal values have one spelling), and the text is fed in pieces:
+        a long trace's text is several times its size.
         """
+        cells = {bandwidth: repr(bandwidth) for bandwidth in self.counts}
         digest = hashlib.sha256(repr(self.period_duration).encode() + b"|")
         for start in range(0, len(self.bandwidths), 1024):
-            piece = ",".join(map(repr, self.bandwidths[start : start + 1024]))
+            piece = ",".join(map(cells.__getitem__, self.bandwidths[start : start + 1024]))
             digest.update((("," if start else "") + piece).encode())
         return digest.hexdigest()[:16]
 
@@ -133,11 +148,9 @@ def random_blocks(
     if block_len < 1:
         raise ValueError(f"block_len must be at least 1, got {block_len}")
     rng = Lcg64(seed)
-    bandwidths: list[float] = []
-    while len(bandwidths) < n_periods:
-        value = vals[rng.next_index(len(vals))]
-        bandwidths.extend([value] * block_len)
-    return ChannelTrace(period_duration, tuple(bandwidths[:n_periods]))
+    draws = [vals[rng.next_index(len(vals))] for _ in range(-(-n_periods // block_len))]
+    blocks = chain.from_iterable(map(repeat, draws, repeat(block_len)))
+    return ChannelTrace(period_duration, tuple(islice(blocks, max(n_periods, 0))))
 
 
 def load_trace(text: str, period_duration: float = DEFAULT_PERIOD_S) -> ChannelTrace:

@@ -15,6 +15,9 @@ HEVC = "HEVC"
 
 LADDER_HEADER = ["name", "width", "height", "label", "bitrate_bps", "codec"]
 
+#: The largest bitrate a rung may have: every integer up to it is a float.
+_MAX_BITRATE = 2**53
+
 _CODEC_ALIASES = {
     "AVC": AVC,
     "H264": AVC,
@@ -61,7 +64,8 @@ class Representation:
     """One rung of a ladder: an encoded version selectable per segment.
 
     ``bitrate`` is in bits per second and is kept as an integer so that
-    selection thresholds compare bit-exactly.
+    selection thresholds compare bit-exactly.  It is at most ``2**53``, so
+    that its float, which sessions compare with budgets, is the same number.
     """
 
     name: str
@@ -88,6 +92,11 @@ class Representation:
         if self.bitrate <= 0:
             raise ValueError(
                 f"representation {self.name!r}: bitrate must be positive, got {self.bitrate}"
+            )
+        if self.bitrate > _MAX_BITRATE:
+            raise ValueError(
+                f"representation {self.name!r}: bitrate must be at most 2**53 ({_MAX_BITRATE}),"
+                " beyond which floats skip integers"
             )
         if self.width <= 0 or self.height <= 0:
             raise ValueError(

@@ -43,6 +43,9 @@ QUALITY_METRICS = ("psnr", "ssim", "vmaf")
 COMPARISON_CSV_HEADER = "channel,mode,energy_pct,psnr,d_psnr,ssim,d_ssim,vmaf,d_vmaf"
 
 _MAX_FLOAT = sys.float_info.max
+#: ``2 ** -_SUBNORMAL_BITS`` is the smallest positive float, so every finite
+#: float is an integer number of those units.
+_SUBNORMAL_BITS = 1074
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,8 @@ def check_schema(record: object, name: str) -> None:
 
 
 def _float_rates(ladder: QualityLadder) -> list[float]:
-    """The ladder's bitrates as floats, as selection compares them with budgets."""
+    """The ladder's bitrates as floats, as selection compares them with budgets;
+    each is exact, since a rung's bitrate is at most ``2**53``."""
     return [float(bitrate) for bitrate in ladder.bitrates]
 
 
@@ -645,14 +649,39 @@ class SessionReport:
             raise ValueError(f"report is missing key {exc}") from None
 
 
-def _tally_mean(values: Iterable[float], counts: Sequence[int]) -> float:
-    """The mean of ``values``, each repeated its count of times.
+def _tally_mean(values: Sequence[float], counts: Sequence[int]) -> float:
+    """The mean of ``values``, each repeated its count of times, in time
+    linear in the number of values and in the bits of the largest count.
 
-    This is ``statistics.fmean``'s arithmetic over the expanded column: the
-    sum is correctly rounded, so it does not depend on the order of the
-    values and equals the column's bit for bit.
+    ``value * count`` is exactly the sum of ``ldexp(value, k)`` over the set
+    bits ``k`` of ``count``, so ``math.fsum`` over those multiples sums the
+    same exact total as over the expanded column.  It rounds that total
+    correctly, whatever the order of its terms, so the mean equals
+    ``statistics.fmean``'s over the column bit for bit.
+
+    Where a multiple or a partial sum leaves the float range, finite values
+    are summed exactly as integers, in units of the smallest subnormal.  The
+    mean is then the correctly rounded total divided by the number of
+    values, as above; where that total is itself beyond the float range, it
+    is the correctly rounded mean, which is finite.
     """
-    return math.fsum(chain.from_iterable(map(repeat, values, counts))) / sum(counts)
+    n = sum(counts)
+    multiples = []
+    for k in range(max(counts).bit_length()):
+        with_bit = compress(values, map((1 << k).__and__, counts))
+        multiples.append(map(math.ldexp, with_bit, repeat(k)))
+    try:
+        total = math.fsum(chain.from_iterable(multiples))
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return total / n
+    units = sum(count * ((p << _SUBNORMAL_BITS) // q)
+                for (p, q), count in zip(map(float.as_integer_ratio, values), counts))
+    try:
+        return units / (1 << _SUBNORMAL_BITS) / n
+    except OverflowError:
+        return units / (n << _SUBNORMAL_BITS)
 
 
 def _mean_scores(
@@ -687,12 +716,14 @@ def run_session(
     The session is computed one piece per intensity in force.  Consumption
     is never negative, so the state of charge never rises and the adaptive
     mode moves only towards stricter bands: a piece ends at the first
-    segment after which the mode asks for another intensity.  A piece
-    counts its segments per distinct bandwidth and prices each distinct
-    bandwidth once; the aggregates follow from those counts, and only the
-    battery drain and the kept per-segment record are computed segment by
-    segment.  Every value equals the segment-by-segment computation bit for
-    bit.
+    segment after which the mode asks for another intensity.  Each piece
+    prices every distinct bandwidth of the trace once.  A piece that plays
+    the whole trace takes its segments per distinct bandwidth from the
+    trace's ``counts``, which are counted once per trace; a shorter piece
+    counts its own segments, once.  The aggregates follow from those counts
+    (``_tally_mean``), and only the battery drain and the kept per-segment
+    record are computed segment by segment.  Every value equals the
+    segment-by-segment computation bit for bit.
 
     Args:
         ladder: requestable representations.
@@ -723,9 +754,9 @@ def run_session(
     depleted = False
     while played < len(trace) and not depleted:
         gamma = mode.gamma_for(soc)
+        # every distinct bandwidth of the trace: a superset of the piece's
+        priced = _price(context, trace.counts, gamma)
         remainder = trace.bandwidths[played:]
-        counts = Counter(remainder)
-        priced = _price(context, counts, gamma)
         end = len(remainder)
         soc_after = None
         if battery is not None:
@@ -753,8 +784,7 @@ def run_session(
             soc = soc_after[-1]
         # the piece ends here, so only its own segments are counted
         piece = remainder[:end]
-        if end < len(remainder):
-            counts = Counter(piece)
+        counts = trace.counts if end == len(trace) else Counter(piece)
         tally += _tallied(priced, counts)
         if include_segments:
             pieces.append(replace(_record(priced, piece, gamma), soc_after=soc_after))
@@ -777,13 +807,15 @@ def run_session(
 def _price(
     context: SessionContext, bandwidths: Iterable[float], gamma: float
 ) -> dict[float, tuple[float, int, int, float, float, float]]:
-    """Each distinct bandwidth requested at one gamma, selected and priced:
+    """Each of ``bandwidths``, distinct values, selected and priced at one gamma:
     its budget ``bandwidth / gamma``, the number of rungs that fit it, the
     best of them (the lowest as a fallback when none fits), its relative
     bandwidth, the modelled consumption there and the download time.
-    Sessions and the report loader both price with it, one run of equal
-    gammas at a time; ``_tallied`` counts the run's segments against it, and
-    ``_record`` maps it over the run.
+    A session prices every distinct bandwidth of its trace at each gamma it
+    runs, and the report loader those of each run of equal gammas;
+    ``_tallied`` counts a run's segments against the table and ``_record``
+    maps it over the run, both by bandwidth, so rows that a run does not
+    request do no harm.
 
     The rung follows ``select``'s rule (``bisect_right`` over the bitrates,
     here as floats).
@@ -791,7 +823,7 @@ def _price(
     bitrates = _float_rates(context.ladder)
     params, duration = context.params, context.segment_duration
     rows = {}
-    for bw in set(bandwidths):
+    for bw in bandwidths:
         threshold = bw / gamma
         candidates = bisect_right(bitrates, threshold)
         rung = candidates - 1 if candidates else 0

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrenergy import (
     DEFAULT_BANDWIDTH_VALUES,
@@ -16,6 +19,7 @@ from abrenergy import (
     serialize_trace,
     staircase,
 )
+from abrenergy.prng import Lcg64
 
 MBPS = [v / 1e6 for v in DEFAULT_BANDWIDTH_VALUES]
 
@@ -185,9 +189,52 @@ def test_trace_stores_floats():
     assert [repr(b) for b in trace.bandwidths] == ["1000000.0", "2500000.0"]
 
 
+def full_repr_digest(trace: ChannelTrace) -> str:
+    """The digest as it was first computed: every bandwidth formatted, and
+    the text hashed in one piece; kept as the reference for ``digest``."""
+    text = repr(trace.period_duration) + "|" + ",".join(map(repr, trace.bandwidths))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def random_blocks_loop(values, n_periods, seed, block_len, period_duration=6.0) -> ChannelTrace:
+    """``random_blocks`` as it was first written, one draw and one block per
+    pass of a loop; kept as the reference for the generator."""
+    vals = [float(v) for v in values]
+    rng = Lcg64(seed)
+    bandwidths: list[float] = []
+    while len(bandwidths) < n_periods:
+        value = vals[rng.next_index(len(vals))]
+        bandwidths.extend([value] * block_len)
+    return ChannelTrace(period_duration, tuple(bandwidths[:n_periods]))
+
+
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
 def test_digest_hashes_the_whole_trace_text(n):
     # the digest is fed in pieces; it must equal the hash of the text in one piece
     trace = ChannelTrace(6.0, tuple(1e5 + 0.25 * i for i in range(n)))
-    text = repr(6.0) + "|" + ",".join(map(repr, trace.bandwidths))
-    assert trace.digest == hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert trace.digest == full_repr_digest(trace)
+
+
+positive_bandwidths = st.one_of(st.floats(5e-324, 1e12), st.integers(1, 10**12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(positive_bandwidths, min_size=1, max_size=8), st.integers(1, 3000),
+       st.integers(0, 2**32), st.sampled_from([6.0, 2.0, 4.5, 1e-3]))  # fmt: skip
+def test_digest_and_counts_of_a_trace_with_repeats(pool, n, seed, duration):
+    # each distinct bandwidth is formatted once; the text is every period's
+    rng = random.Random(seed)
+    trace = ChannelTrace(duration, tuple(rng.choice(pool) for _ in range(n)))
+    assert trace.digest == full_repr_digest(trace)
+    assert trace.counts == Counter(trace.bandwidths)
+    assert list(trace.counts) == list(dict.fromkeys(trace.bandwidths))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1.0, 1e9), min_size=1, max_size=10), st.integers(1, 500),
+       st.integers(0, 2**70), st.integers(1, 60))  # fmt: skip
+def test_random_blocks_equals_the_block_by_block_loop(values, n_periods, seed, block_len):
+    trace = random_blocks(values, n_periods, seed, block_len)
+    oracle = random_blocks_loop(values, n_periods, seed, block_len)
+    assert trace == oracle
+    assert trace.digest == oracle.digest

@@ -548,6 +548,8 @@ class TestCompareCommand:
          "representation name '\\ud800' cannot be written as UTF-8"),
         (lambda p: p["report"]["ladder"][0].update(name="lo\rw"),
          "representation name 'lo\\rw' must not hold a line break"),
+        (lambda p: p["report"]["ladder"][-1].update(bitrate_bps=2**53 + 2),
+         "representation '2160p': bitrate must be at most 2**53"),
         # compare reads only the document simulate writes
         (lambda p: [p.update(p.pop("report")), p.pop("provenance")], "missing key 'provenance'"),
         (lambda p: dropped(p, "provenance"), "missing key 'provenance'"),
@@ -798,6 +800,31 @@ class TestErrorPaths:
         assert main(["simulate", "--ladder", "/nonexistent.csv", "--channel",
                      "constant:22M", "--mode", "off", "--params", "overall"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_means_of_values_near_the_float_maximum_are_finite(self, tmp_path, capsys):
+        # two segments of ec_rel 1e308 sum beyond the float range; their mean does not
+        ladder = tmp_path / "ladder.csv"
+        ladder.write_text("name,width,height,label,bitrate_bps,codec\n"
+                          "low,426,240,240p,650000,HEVC\nhigh,1920,1080,1080p,5000000,HEVC\n")
+        out = tmp_path / "off.json"
+        assert main(["simulate", "--ladder", str(ladder), "--channel", "constant:22M",
+                     "--segments", "2", "--mode", "off", "--params", "a=1e308,b=0,c=0",
+                     "--output", str(out)]) == 0
+        report = loaded_report(out)
+        assert report.mean_ec_rel == 1e308 and report.mean_bitrate == 5e6
+
+    @pytest.mark.parametrize("bitrate", [int(1e308), 10**309])
+    def test_a_rung_beyond_2_to_the_53_exits_two(self, tmp_path, capsys, bitrate):
+        # a lone rung that every segment falls back to: its mean bitrate once
+        # overflowed, and a bitrate beyond the float range failed to convert
+        ladder = tmp_path / "ladder.csv"
+        ladder.write_text(f"name,width,height,label,bitrate_bps,codec\nhigh,1920,1080,1080p,"
+                          f"{bitrate},HEVC\n")  # fmt: skip
+        assert main(["simulate", "--ladder", str(ladder), "--channel", "constant:22M",
+                     "--segments", "2", "--mode", "off", "--params", "overall",
+                     "--output", str(tmp_path / "off.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: representation 'high': bitrate must be at most 2**53")
 
     def test_unknown_mode_exits_two(self, ladder_file, capsys):
         assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",

@@ -12,11 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import replace
+from fractions import Fraction
+from itertools import chain, groupby, repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abrenergy import (
     AdaptiveConfig,
@@ -34,6 +37,7 @@ from abrenergy import (
     random_blocks,
     run_session,
 )
+from abrenergy.simulator import _tally_mean
 from scalar_session import scalar_session
 
 
@@ -174,6 +178,18 @@ def test_long_adaptive_session_matches(ladder, overall):
     assert set(report.segments.gamma) == {1.5, 2.0, 4.0}
 
 
+def test_adaptive_session_that_switches_twice_and_keeps_its_charge_matches(ladder, overall):
+    # the trace of test_long_adaptive_session_matches, cut before the battery
+    # empties: three pieces, the last ending with the trace, each counting
+    # only its own segments
+    trace = random_blocks([1e6, 4e6, 7e6, 13e6, 22e6], 2400, seed=17)
+    battery = BatteryConfig(capacity_mah=2500.0, reference_current_ma=450.0)
+    quality = QualityMap(vmaf={rep.name: 40.0 + 5.0 * i for i, rep in enumerate(ladder)})
+    report = assert_matches_scalar(ladder, trace, adaptive_mode(), overall, battery, quality)
+    assert not report.soc_depleted and report.n_segments == len(trace)
+    assert [gamma for gamma, _ in groupby(report.segments.gamma)] == [1.5, 2.0, 4.0]
+
+
 def test_a_charge_that_lands_exactly_on_zero_ends_the_session(ladder):
     # each drain is exactly one point: 100 * 600 mA * ec_rel 1.0 * 6 s / 3600 / 100 mAh
     battery = BatteryConfig(capacity_mah=100.0, reference_current_ma=600.0, initial_soc=3.0)
@@ -210,6 +226,54 @@ def test_distinct_bandwidths_that_share_a_rung_and_a_price_match(ladder, params)
         for bw, rung, ec in zip(cols.bandwidth, cols.rung, cols.ec_rel):
             shared.setdefault((rung, ec), set()).add(bw)
         assert max(map(len, shared.values())) > 1
+
+
+def expanded_mean(values: list[float], counts: list[int]) -> float:
+    """The mean over the expanded column, each value repeated its count of
+    times, as ``statistics.fmean`` computes it."""
+    return math.fsum(chain.from_iterable(map(repeat, values, counts))) / sum(counts)
+
+
+def tallies(magnitudes):
+    """(values, counts): up to four signed values, each held by up to 2**20 segments."""
+    value = st.builds(math.copysign, magnitudes, st.sampled_from([1.0, -1.0]))
+    count = st.one_of(st.integers(1, 40), st.integers(1, 2**20))
+    return st.lists(st.tuples(value, count), min_size=1, max_size=4).map(
+        lambda pairs: tuple(map(list, zip(*pairs))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tallies(st.one_of(st.floats(5e-324, 1e300), st.floats(5e-324, 2.2250738585072014e-308),
+                         st.just(0.0))))  # fmt: skip
+def test_tally_mean_equals_the_mean_of_the_expanded_column(tally):
+    values, counts = tally
+    # repr spells every float exactly, so equal text is equal bits
+    assert repr(_tally_mean(values, counts)) == repr(expanded_mean(values, counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tallies(st.floats(1e300, 1.7976931348623157e308)))
+@example(([1e308], [2]))
+# partial sums leave the float range, the total does not, and the total
+# divided by 9 rounds otherwise than the exact mean
+@example(([9.555716892113748e307, -1.6135660184721097e308, -5.188185289078763e307], [5, 1, 3]))
+def test_tally_mean_of_values_near_the_float_maximum_is_finite(tally):
+    values, counts = tally
+    mean = _tally_mean(values, counts)
+    assert math.isfinite(mean)
+    try:
+        expected = expanded_mean(values, counts)
+    except OverflowError:  # an intermediate sum beyond the float range
+        expected = math.inf
+    if math.isfinite(expected):
+        assert repr(mean) == repr(expected)
+    else:  # the correctly rounded sum divided by the count, or, where that
+        # sum is beyond the float range, the correctly rounded mean
+        total = sum(map(Fraction.__mul__, map(Fraction, values), counts))
+        try:
+            assert repr(mean) == repr(float(total) / sum(counts))
+        except OverflowError:
+            assert repr(mean) == repr(float(total / sum(counts)))
 
 
 def csv_oracle(report: SessionReport, provenance: dict | None) -> str:

@@ -197,6 +197,18 @@ class TestLadderInvariants:
         with pytest.raises(ValueError, match=f"representation {field} .*UTF-8"):
             Representation(fields["name"], 10, 10, fields["label"], 1000, fields["codec"])
 
+    @pytest.mark.parametrize("bitrate", [2**53 + 1, 2**53 + 2, int(1e308), 10**309])
+    def test_bitrate_beyond_2_to_the_53_is_rejected_naming_the_rung(self, bitrate):
+        # beyond 2**53 a float skips integers, so selection over the float
+        # bitrates and over the integers could disagree
+        message = r"representation 'top': bitrate must be at most 2\*\*53 \(9007199254740992\)"
+        with pytest.raises(ValueError, match=message):
+            Representation("top", 10, 10, "x", bitrate, "AVC")
+        with pytest.raises(ParseError, match=f"^line 3: {message}"):
+            parse_ladder(f"{','.join(LADDER_HEADER)}\nlow,10,10,x,1000,AVC\n"
+                         f"top,20,20,y,{bitrate},AVC\n")  # fmt: skip
+        assert float(Representation("top", 10, 10, "x", 2**53, "AVC").bitrate) == 2**53
+
     @pytest.mark.parametrize("name", ["lo\rw", "lo\nw", "\r\n", "lo\r"])
     def test_line_break_in_a_name_is_rejected(self, name):
         # csv.writer leaves a lone \r unquoted, which would split a per-segment CSV row

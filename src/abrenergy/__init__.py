@@ -32,9 +32,9 @@ _EXPORTS = {
     "policy": """FIXED_GAMMAS AdaptiveConfig EnergyMode PolicyDecision adaptive_gamma
         adaptive_mode light_mode medium_mode off_mode select strict_mode""",
     "prng": "Lcg64",
+    "reportio": "SegmentOutcome",
     "simulator": """PERCEPTIBLE_VMAF_DELTA BatteryConfig ComparisonRow ComparisonTable QualityMap
-        SegmentColumns SegmentOutcome SessionContext SessionReport compare load_quality_map
-        run_session""",
+        SegmentColumns SessionContext SessionReport compare load_quality_map run_session""",
 }
 #: Public name -> the module that defines it.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -12,11 +12,11 @@ import hashlib
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 
 from ._csvio import ParseError, check_unique, float_column, int_column, read_columns
+from ._frozen import frozen
 from .prng import Lcg64
 
 DEFAULT_PERIOD_S = 6.0
@@ -31,7 +31,7 @@ DEFAULT_BLOCK_LEN = 10
 TRACE_HEADER = ["period", "bandwidth_bps"]
 
 
-@dataclass(frozen=True)
+@frozen
 class ChannelTrace:
     """Bandwidth per period, each period lasting ``period_duration`` seconds.
 

@@ -17,7 +17,8 @@ from pathlib import Path
 from . import __version__
 
 # Each subcommand imports the modules it computes with when it runs, so that
-# only fit loads numpy, and fit loads no simulator.
+# only fit loads numpy, fit loads no simulator, and only a command that
+# writes or reads a saved report loads its I/O.
 
 DEFAULT_SEGMENTS = 360
 
@@ -148,10 +149,11 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
     """Model parameters from a preset label, ``a=..,b=..[,c=..]``, or
     ``fit:<path>[#<combination>]``."""
     from .model import ModelParams, preset
-    from .simulator import PARAMS_FIELDS, check_schema, read_fields
 
     spec = spec.strip()
     if spec.lower().startswith("fit:"):
+        from .reportio import PARAMS_FIELDS, check_schema, read_fields
+
         fit_fields = (("combination", "combination", (str,)), *PARAMS_FIELDS)
         ref = spec[4:]
         path, _, combination = ref.partition("#")
@@ -342,8 +344,6 @@ def _battery_from_args(args: argparse.Namespace) -> BatteryConfig | None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .channel import serialize_trace
     from .ladder import parse_ladder
     from .policy import FIXED_GAMMAS, AdaptiveConfig, EnergyMode, adaptive_mode
@@ -385,7 +385,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.gamma is not None:
         config["gamma"] = args.gamma
     if battery is not None:
-        config["battery"] = asdict(battery)
+        config["battery"] = {name: getattr(battery, name) for name in battery._fields}
     if args.quality:
         config["quality"] = args.quality
     provenance = _provenance("simulate", config)
@@ -423,7 +423,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .simulator import SessionReport, compare, load_quality_map, read_fields
+    from .reportio import from_json_dict, read_fields
+    from .simulator import compare, load_quality_map
 
     def load_report(path: str) -> tuple[SessionReport, str]:
         """A report as ``simulate`` writes it, and the kind of channel it ran over."""
@@ -434,7 +435,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 kind = read_fields(((key, key, types),), kind, key)[key]
         except KeyError as exc:
             raise ValueError(f"{path!r} is missing key {exc}") from None
-        return SessionReport.from_json_dict(document["report"]), kind
+        return from_json_dict(document["report"]), kind
 
     baseline, channel_kind = load_report(args.baseline)
     others = [load_report(path)[0] for path in args.candidate]

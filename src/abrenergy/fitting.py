@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._frozen import frozen
 from .model import ModelParams, evaluate
 
 if TYPE_CHECKING:  # fit reads only the points' attributes
@@ -38,7 +38,7 @@ def evaluate_array(params: ModelParams, bw_rel: np.ndarray) -> np.ndarray:
     return np.array([evaluate(params, x) for x in distinct.tolist()], dtype=float)[inverse]
 
 
-@dataclass(frozen=True)
+@frozen
 class FitResult:
     """Fitted parameters plus agreement metrics on the points actually used."""
 
@@ -48,7 +48,7 @@ class FitResult:
     srocc: float
     n_points: int
     n_excluded: int
-    diagnostics: tuple[str, ...] = field(default=())
+    diagnostics: tuple[str, ...] = ()
 
     def to_json_dict(self, combination: str) -> dict:
         return {

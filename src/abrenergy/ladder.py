@@ -6,9 +6,9 @@ preset labels share are made canonical here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from ._csvio import ParseError, check_unique, int_column, read_columns
+from ._frozen import frozen
 
 AVC = "AVC"
 HEVC = "HEVC"
@@ -59,7 +59,7 @@ def normalize_connection(value: str) -> str:
     return _CONNECTION_ALIASES.get(canon, canon)
 
 
-@dataclass(frozen=True)
+@frozen
 class Representation:
     """One rung of a ladder: an encoded version selectable per segment.
 
@@ -105,7 +105,7 @@ class Representation:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class QualityLadder:
     """Representations ordered by strictly increasing bitrate."""
 

@@ -18,11 +18,11 @@ import math
 import re
 from collections import defaultdict
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from operator import truediv
 from typing import NamedTuple
 
 from ._csvio import ParseError, float_column, read_columns
+from ._frozen import frozen
 from .ladder import normalize_codec, normalize_connection
 
 MEASUREMENT_HEADER = [
@@ -41,7 +41,7 @@ _NUMBERS = ("bitrate", "avg_bandwidth", "avg_current")
 _LEADING_INT = re.compile(r"([0-9]+)")
 
 
-@dataclass(frozen=True)
+@frozen
 class Combination:
     """A (device, connection, codec) measurement group."""
 
@@ -106,7 +106,7 @@ def _point_fault(bw_rel: Sequence[float], ec_rel: Sequence[float]) -> str | None
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasurementRecord:
     """One playback measurement: what was requested and what it cost.
 
@@ -138,7 +138,7 @@ class MeasurementRecord:
         return Combination(self.device, self.connection, self.codec)
 
 
-@dataclass(frozen=True)
+@frozen
 class RelativePoint:
     """Dimensionless measurement: bandwidth and consumption relative to the group.
 

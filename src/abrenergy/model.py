@@ -14,17 +14,18 @@ curve to measurements lives in ``fitting``, the one module that needs numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import frozen
 from .ladder import normalize_codec, normalize_connection
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelParams:
     """Shape ``a``, decay rate ``b`` and floor ``c`` of the consumption curve.
 
     All three must be finite and non-negative, so predicted consumption is
-    never negative and a simulated battery never charges.  ``c = 0`` is
+    never negative and a simulated battery never charges, and ``a + c``,
+    the largest consumption predicted, must be finite.  ``c = 0`` is
     allowed.
     """
 
@@ -42,6 +43,8 @@ class ModelParams:
         for name in ("a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if math.isinf(self.a + self.c):  # the largest consumption the curve predicts
+            raise ValueError(f"a + c must be finite, got a={self.a}, c={self.c}")
 
 
 def evaluate(params: ModelParams, bw_rel: float) -> float:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
+from ._frozen import frozen
 from .ladder import QualityLadder, Representation
 
 #: The intensity of each fixed mode, in the order ``--mode all`` runs them;
@@ -23,7 +23,7 @@ FIXED_GAMMAS = {"off": 1.0, "light": 1.5, "medium": 2.0, "strict": 4.0}
 _TABLE_GAMMAS = {**FIXED_GAMMAS, "adaptive": 1.0}
 
 
-@dataclass(frozen=True)
+@frozen
 class AdaptiveConfig:
     """State-of-charge thresholds splitting the adaptive mode's three bands."""
 
@@ -61,7 +61,7 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be at least 1, got {gamma}")
 
 
-@dataclass(frozen=True)
+@frozen
 class EnergyMode:
     """A request mode: a fixed intensity from ``FIXED_GAMMAS``, a custom one,
     or the adaptive schedule.
@@ -137,7 +137,7 @@ def adaptive_mode(config: AdaptiveConfig | None = None) -> EnergyMode:
     return EnergyMode("adaptive", adaptive=config)
 
 
-@dataclass(frozen=True)
+@frozen
 class PolicyDecision:
     """Outcome of one selection: the rung, the budget, and how it was met."""
 
@@ -169,9 +169,5 @@ def select(ladder: QualityLadder, bandwidth: float, gamma: float) -> PolicyDecis
     _check_gamma(gamma)
     threshold = bandwidth / gamma
     candidates = bisect_right(ladder.bitrates, threshold)  # rungs with bitrate <= threshold
-    return PolicyDecision(
-        selected=ladder[max(candidates - 1, 0)],
-        threshold=threshold,
-        candidate_set_size=candidates,
-        fallback_used=candidates == 0,
-    )
+    # the selected rung, the budget, the candidate set size and whether the lowest rung fell back
+    return PolicyDecision(ladder[max(candidates - 1, 0)], threshold, candidates, candidates == 0)

@@ -7,32 +7,29 @@ distinct bandwidth is selected and priced once, the aggregates are means
 over those values weighted by how many segments requested them, and a
 per-segment record, when one is kept, is a set of columns.
 Sessions under different modes but identical conditions are then compared
-against the energy-saving-off baseline.
+against the energy-saving-off baseline.  Writing a report to a file and
+loading it back is ``reportio``'s, which only a saved report loads.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 import operator
-import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, repeat
-from types import NoneType
+from itertools import accumulate, chain, compress, islice, repeat
 
 from ._csvio import ParseError, check_unique, float_column, read_columns
-from ._layout import SCHEMA, json_array, lay_out
+from ._frozen import frozen, replace
 from .channel import ChannelTrace
-from .ladder import QualityLadder, Representation
+from .ladder import QualityLadder
 from .model import ModelParams, evaluate
-from .policy import AdaptiveConfig, EnergyMode, PolicyDecision
+from .policy import EnergyMode
 
 #: Mean-opinion deltas below this many VMAF points are typically not noticed.
 PERCEPTIBLE_VMAF_DELTA = 6.0
@@ -42,13 +39,15 @@ QUALITY_METRICS = ("psnr", "ssim", "vmaf")
 
 COMPARISON_CSV_HEADER = "channel,mode,energy_pct,psnr,d_psnr,ssim,d_ssim,vmaf,d_vmaf"
 
-_MAX_FLOAT = sys.float_info.max
+#: Segments drained per step of a session with a battery: a piece drains at
+#: most this many segments beyond its band switch or its emptied battery.
+_DRAIN_CHUNK = 1024
 #: ``2 ** -_SUBNORMAL_BITS`` is the smallest positive float, so every finite
 #: float is an integer number of those units.
 _SUBNORMAL_BITS = 1074
 
 
-@dataclass(frozen=True)
+@frozen
 class BatteryConfig:
     """Battery drained by the session; the reference current anchors the model.
 
@@ -80,7 +79,7 @@ class BatteryConfig:
             raise ValueError(f"initial_soc must be within (0, 100], got {self.initial_soc}")
 
 
-@dataclass(frozen=True)
+@frozen
 class QualityMap:
     """Per-representation quality scores, by metric.
 
@@ -135,7 +134,7 @@ def _quality_map(line_numbers: list[int], columns: list[list[str]]) -> QualityMa
     return QualityMap(**scores)
 
 
-@dataclass(frozen=True)
+@frozen
 class SessionContext:
     """What a report was computed under; compared modes must share it."""
 
@@ -146,37 +145,13 @@ class SessionContext:
 
     @property
     def ladder_digest(self) -> str:
-        """Short sha256 of the ladder's rows as canonical JSON (sorted keys, no
-        spaces, ASCII escapes), as reports record it."""
-        rows = [_write_fields(_LADDER_FIELDS, rep) for rep in self.ladder]
-        payload = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """Short sha256 of the ladder, as reports record it (``reportio.ladder_digest``)."""
+        from .reportio import ladder_digest
+
+        return ladder_digest(self.ladder)
 
 
-@dataclass(frozen=True)
-class SegmentOutcome:
-    """One simulated segment request and its cost."""
-
-    index: int
-    bandwidth: float
-    gamma_used: float
-    decision: PolicyDecision
-    bw_rel: float
-    ec_rel: float
-    download_time: float
-    soc_after: float | None
-
-    @property
-    def selected(self) -> Representation:
-        return self.decision.selected
-
-    @property
-    def stalled(self) -> bool:
-        # bitrate above capacity means the segment cannot arrive in time
-        return self.decision.selected.bitrate > self.bandwidth
-
-
-@dataclass(frozen=True)
+@frozen
 class SegmentColumns:
     """The per-segment record of a session, one list of plain values per field.
 
@@ -200,196 +175,10 @@ class SegmentColumns:
         return len(self.bandwidth)
 
 
-_COLUMN_NAMES = tuple(f.name for f in fields(SegmentColumns))
-
-_NUMBER = (float, int)
-
-#: Each saved record as (JSON key, attribute, JSON types accepted), in file order.
-_MODE_FIELDS = (("kind", "kind", (str,)), ("gamma", "gamma", _NUMBER))
-_ADAPTIVE_FIELDS = (
-    ("high_threshold", "high_threshold", _NUMBER),
-    ("low_threshold", "low_threshold", _NUMBER),
-)
-PARAMS_FIELDS = (("a", "a", _NUMBER), ("b", "b", _NUMBER), ("c", "c", _NUMBER))
-_CONTEXT_FIELDS = (  # written after "params", which holds PARAMS_FIELDS
-    ("segment_duration_s", "segment_duration", _NUMBER),
-    ("ladder_digest", "ladder_digest", (str,)),
-    ("trace_digest", "trace_digest", (str,)),
-)
-_LADDER_FIELDS = (
-    ("name", "name", (str,)),
-    ("width", "width", (int,)),
-    ("height", "height", (int,)),
-    ("label", "label", (str,)),
-    ("bitrate_bps", "bitrate", (int,)),
-    ("codec", "codec", (str,)),
-)
-_AGGREGATE_FIELDS = (
-    ("n_segments", "n_segments", (int,)),
-    ("mean_ec_rel", "mean_ec_rel", _NUMBER),
-    ("mean_bitrate_bps", "mean_bitrate", _NUMBER),
-    ("mean_quality", "mean_quality", (dict, NoneType)),
-    ("stall_count", "stall_count", (int,)),
-    ("fallback_count", "fallback_count", (int,)),
-    ("final_soc", "final_soc", (*_NUMBER, NoneType)),
-    ("soc_depleted", "soc_depleted", (bool,)),
-)
-_START_FIELDS = (("initial_soc", "initial_soc", (*_NUMBER, NoneType)),)  # after the aggregates
-#: A saved per-segment row: the inputs the loader prices again, as (JSON key, types).
-_ROW_FIELDS = (("bandwidth_bps", _NUMBER), ("soc_after", (*_NUMBER, NoneType)))
-_ROW_KEYS = tuple(key for key, _ in _ROW_FIELDS)
-
-_CSV_HEADER = ("segment,bandwidth_bps,gamma,selected,selected_bitrate_bps,threshold_bps,"
-               "candidates,fallback,stalled,bw_rel,ec_rel,download_time_s,soc_after\n")
-#: A CSV row: its index, the cells from ``bandwidth_bps`` to ``download_time_s``
-#: (which follow from the row's bandwidth and gamma) and its charge.
-_CSV_ROW_TEMPLATE = ("", ",", ",", "\n")
-
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-                    NoneType: "null", dict: "an object", list: "an array"}  # fmt: skip
-
-
-def check_types(key: str, values: Iterable, types: tuple[type, ...]) -> None:
-    """Check that the type of each of ``values`` is in ``types``.
-
-    Types are matched exactly, so ``true`` is not an integer.
-
-    Raises:
-        ValueError: naming ``key`` and the JSON types it accepts.
-    """
-    wrong = set(map(type, values)).difference(types)
-    if wrong:
-        raise ValueError(
-            f"{key!r} must be {' or '.join(_JSON_TYPE_NAMES[t] for t in types)}, got"
-            f" {' and '.join(sorted(_JSON_TYPE_NAMES.get(t, t.__name__) for t in wrong))}"
-        )
-
-
-def read_fields(table: tuple, record: object, name: str) -> dict:
-    """The values of one saved record by attribute, each checked against its table entry.
-
-    Raises:
-        KeyError: for a key the record lacks.
-        ValueError: when the record is not a JSON object (naming ``name``),
-            or naming a key whose value has a type the table does not accept
-            or is a non-finite number.
-    """
-    check_types(name, [record], (dict,))
-    values = {}
-    for key, attr, types in table:
-        value = values[attr] = record[key]
-        check_types(key, [value], types)
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{key!r} must be finite, got {value}")
-        if type(value) is int and abs(value) > _MAX_FLOAT:
-            raise ValueError(f"{key!r} must be finite, got an integer beyond the float range")
-    return values
-
-
-def _write_fields(table: tuple, obj: object) -> dict:
-    """One record's attributes under their JSON keys, in table order."""
-    return {key: getattr(obj, attr) for key, attr, _ in table}
-
-
-def check_schema(record: object, name: str) -> None:
-    """Refuse a saved record whose ``schema`` is not the one this version writes.
-
-    Raises:
-        ValueError: when ``record`` is not a JSON object (naming ``name``), or
-            naming ``schema`` when the record lacks it or holds another value.
-    """
-    check_types(name, [record], (dict,))
-    if "schema" not in record:
-        raise ValueError(f"{name!r} has no 'schema': it predates schema {SCHEMA},"
-                         " the only one read")
-    schema = record["schema"]
-    if type(schema) is not int or schema != SCHEMA:
-        raise ValueError(f"{name!r} has 'schema' {schema!r}, but only schema {SCHEMA} is read")
-
-
 def _float_rates(ladder: QualityLadder) -> list[float]:
     """The ladder's bitrates as floats, as selection compares them with budgets;
     each is exact, since a rung's bitrate is at most ``2**53``."""
     return [float(bitrate) for bitrate in ladder.bitrates]
-
-
-def _finite_floats(key: str, values: list) -> list[float]:
-    """Saved JSON numbers as floats; ValueError naming ``key`` unless all are finite."""
-    try:
-        floats = list(map(float, values))
-    except OverflowError:
-        raise ValueError(f"{key!r} must be finite, got an integer beyond the float range") from None
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{key!r} must be finite")
-    return floats
-
-
-def _read_segments(
-    rows: object, mode: EnergyMode, context: SessionContext, n_segments: int,
-    initial_soc: float | None,
-) -> tuple[SegmentColumns, list[_Tally]]:
-    """The per-segment record of a saved report, priced again from its
-    inputs, and its tally.
-
-    A row holds exactly its ``bandwidth_bps`` and ``soc_after``.  Each
-    segment's gamma is the mode's at the charge before it, ``initial_soc``
-    for the first, and ``_price`` gives every other value.
-    """
-    check_types("per_segment", [rows], (list,))
-    check_types("per_segment row", rows, (dict,))
-    if len(rows) != n_segments:
-        raise ValueError(f"per_segment holds {len(rows)} rows, but n_segments is {n_segments}")
-    if not rows:
-        raise ValueError("per_segment must hold at least one row")
-    try:  # a row that holds every key and no more keys than there are holds no other
-        saved = [list(map(operator.itemgetter(key), rows)) for key in _ROW_KEYS]
-        exact = set(map(len, rows)) == {len(_ROW_KEYS)}
-    except KeyError:
-        exact = False
-    if not exact:
-        i, row = next((i, row) for i, row in enumerate(rows) if row.keys() != set(_ROW_KEYS))
-        missing = [key for key in _ROW_KEYS if key not in row]
-        named = (f"missing key {missing[0]!r}" if missing
-                 else f"unexpected key {next(key for key in row if key not in _ROW_KEYS)!r}")
-        raise ValueError(f"per_segment row {i}: {named}")
-    for (key, types), column in zip(_ROW_FIELDS, saved):
-        check_types(key, column, types)
-    bandwidth = _finite_floats("bandwidth_bps", saved[0])
-    if min(bandwidth) <= 0:
-        raise ValueError("'bandwidth_bps' must be positive")
-    nulls = saved[1].count(None)
-    if 0 < nulls < n_segments:
-        raise ValueError("'soc_after' mixes null and numbers")
-    if (initial_soc is None) != bool(nulls):
-        raise ValueError("'initial_soc' and 'soc_after' must both be null (no battery) or both"
-                         " hold charges")  # fmt: skip
-    soc_after = None if nulls else _finite_floats("soc_after", saved[1])
-    # the charge before each segment, and after the last
-    charges = [initial_soc] * (n_segments + 1) if soc_after is None else [initial_soc, *soc_after]
-    if soc_after is not None:  # consumption is never negative
-        rises = list(map(operator.gt, soc_after, charges))
-        if True in rises:
-            i = rises.index(True)
-            raise ValueError(f"per_segment row {i}: 'soc_after' rises from"
-                             f" {charges[i]!r} to {soc_after[i]!r}")  # fmt: skip
-        if soc_after[-1] < 0.0:
-            i = bisect_left(soc_after, True, key=lambda charge: charge < 0.0)
-            raise ValueError(f"per_segment row {i}: 'soc_after' is {soc_after[i]!r}, below 0")
-    pieces: list[SegmentColumns] = []
-    tally: list[_Tally] = []
-    start = 0
-    while start < n_segments:
-        gamma = mode.gamma_for(charges[start])
-        # the charge never rises, so once the mode asks for another gamma it keeps asking
-        end = bisect_left(charges, True, start + 1, n_segments,
-                          key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
-        run = bandwidth[start:end]
-        counts = Counter(run)
-        priced = _price(context, counts, gamma)
-        tally += _tallied(priced, counts)
-        pieces.append(_record(priced, run, gamma))
-        start = end
-    return replace(_joined(pieces), soc_after=soc_after), tally
 
 
 def _aggregates(ladder: QualityLadder, tally: list[_Tally], final_soc: float | None) -> dict:
@@ -422,14 +211,7 @@ def _provenance_comment(provenance: dict | None) -> str:
     return "# provenance: " + json.dumps(provenance, separators=(",", ":")) + "\n"
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as one cell of a ``csv.writer`` row, quoted by ``QUOTE_MINIMAL``."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
-
-
-@dataclass(frozen=True)
+@frozen
 class SessionReport:
     """Aggregates (and optionally the per-segment record) of one session.
 
@@ -455,64 +237,24 @@ class SessionReport:
         return self.context.ladder
 
     @property
-    def per_segment(self) -> tuple[SegmentOutcome, ...] | None:
-        """The per-segment record as objects, built from the columns on each access."""
-        cols = self.segments
-        if cols is None:
-            return None
-        charges = repeat(None) if cols.soc_after is None else cols.soc_after
-        return tuple(
-            SegmentOutcome(index, bw, gamma, PolicyDecision(self.ladder[rung], threshold, count,
-                           count == 0), bw_rel, ec_rel, dt, soc)
-            for index, (bw, gamma, rung, threshold, count, bw_rel, ec_rel, dt, soc) in enumerate(
-                zip(cols.bandwidth, cols.gamma, cols.rung, cols.threshold, cols.candidates,
-                    cols.bw_rel, cols.ec_rel, cols.download_time, charges)
-            )
-        )  # fmt: skip
+    def per_segment(self) -> tuple | None:
+        """The per-segment record as ``reportio.SegmentOutcome`` objects, built
+        from the columns on each access; None when the report keeps none."""
+        from .reportio import per_segment
+
+        return per_segment(self)
 
     def to_json_dict(self) -> dict:
-        segments = None
-        if self.segments is not None:
-            cols = self.segments
-            charges = [None] * len(cols) if cols.soc_after is None else cols.soc_after
-            segments = [dict(zip(_ROW_KEYS, row)) for row in zip(cols.bandwidth, charges)]
-        return self._json_dict(segments)
+        """The report as its JSON object (``reportio.to_json_dict``)."""
+        from .reportio import to_json_dict
 
-    def _json_dict(self, segments: list | None) -> dict:
-        mode = _write_fields(_MODE_FIELDS, self.mode)
-        if self.mode.adaptive is not None:
-            mode["adaptive"] = _write_fields(_ADAPTIVE_FIELDS, self.mode.adaptive)
-        return {
-            "schema": SCHEMA,
-            "mode": mode,
-            "context": {
-                "params": _write_fields(PARAMS_FIELDS, self.context.params),
-                **_write_fields(_CONTEXT_FIELDS, self.context),
-            },
-            "ladder": [_write_fields(_LADDER_FIELDS, rep) for rep in self.ladder],
-            **_write_fields(_AGGREGATE_FIELDS, self),
-            **_write_fields(_START_FIELDS, self),
-            "per_segment": segments,
-        }
+        return to_json_dict(self)
 
     def to_json(self, provenance: dict) -> str:
-        """``{"provenance": provenance, "report": to_json_dict()}`` as
-        ``json.dumps(..., indent=2)`` writes it, with a final newline.
+        """The report file's text (``reportio.to_json``)."""
+        from .reportio import to_json
 
-        Only the part outside the per-segment record goes through
-        ``json.dumps``; the record's rows are laid out from two formatted
-        columns, ``repr`` of each number as ``json.dumps`` spells it, and
-        put in place of its ``null``, the last value written.
-        """
-        payload = {"provenance": provenance, "report": self._json_dict(None)}
-        text = json.dumps(payload, indent=2) + "\n"
-        if self.segments is None:
-            return text
-        bandwidth, charges = self._input_cells
-        head, _, tail = text.rpartition("null")
-        # the record is the value of "per_segment", two levels deep
-        columns = (bandwidth, charges or ["null"] * len(bandwidth))
-        return head + json_array(_ROW_KEYS, columns, 2) + tail
+        return to_json(self, provenance)
 
     @cached_property
     def _input_cells(self) -> tuple[list[str], list[str] | None]:
@@ -523,141 +265,31 @@ class SessionReport:
         return list(map(repr, cols.bandwidth)), charges
 
     def to_csv(self, provenance: dict | None = None) -> str:
-        """The per-segment record as CSV, one row per segment.
+        """The per-segment record as CSV (``reportio.to_csv``)."""
+        from .reportio import to_csv
 
-        Booleans are written as 0/1, numbers by ``repr``, rung names as
-        ``csv.writer`` quotes them, and the charge after a segment as an
-        empty cell when no battery was simulated.  A row's cells from its
-        bandwidth to its download time follow from its bandwidth and gamma,
-        so within each run of one gamma they are formatted once per distinct
-        bandwidth, column by column, and looked up for every row.
-
-        Raises:
-            ValueError: when the report carries no per-segment record.
-        """
-        cols = self.segments
-        if cols is None:
-            raise ValueError("the report carries no per-segment record")
-        # the selected and selected_bitrate_bps cells of each rung
-        rung_cells = [f"{_csv_cell(rep.name)},{rep.bitrate}" for rep in self.ladder]
-        rates = _float_rates(self.ladder)
-        bandwidth_cells, charges = self._input_cells
-        bodies: list[str] = []
-        start = 0
-        for gamma, run in groupby(cols.gamma):
-            end = start + len(list(run))
-            bandwidth = cols.bandwidth[start:end]
-            # the last row of each distinct bandwidth stands for all of its rows
-            rows = list(dict(zip(bandwidth, range(start, end))).values())
-            bw, rung, threshold, count, bw_rel, ec_rel, download_time = (
-                list(map(column.__getitem__, rows))
-                for column in (cols.bandwidth, cols.rung, cols.threshold, cols.candidates,
-                               cols.bw_rel, cols.ec_rel, cols.download_time)
-            )  # fmt: skip
-            cells = (
-                map(bandwidth_cells.__getitem__, rows), repeat(repr(gamma)),
-                map(rung_cells.__getitem__, rung),
-                map(repr, threshold), map(repr, count),
-                map(("1", "0").__getitem__, map(bool, count)),
-                map(("0", "1").__getitem__, map(operator.gt, map(rates.__getitem__, rung), bw)),
-                map(repr, bw_rel), map(repr, ec_rel), map(repr, download_time),
-            )  # fmt: skip
-            joined = map(",".join, zip(*cells))
-            if len(rows) < len(bandwidth):  # else each row has its own bandwidth, in order
-                joined = map(dict(zip(bw, joined)).__getitem__, bandwidth)
-            bodies += joined
-            start = end
-        charges = repeat("") if charges is None else charges
-        rows_text = lay_out((map(str, range(len(cols))), bodies, charges), _CSV_ROW_TEMPLATE)
-        return _provenance_comment(provenance) + _CSV_HEADER + rows_text
+        return to_csv(self, provenance)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SessionReport":
-        """Rebuild a report from ``to_json_dict`` output, checking every value.
+    def from_json_dict(cls, data: dict) -> SessionReport:
+        """A report rebuilt from its JSON object and checked
+        (``reportio.from_json_dict``)."""
+        from .reportio import from_json_dict
 
-        The report must carry its per-segment record, as a single-mode
-        ``simulate`` always writes it: the record is priced again from its
-        inputs, and the aggregates are checked against it.
-
-        Raises:
-            ValueError: naming ``schema`` when it is missing or is not
-                ``SCHEMA``; naming the first missing key (``per_segment`` and
-                an adaptive mode's thresholds included) or the key of a value
-                whose JSON type its field does not accept (a null
-                ``per_segment`` among them) or that is not finite; on a
-                ``mean_quality`` other than null or psnr, ssim and vmaf
-                scores; on an ``initial_soc`` outside (0, 100]; on a
-                per-segment record that is empty, whose length is not
-                ``n_segments``, one of whose rows holds other keys than
-                ``bandwidth_bps`` and ``soc_after`` (naming the row and the
-                key), whose bandwidths are not positive, whose charges are
-                null where ``initial_soc`` is not (or the other way round),
-                or whose charge rises from ``initial_soc`` or from one row to
-                the next or falls below 0 (naming the row); when
-                ``ladder_digest`` is not the saved ladder's; naming an
-                aggregate that differs from the one the per-segment record
-                gives; or for a field its type rejects (for example a mode
-                whose gamma contradicts its kind).
-        """
-        try:
-            check_schema(data, "report")
-            aggregates = read_fields(_AGGREGATE_FIELDS, data, "report")
-            quality = aggregates["mean_quality"]
-            if quality is not None:
-                if not quality or not set(quality).issubset(QUALITY_METRICS):
-                    raise ValueError("'mean_quality' must be null or hold scores among psnr, ssim"
-                                     f" and vmaf, got keys {sorted(quality)}")  # fmt: skip
-                read_fields(tuple((m, m, _NUMBER) for m in quality), quality, "mean_quality")
-            mode = EnergyMode(**read_fields(_MODE_FIELDS, data["mode"], "mode"))
-            # the writer saves thresholds exactly when the mode has them
-            if mode.adaptive is not None or "adaptive" in data["mode"]:
-                thresholds = read_fields(_ADAPTIVE_FIELDS, data["mode"]["adaptive"], "adaptive")
-                mode = EnergyMode(mode.kind, mode.gamma, AdaptiveConfig(**thresholds))
-            context = read_fields(_CONTEXT_FIELDS, data["context"], "context")
-            params = read_fields(PARAMS_FIELDS, data["context"]["params"], "params")
-            check_types("ladder", [data["ladder"]], (list,))
-            ladder = QualityLadder(
-                tuple(
-                    Representation(**read_fields(_LADDER_FIELDS, row, "ladder row"))
-                    for row in data["ladder"]
-                )
-            )
-            digest = context.pop("ladder_digest")
-            context = SessionContext(params=ModelParams(**params), ladder=ladder, **context)
-            if digest != context.ladder_digest:
-                raise ValueError(
-                    f"'ladder_digest' is {digest!r}, but the ladder gives {context.ladder_digest!r}"
-                )
-            initial_soc = read_fields(_START_FIELDS, data, "report")["initial_soc"]
-            if initial_soc is not None:
-                initial_soc = float(initial_soc)
-                if not 0.0 < initial_soc <= 100.0:
-                    raise ValueError(f"'initial_soc' must be within (0, 100], got {initial_soc}")
-            segments, tally = _read_segments(data["per_segment"], mode, context,
-                                             aggregates["n_segments"], initial_soc)  # fmt: skip
-            final_soc = None if segments.soc_after is None else segments.soc_after[-1]
-            derived = _aggregates(ladder, tally, final_soc)
-            for key, attr, _ in _AGGREGATE_FIELDS:
-                if attr in derived and aggregates[attr] != derived[attr]:
-                    raise ValueError(
-                        f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
-                        f" gives {derived[attr]!r}"
-                    )
-            return cls(mode=mode, context=context, initial_soc=initial_soc, segments=segments,
-                       **aggregates)  # fmt: skip
-        except KeyError as exc:
-            raise ValueError(f"report is missing key {exc}") from None
+        return from_json_dict(data)
 
 
 def _tally_mean(values: Sequence[float], counts: Sequence[int]) -> float:
-    """The mean of ``values``, each repeated its count of times, in time
-    linear in the number of values and in the bits of the largest count.
+    """The mean of ``values``, each repeated its count of times, in one pass
+    over the values and one ``map`` per set bit of each distinct count.
 
     ``value * count`` is exactly the sum of ``ldexp(value, k)`` over the set
     bits ``k`` of ``count``, so ``math.fsum`` over those multiples sums the
     same exact total as over the expanded column.  It rounds that total
     correctly, whatever the order of its terms, so the mean equals
-    ``statistics.fmean``'s over the column bit for bit.
+    ``statistics.fmean``'s over the column bit for bit.  The values are
+    grouped by count first, so that each group's multiples by one bit are
+    a single ``map``.
 
     Where a multiple or a partial sum leaves the float range, finite values
     are summed exactly as integers, in units of the smallest subnormal.  The
@@ -666,10 +298,11 @@ def _tally_mean(values: Sequence[float], counts: Sequence[int]) -> float:
     is the correctly rounded mean, which is finite.
     """
     n = sum(counts)
-    multiples = []
-    for k in range(max(counts).bit_length()):
-        with_bit = compress(values, map((1 << k).__and__, counts))
-        multiples.append(map(math.ldexp, with_bit, repeat(k)))
+    by_count = defaultdict(list)
+    for value, count in zip(values, counts):
+        by_count[count].append(value)
+    multiples = [map(math.ldexp, group, repeat(k)) for count, group in by_count.items()
+                 for k in range(count.bit_length()) if count >> k & 1]  # fmt: skip
     try:
         total = math.fsum(chain.from_iterable(multiples))
     except OverflowError:
@@ -722,7 +355,8 @@ def run_session(
     trace's ``counts``, which are counted once per trace; a shorter piece
     counts its own segments, once.  The aggregates follow from those counts
     (``_tally_mean``), and only the battery drain and the kept per-segment
-    record are computed segment by segment.  Every value equals the
+    record are computed segment by segment; the drain stops within
+    ``_DRAIN_CHUNK`` segments of the piece's end.  Every value equals the
     segment-by-segment computation bit for bit.
 
     Args:
@@ -756,16 +390,23 @@ def run_session(
         gamma = mode.gamma_for(soc)
         # every distinct bandwidth of the trace: a superset of the piece's
         priced = _price(context, trace.counts, gamma)
-        remainder = trace.bandwidths[played:]
-        end = len(remainder)
+        end = len(trace) - played
         soc_after = None
         if battery is not None:
             scale = 100.0 * battery.reference_current_ma
             drain = {bw: scale * ec * context.segment_duration / 3600.0 / battery.capacity_mah
                      for bw, (*_, ec, _) in priced.items()}  # fmt: skip
-            # the same sequential subtractions as soc -= drain, segment by segment
-            soc_after = list(accumulate(map(drain.__getitem__, remainder), operator.sub,
-                                        initial=soc))[1:]  # fmt: skip
+            # the same sequential subtractions as soc -= drain, segment by
+            # segment, a chunk at a time up to the chunk after which the
+            # battery is empty or the mode asks for another intensity
+            soc_after = []
+            charge = soc
+            while len(soc_after) < end and charge > 0.0 and mode.gamma_for(charge) == gamma:
+                start = played + len(soc_after)
+                costs = map(drain.__getitem__, trace.bandwidths[start : start + _DRAIN_CHUNK])
+                soc_after += islice(accumulate(costs, operator.sub, initial=charge), 1, None)
+                charge = soc_after[-1]
+            end = len(soc_after)
             # SoC never rises, so the charges at or below zero come last
             empty = bisect_left(soc_after, True, key=lambda charge: charge <= 0.0)
             if empty < end:
@@ -783,7 +424,7 @@ def run_session(
                 soc_after[-1] = 0.0
             soc = soc_after[-1]
         # the piece ends here, so only its own segments are counted
-        piece = remainder[:end]
+        piece = trace.bandwidths[played : played + end]
         counts = trace.counts if end == len(trace) else Counter(piece)
         tally += _tallied(priced, counts)
         if include_segments:
@@ -859,7 +500,8 @@ def _joined(pieces: list[SegmentColumns]) -> SegmentColumns:
     """The records of consecutive pieces as one."""
     if len(pieces) == 1:
         return pieces[0]
-    columns = {name: None if getattr(pieces[0], name) is None else [] for name in _COLUMN_NAMES}
+    first = pieces[0]
+    columns = {name: None if getattr(first, name) is None else [] for name in first._fields}
     for piece in pieces:
         for name, column in columns.items():
             if column is not None:
@@ -867,7 +509,7 @@ def _joined(pieces: list[SegmentColumns]) -> SegmentColumns:
     return SegmentColumns(**columns)
 
 
-@dataclass(frozen=True)
+@frozen
 class ComparisonRow:
     """One mode's standing against the baseline."""
 
@@ -889,7 +531,7 @@ class ComparisonRow:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class ComparisonTable:
     """Baseline-first rows of energy and quality standings for one channel."""
 
@@ -925,6 +567,27 @@ def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[st
     return _mean_scores(report.ladder, list(rung_counts), list(rung_counts.values()), quality)
 
 
+def _energy_pct(report: SessionReport, baseline: SessionReport) -> float:
+    """``report``'s mean consumption as a percentage of the baseline's:
+    ``(100.0 * mean) / base`` where that is finite, and else, where only
+    the product overflows, the correctly rounded quotient.
+
+    Raises:
+        ValueError: naming the mode and ``energy_pct`` when the quotient is
+            beyond the float range.
+    """
+    mean, base = report.mean_ec_rel, baseline.mean_ec_rel
+    pct = 100.0 * mean / base
+    if math.isfinite(pct):
+        return pct
+    (p, q), (r, s) = mean.as_integer_ratio(), base.as_integer_ratio()
+    try:
+        return 100 * p * s / (q * r)  # a quotient of integers is correctly rounded
+    except OverflowError:
+        raise ValueError(f"{report.mode.label}: energy_pct, 100 * {mean!r} / {base!r},"
+                         " is beyond the float range") from None  # fmt: skip
+
+
 def compare(
     baseline: SessionReport,
     others: list[SessionReport],
@@ -942,7 +605,9 @@ def compare(
     Raises:
         ValueError: when any report ran under a different session context
             than the baseline, or when ``quality`` is given and a report
-            carries no per-segment record.
+            carries no per-segment record; naming the mode and the field
+            when an ``energy_pct`` or a quality delta is beyond the float
+            range.
     """
     for report in others:
         if report.context != baseline.context:
@@ -971,11 +636,16 @@ def compare(
             for metric in base_quality
             if metric in mode_quality
         }
+        for metric, delta in deltas.items():
+            if math.isinf(delta):  # a difference of finite means rounds beyond the float range
+                raise ValueError(f"{report.mode.label}: quality_delta {metric!r},"
+                                 f" {base_quality[metric]!r} - {mode_quality[metric]!r},"
+                                 " is beyond the float range")  # fmt: skip
         rows.append(
             ComparisonRow(
                 channel=channel,
                 mode_label=report.mode.label,
-                energy_pct=100.0 * report.mean_ec_rel / baseline.mean_ec_rel,
+                energy_pct=_energy_pct(report, baseline),
                 quality=mode_quality,
                 quality_delta=deltas,
                 perceptible=deltas.get("vmaf", 0.0) > PERCEPTIBLE_VMAF_DELTA,

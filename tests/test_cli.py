@@ -813,6 +813,36 @@ class TestErrorPaths:
         report = loaded_report(out)
         assert report.mean_ec_rel == 1e308 and report.mean_bitrate == 5e6
 
+    def test_energy_pct_whose_product_overflows_is_finite(self, tmp_path):
+        # 100.0 * mean_ec_rel overflows in every mode; each mean equals the baseline's
+        ladder = tmp_path / "ladder.csv"
+        ladder.write_text("name,width,height,label,bitrate_bps,codec\n"
+                          "low,426,240,240p,650000,HEVC\nhigh,1920,1080,1080p,5000000,HEVC\n")
+        out = tmp_path / "all.json"
+        assert main(["simulate", "--ladder", str(ladder), "--channel", "constant:22M",
+                     "--segments", "2", "--mode", "all", "--params", "a=1e308,b=0,c=0",
+                     "--output", str(out)]) == 0
+        rows = json.loads(out.read_text())["comparison"]["rows"]
+        assert [row["energy_pct"] for row in rows] == [100.0] * 4
+
+    def test_quality_delta_beyond_the_float_range_exits_two(self, tmp_path, capsys):
+        ladder, scores = tmp_path / "ladder.csv", tmp_path / "quality.csv"
+        ladder.write_text("name,width,height,label,bitrate_bps,codec\n"
+                          "low,426,240,240p,650000,HEVC\nhigh,1920,1080,1080p,5000000,HEVC\n")
+        scores.write_text("name,psnr,ssim,vmaf\nlow,,,-1.7e308\nhigh,,,1.7e308\n")
+        out = tmp_path / "all.json"
+        assert main(["simulate", "--ladder", str(ladder), "--channel", "random:seed=1",
+                     "--segments", "60", "--mode", "all", "--params", "overall",
+                     "--quality", str(scores), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: strict: quality_delta 'vmaf',")
+        assert not out.exists()
+
+    def test_consumption_beyond_the_float_range_exits_two(self, ladder_file, capsys):
+        # a + c overflows, so every segment's ec_rel and the mean would be infinite
+        assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                     "--segments", "2", "--mode", "all", "--params", "a=1e308,b=0,c=1e308"]) == 2
+        assert capsys.readouterr().err == "error: a + c must be finite, got a=1e+308, c=1e+308\n"
+
     @pytest.mark.parametrize("bitrate", [int(1e308), 10**309])
     def test_a_rung_beyond_2_to_the_53_exits_two(self, tmp_path, capsys, bitrate):
         # a lone rung that every segment falls back to: its mean bitrate once

@@ -1,11 +1,12 @@
 """Each subcommand imports only the modules it computes with.
 
 ``normalize`` needs neither numpy nor the model, ``fit`` needs no
-simulator, ``simulate`` and ``compare`` no measurement code, and only
-``fit`` needs numpy; the package loads its
-public names on first access, so the modules a command never touches stay
-unloaded.  Each command runs in a fresh interpreter, which then reports the
-modules it loaded.
+simulator, ``simulate`` and ``compare`` no measurement code, only ``fit``
+needs numpy, and only a command that writes or reads a saved report needs
+its I/O; the package loads its public names on first access, so the
+modules a command never touches stay unloaded.  No command but ``fit``
+loads ``dataclasses`` or the ``inspect`` module it pulls in.  Each command
+runs in a fresh interpreter, which then reports the modules it loaded.
 """
 
 from __future__ import annotations
@@ -70,3 +71,24 @@ def test_only_fit_loads_numpy(tmp_path):
         assert {"abrenergy.channel", "abrenergy.model", "abrenergy.simulator"} <= loaded[command]
         # the preset labels share the measurement vocabulary, but not its module
         assert loaded[command] & {"abrenergy.fitting", "abrenergy.measurements"} == set()
+
+
+def test_only_fit_loads_dataclasses_and_only_saved_reports_load_their_io(tmp_path):
+    (tmp_path / "ladder.csv").write_text(STOCK_LADDER_CSV)
+    simulate = ("simulate", "--ladder", "ladder.csv", "--channel", "constant:22M", "--segments",
+                "5", "--params", "overall", "--battery-capacity-mah", "1000",
+                "--reference-current-ma", "300")  # fmt: skip
+    loaded = {
+        "off": loaded_modules(tmp_path, *simulate, "--mode", "off", "--output", "off.json"),
+        "all": loaded_modules(tmp_path, *simulate, "--mode", "all", "--output", "all.json"),
+        "compare": loaded_modules(tmp_path, "compare", "--baseline", "off.json", "--candidate",
+                                  "off.json", "--output", "c.json"),
+        "normalize": loaded_modules(tmp_path, "normalize", "--input", str(MEASUREMENTS),
+                                    "--output", "n.json"),
+    }  # fmt: skip
+    for command, modules in loaded.items():
+        assert modules & {"dataclasses", "inspect"} == set(), command
+    # the guard below must see the module where a command does load it
+    assert "abrenergy.reportio" in loaded["off"] and "abrenergy.reportio" in loaded["compare"]
+    assert "abrenergy.reportio" not in loaded["all"]
+    assert "abrenergy.simulator" in loaded["all"]

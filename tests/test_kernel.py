@@ -14,7 +14,6 @@ import io
 import json
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, groupby, repeat
 
@@ -37,6 +36,7 @@ from abrenergy import (
     random_blocks,
     run_session,
 )
+from abrenergy._frozen import replace
 from abrenergy.simulator import _tally_mean
 from scalar_session import scalar_session
 

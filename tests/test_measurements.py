@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +26,9 @@ from abrenergy import (
 )
 
 HEADER = "device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma\n"
+
+#: A record's fields, in order.
+astuple = attrgetter(*MeasurementRecord._fields)
 
 
 def rec(device="phone", connection="WIFI", codec="HEVC", resolution="240p",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 
 import pytest
 
@@ -27,6 +28,8 @@ from abrenergy import (
     staircase,
     strict_mode,
 )
+from abrenergy._frozen import replace
+from abrenergy.simulator import _DRAIN_CHUNK
 
 EC_AT_1_1 = 1.5480077598007158  # pooled params at bw_rel = 22/20
 EC_AT_4_4 = 1.058685310416065  # pooled params at bw_rel = 22/5
@@ -131,6 +134,22 @@ class TestAdaptive:
             assert outcome.gamma_used == adaptive_gamma(before)
         assert {o.gamma_used for o in report.per_segment} == {1.5, 2.0, 4.0}
 
+    def test_each_band_drains_little_beyond_its_end(self, ladder, overall, monkeypatch):
+        # the battery lasts the trace, and each band ends mid-chunk
+        trace = random_blocks([1e6, 4e6, 22e6], 25_000, seed=1)
+        battery = BatteryConfig(capacity_mah=20_000.0, reference_current_ma=300.0)
+        subtractions = []
+
+        def sub(charge: float, drain: float) -> float:
+            subtractions.append(drain)
+            return charge - drain
+
+        monkeypatch.setattr(operator, "sub", sub)
+        report = run_session(ladder, trace, adaptive_mode(), overall, battery=battery)
+        assert {o.gamma_used for o in report.per_segment} == {1.5, 2.0, 4.0}
+        assert report.n_segments == 25_000
+        assert 25_000 < len(subtractions) <= 25_000 + 2 * _DRAIN_CHUNK
+
 
 class TestQuality:
     def test_means_computed_when_scores_supplied(self, ladder, overall):
@@ -206,6 +225,30 @@ class TestCompare:
         direct = compare(with_scores[0], with_scores[1:], channel="c")
         for late, early in zip(table.rows, direct.rows):
             assert late.quality == pytest.approx(early.quality)
+
+    @pytest.mark.parametrize("base, mean, expected", [
+        (1.0, 2.0, 200.0),  # (100.0 * mean) / base, as every finite result is computed
+        (1e306, 1e307, 1000.0),  # 100.0 * mean overflows; the quotient is the exact one
+        (1e-300, 1e10, None),  # the quotient itself is beyond the float range
+    ])  # fmt: skip
+    def test_energy_pct_is_finite_or_refused(self, ladder, overall, base, mean, expected):
+        baseline, strict = self.run_modes(ladder, overall, constant(22e6, 5))[::3]
+        baseline, strict = replace(baseline, mean_ec_rel=base), replace(strict, mean_ec_rel=mean)
+        if expected is None:
+            with pytest.raises(ValueError, match=r"^strict: energy_pct, 100 \* 10000000000.0 /"
+                                                 r" 1e-300, is beyond the float range$"):
+                compare(baseline, [strict])
+        else:
+            assert compare(baseline, [strict]).rows[1].energy_pct == expected
+
+    def test_quality_delta_beyond_the_float_range_is_refused(self, ladder, overall):
+        names = [rep.name for rep in ladder]
+        # strict plays 1080p at 22 Mbps, every other mode a higher rung
+        qmap = QualityMap(vmaf={n: -1.7e308 if i < 6 else 1.7e308 for i, n in enumerate(names)})
+        reports = self.run_modes(ladder, overall, constant(22e6, 5), quality=qmap)
+        with pytest.raises(ValueError, match=r"^strict: quality_delta 'vmaf', 1.7e\+308 -"
+                                             r" -1.7e\+308, is beyond the float range$"):
+            compare(reports[0], reports[1:])
 
     def test_mismatched_contexts_rejected(self, ladder, overall):
         base = run_session(ladder, constant(22e6, 60), off_mode(), overall)

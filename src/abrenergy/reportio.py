@@ -18,12 +18,11 @@ import math
 import operator
 import sys
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterable
-from itertools import groupby, repeat
+from itertools import chain, repeat
 from types import NoneType
 
-from ._frozen import frozen, replace
+from ._frozen import frozen
 from ._layout import SCHEMA, json_array, lay_out
 from .ladder import QualityLadder, Representation
 from .model import ModelParams
@@ -35,12 +34,9 @@ from .simulator import (
     SessionReport,
     _aggregates,
     _float_rates,
-    _joined,
-    _price,
+    _gamma_runs,
     _provenance_comment,
-    _record,
-    _Tally,
-    _tallied,
+    _record_tally,
 )
 
 
@@ -192,17 +188,9 @@ def _finite_floats(key: str, values: list) -> list[float]:
     return floats
 
 
-def _read_segments(
-    rows: object, mode: EnergyMode, context: SessionContext, n_segments: int,
-    initial_soc: float | None,
-) -> tuple[SegmentColumns, list[_Tally]]:
-    """The per-segment record of a saved report, priced again from its
-    inputs, and its tally.
-
-    A row holds exactly its ``bandwidth_bps`` and ``soc_after``.  Each
-    segment's gamma is the mode's at the charge before it, ``initial_soc``
-    for the first, and ``_price`` gives every other value.
-    """
+def _read_segments(rows: object, n_segments: int, initial_soc: float | None) -> SegmentColumns:
+    """The per-segment record of a saved report: each row holds exactly its
+    ``bandwidth_bps`` and ``soc_after``."""
     check_types("per_segment", [rows], (list,))
     check_types("per_segment row", rows, (dict,))
     if len(rows) != n_segments:
@@ -232,9 +220,8 @@ def _read_segments(
         raise ValueError("'initial_soc' and 'soc_after' must both be null (no battery) or both"
                          " hold charges")  # fmt: skip
     soc_after = None if nulls else _finite_floats("soc_after", saved[1])
-    # the charge before each segment, and after the last
-    charges = [initial_soc] * (n_segments + 1) if soc_after is None else [initial_soc, *soc_after]
     if soc_after is not None:  # consumption is never negative
+        charges = [initial_soc, *soc_after]  # before each segment, and after the last
         rises = list(map(operator.gt, soc_after, charges))
         if True in rises:
             i = rises.index(True)
@@ -243,21 +230,7 @@ def _read_segments(
         if soc_after[-1] < 0.0:
             i = bisect_left(soc_after, True, key=lambda charge: charge < 0.0)
             raise ValueError(f"per_segment row {i}: 'soc_after' is {soc_after[i]!r}, below 0")
-    pieces: list[SegmentColumns] = []
-    tally: list[_Tally] = []
-    start = 0
-    while start < n_segments:
-        gamma = mode.gamma_for(charges[start])
-        # the charge never rises, so once the mode asks for another gamma it keeps asking
-        end = bisect_left(charges, True, start + 1, n_segments,
-                          key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
-        run = bandwidth[start:end]
-        counts = Counter(run)
-        priced = _price(context, counts, gamma)
-        tally += _tallied(priced, counts)
-        pieces.append(_record(priced, run, gamma))
-        start = end
-    return replace(_joined(pieces), soc_after=soc_after), tally
+    return SegmentColumns(bandwidth, soc_after)
 
 
 def _csv_cell(text: str) -> str:
@@ -268,17 +241,22 @@ def _csv_cell(text: str) -> str:
 
 
 def per_segment(report: SessionReport) -> tuple[SegmentOutcome, ...] | None:
-    """The report's per-segment record as objects, None when it keeps none."""
+    """The report's per-segment record as objects, priced again from its
+    inputs (``_gamma_runs``); None when it keeps none."""
     cols = report.segments
     if cols is None:
         return None
+    # (gamma, priced row) of each segment
+    priced = chain.from_iterable(
+        zip(repeat(gamma), map(rows.__getitem__, cols.bandwidth[start:end]))
+        for start, end, gamma, _, rows in _gamma_runs(report)
+    )
     charges = repeat(None) if cols.soc_after is None else cols.soc_after
     return tuple(
         SegmentOutcome(index, bw, gamma, PolicyDecision(report.ladder[rung], threshold, count,
                        count == 0), bw_rel, ec_rel, dt, soc)
-        for index, (bw, gamma, rung, threshold, count, bw_rel, ec_rel, dt, soc) in enumerate(
-            zip(cols.bandwidth, cols.gamma, cols.rung, cols.threshold, cols.candidates,
-                cols.bw_rel, cols.ec_rel, cols.download_time, charges)
+        for index, (bw, (gamma, (threshold, count, rung, bw_rel, ec_rel, dt)), soc) in enumerate(
+            zip(cols.bandwidth, priced, charges)
         )
     )  # fmt: skip
 
@@ -339,8 +317,9 @@ def to_csv(report: SessionReport, provenance: dict | None = None) -> str:
     ``csv.writer`` quotes them, and the charge after a segment as an
     empty cell when no battery was simulated.  A row's cells from its
     bandwidth to its download time follow from its bandwidth and gamma,
-    so within each run of one gamma they are formatted once per distinct
-    bandwidth, column by column, and looked up for every row.
+    so within each run of one gamma (``_gamma_runs``) they are formatted
+    once per distinct bandwidth, column by column, and looked up for every
+    row.
 
     Raises:
         ValueError: when the report carries no per-segment record.
@@ -353,19 +332,12 @@ def to_csv(report: SessionReport, provenance: dict | None = None) -> str:
     rates = _float_rates(report.ladder)
     bandwidth_cells, charges = report._input_cells
     bodies: list[str] = []
-    start = 0
-    for gamma, run in groupby(cols.gamma):
-        end = start + len(list(run))
-        bandwidth = cols.bandwidth[start:end]
-        # the last row of each distinct bandwidth stands for all of its rows
-        rows = list(dict(zip(bandwidth, range(start, end))).values())
-        bw, rung, threshold, count, bw_rel, ec_rel, download_time = (
-            list(map(column.__getitem__, rows))
-            for column in (cols.bandwidth, cols.rung, cols.threshold, cols.candidates,
-                           cols.bw_rel, cols.ec_rel, cols.download_time)
-        )  # fmt: skip
+    for start, end, gamma, _, priced in _gamma_runs(report):
+        bw = list(priced)
+        threshold, count, rung, bw_rel, ec_rel, download_time = zip(*priced.values())
+        repeated = len(bw) < end - start  # else each row has its own bandwidth, in order
         cells = (
-            map(bandwidth_cells.__getitem__, rows), repeat(repr(gamma)),
+            map(repr, bw) if repeated else bandwidth_cells[start:end], repeat(repr(gamma)),
             map(rung_cells.__getitem__, rung),
             map(repr, threshold), map(repr, count),
             map(("1", "0").__getitem__, map(bool, count)),
@@ -373,10 +345,9 @@ def to_csv(report: SessionReport, provenance: dict | None = None) -> str:
             map(repr, bw_rel), map(repr, ec_rel), map(repr, download_time),
         )  # fmt: skip
         joined = map(",".join, zip(*cells))
-        if len(rows) < len(bandwidth):  # else each row has its own bandwidth, in order
-            joined = map(dict(zip(bw, joined)).__getitem__, bandwidth)
+        if repeated:
+            joined = map(dict(zip(bw, joined)).__getitem__, cols.bandwidth[start:end])
         bodies += joined
-        start = end
     charges = repeat("") if charges is None else charges
     rows_text = lay_out((map(str, range(len(cols))), bodies, charges), _CSV_ROW_TEMPLATE)
     return _provenance_comment(provenance) + _CSV_HEADER + rows_text
@@ -406,7 +377,8 @@ def from_json_dict(data: dict) -> SessionReport:
             the next or falls below 0 (naming the row); when
             ``ladder_digest`` is not the saved ladder's; naming an
             aggregate that differs from the one the per-segment record
-            gives; or for a field its type rejects (for example a mode
+            gives; naming a bandwidth whose download time is beyond the
+            float range; or for a field its type rejects (for example a mode
             whose gamma contradicts its kind).
     """
     try:
@@ -443,17 +415,18 @@ def from_json_dict(data: dict) -> SessionReport:
             initial_soc = float(initial_soc)
             if not 0.0 < initial_soc <= 100.0:
                 raise ValueError(f"'initial_soc' must be within (0, 100], got {initial_soc}")
-        segments, tally = _read_segments(data["per_segment"], mode, context,
-                                         aggregates["n_segments"], initial_soc)  # fmt: skip
+        segments = _read_segments(data["per_segment"], aggregates["n_segments"], initial_soc)
+        report = SessionReport(mode=mode, context=context, initial_soc=initial_soc,
+                               segments=segments, **aggregates)  # fmt: skip
         final_soc = None if segments.soc_after is None else segments.soc_after[-1]
-        derived = _aggregates(ladder, tally, final_soc)
+        # the record priced again (``_gamma_runs``) must give the saved aggregates
+        derived = _aggregates(ladder, _record_tally(report), final_soc)
         for key, attr, _ in _AGGREGATE_FIELDS:
             if attr in derived and aggregates[attr] != derived[attr]:
                 raise ValueError(
                     f"{key!r} is {aggregates[attr]!r}, but the per-segment record"
                     f" gives {derived[attr]!r}"
                 )
-        return SessionReport(mode=mode, context=context, initial_soc=initial_soc,
-                             segments=segments, **aggregates)  # fmt: skip
+        return report
     except KeyError as exc:
         raise ValueError(f"report is missing key {exc}") from None

@@ -4,10 +4,12 @@ One session applies the request policy to every segment of a bandwidth
 trace, prices each download with the consumption model, and optionally
 drains a battery.  It is computed with the standard library alone: each
 distinct bandwidth is selected and priced once, the aggregates are means
-over those values weighted by how many segments requested them, and a
-per-segment record, when one is kept, is a set of columns.
-Sessions under different modes but identical conditions are then compared
-against the energy-saving-off baseline.  Writing a report to a file and
+over those values weighted by how many segments requested them.  A
+per-segment record, when one is kept, holds only each segment's inputs, its
+bandwidth and the charge after it; ``_gamma_runs`` prices it again wherever
+a writer or ``compare`` reads the rest.  Sessions under different modes but
+identical conditions are then compared against the energy-saving-off
+baseline.  Writing a report to a file and
 loading it back is ``reportio``'s, which only a saved report loads.
 """
 
@@ -20,12 +22,12 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 
 from ._csvio import ParseError, check_unique, float_column, read_columns
-from ._frozen import frozen, replace
+from ._frozen import frozen
 from .channel import ChannelTrace
 from .ladder import QualityLadder
 from .model import ModelParams, evaluate
@@ -153,22 +155,16 @@ class SessionContext:
 
 @frozen
 class SegmentColumns:
-    """The per-segment record of a session, one list of plain values per field.
+    """The per-segment record of a session: each segment's inputs, one list
+    of plain values per field, as a saved report holds them.
 
-    ``rung`` indexes the report's ladder and ``candidates`` counts the rungs
-    that fit the budget (0 means the lowest rung was a fallback).
-    ``soc_after`` is None when no battery was simulated.  Whether a segment
-    fell back or stalled follows from these columns and the ladder.
+    ``soc_after`` is None when no battery was simulated.  Each segment's
+    gamma follows from the mode and the charge before it, and its rung,
+    budget, candidate count, consumption and download time from its
+    bandwidth and that gamma (``_gamma_runs``).
     """
 
     bandwidth: list[float]
-    gamma: list[float]
-    rung: list[int]
-    threshold: list[float]
-    candidates: list[int]
-    bw_rel: list[float]
-    ec_rel: list[float]
-    download_time: list[float]
     soc_after: list[float] | None
 
     def __len__(self) -> int:
@@ -239,7 +235,8 @@ class SessionReport:
     @property
     def per_segment(self) -> tuple | None:
         """The per-segment record as ``reportio.SegmentOutcome`` objects, built
-        from the columns on each access; None when the report keeps none."""
+        from the record priced again on each access; None when the report
+        keeps none."""
         from .reportio import per_segment
 
         return per_segment(self)
@@ -318,12 +315,16 @@ def _tally_mean(values: Sequence[float], counts: Sequence[int]) -> float:
 
 
 def _mean_scores(
-    ladder: QualityLadder, rungs: Sequence[int], counts: Sequence[int], quality: QualityMap
+    ladder: QualityLadder, tally: list[_Tally], quality: QualityMap
 ) -> dict[str, float]:
-    """Each scored metric's mean over the segments, given as rungs each
-    played by its count of segments."""
+    """Each scored metric's mean over the segments of a tally, from its
+    segments per rung."""
+    per_rung = Counter()
+    for _, row, count in tally:
+        per_rung[row[2]] += count
     return {
-        metric: _tally_mean([float(scores[ladder[rung].name]) for rung in rungs], counts)
+        metric: _tally_mean([float(scores[ladder[rung].name]) for rung in per_rung],
+                            list(per_rung.values()))  # fmt: skip
         for metric, scores in quality.metrics().items()
     }
 
@@ -354,10 +355,11 @@ def run_session(
     the whole trace takes its segments per distinct bandwidth from the
     trace's ``counts``, which are counted once per trace; a shorter piece
     counts its own segments, once.  The aggregates follow from those counts
-    (``_tally_mean``), and only the battery drain and the kept per-segment
-    record are computed segment by segment; the drain stops within
-    ``_DRAIN_CHUNK`` segments of the piece's end.  Every value equals the
-    segment-by-segment computation bit for bit.
+    (``_tally_mean``), and only the battery drain is computed segment by
+    segment; it stops within ``_DRAIN_CHUNK`` segments of the piece's end.
+    Every value equals the segment-by-segment computation bit for bit.  A
+    kept per-segment record is the part of the trace played and, with a
+    battery, the charges.
 
     Args:
         ladder: requestable representations.
@@ -382,7 +384,7 @@ def run_session(
 
     context = SessionContext(params, trace.period_duration, ladder, trace.digest)
     soc = battery.initial_soc if battery is not None else None
-    pieces: list[SegmentColumns] = []
+    kept = [] if include_segments and battery is not None else None
     tally: list[_Tally] = []
     played = 0
     depleted = False
@@ -391,7 +393,6 @@ def run_session(
         # every distinct bandwidth of the trace: a superset of the piece's
         priced = _price(context, trace.counts, gamma)
         end = len(trace) - played
-        soc_after = None
         if battery is not None:
             scale = 100.0 * battery.reference_current_ma
             drain = {bw: scale * ec * context.segment_duration / 3600.0 / battery.capacity_mah
@@ -423,24 +424,23 @@ def run_session(
             if depleted:
                 soc_after[-1] = 0.0
             soc = soc_after[-1]
+            if kept is not None:
+                kept += soc_after
         # the piece ends here, so only its own segments are counted
         piece = trace.bandwidths[played : played + end]
         counts = trace.counts if end == len(trace) else Counter(piece)
         tally += _tallied(priced, counts)
-        if include_segments:
-            pieces.append(replace(_record(priced, piece, gamma), soc_after=soc_after))
         played += end
 
-    mean_quality = None
-    if quality is not None:
-        rungs = [row[2] for _, row, _ in tally]
-        mean_quality = _mean_scores(ladder, rungs, [count for *_, count in tally], quality)
+    segments = None
+    if include_segments:
+        segments = SegmentColumns(list(trace.bandwidths[:played]), kept)
     return SessionReport(
         mode=mode,
         context=context,
-        mean_quality=mean_quality,
+        mean_quality=None if quality is None else _mean_scores(ladder, tally, quality),
         initial_soc=battery.initial_soc if battery is not None else None,
-        segments=_joined(pieces) if include_segments else None,
+        segments=segments,
         **_aggregates(ladder, tally, soc),
     )
 
@@ -453,13 +453,16 @@ def _price(
     best of them (the lowest as a fallback when none fits), its relative
     bandwidth, the modelled consumption there and the download time.
     A session prices every distinct bandwidth of its trace at each gamma it
-    runs, and the report loader those of each run of equal gammas;
-    ``_tallied`` counts a run's segments against the table and ``_record``
-    maps it over the run, both by bandwidth, so rows that a run does not
-    request do no harm.
+    runs, and ``_gamma_runs`` those of each run of equal gammas of a kept
+    record; ``_tallied`` counts a run's segments against the table by
+    bandwidth, so rows that a run does not request do no harm.
 
     The rung follows ``select``'s rule (``bisect_right`` over the bitrates,
     here as floats).
+
+    Raises:
+        ValueError: naming the bandwidth and the segment duration when a
+            download time is beyond the float range.
     """
     bitrates = _float_rates(context.ladder)
     params, duration = context.params, context.segment_duration
@@ -469,8 +472,11 @@ def _price(
         candidates = bisect_right(bitrates, threshold)
         rung = candidates - 1 if candidates else 0
         bw_rel = bw / bitrates[rung]
-        rows[bw] = (threshold, candidates, rung, bw_rel, evaluate(params, bw_rel),
-                    bitrates[rung] * duration / bw)  # fmt: skip
+        download_time = bitrates[rung] * duration / bw
+        if math.isinf(download_time):
+            raise ValueError(f"download time beyond the float range: bandwidth {bw!r} bps,"
+                             f" segment duration {duration!r} s")  # fmt: skip
+        rows[bw] = (threshold, candidates, rung, bw_rel, evaluate(params, bw_rel), download_time)
     return rows
 
 
@@ -484,29 +490,37 @@ def _tallied(priced: dict[float, tuple], counts: Mapping[float, int]) -> list[_T
     return [(bw, priced[bw], count) for bw, count in counts.items()]
 
 
-def _record(
-    priced: dict[float, tuple], bandwidth: Sequence[float], gamma: float
-) -> SegmentColumns:
-    """The per-segment record of a run of bandwidths at one gamma, from the
-    rows ``_price`` gave for them; without charges."""
-    threshold, candidates, rung, bw_rel, ec_rel, download_time = map(
-        list, zip(*map(priced.__getitem__, bandwidth))
-    )
-    return SegmentColumns(list(bandwidth), [gamma] * len(bandwidth), rung, threshold, candidates,
-                          bw_rel, ec_rel, download_time, None)  # fmt: skip
+def _gamma_runs(report: SessionReport) -> Iterator[tuple[int, int, float, Counter, dict]]:
+    """Each run of equal gammas of a report's per-segment record, priced
+    again from its inputs: its first segment, the segment after its last,
+    its gamma, its segments per distinct bandwidth and the rows ``_price``
+    gives for those bandwidths.
+
+    A segment's gamma is the mode's at the charge before it, the report's
+    ``initial_soc`` for the first.  The charge never rises, so once the
+    mode asks for another gamma it keeps asking.  ``_price`` is pure, so a
+    run is priced as the session priced it.
+    """
+    bandwidth, soc_after = report.segments.bandwidth, report.segments.soc_after
+    n, mode = len(bandwidth), report.mode
+    start, before = 0, report.initial_soc
+    while start < n:
+        gamma = mode.gamma_for(before)
+        end = n
+        if soc_after is not None:
+            # the charge after segment i decides the gamma of segment i + 1
+            end = 1 + bisect_left(soc_after, True, start, n - 1,
+                                  key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
+            before = soc_after[end - 1]
+        counts = Counter(bandwidth[start:end])
+        yield start, end, gamma, counts, _price(report.context, counts, gamma)
+        start = end
 
 
-def _joined(pieces: list[SegmentColumns]) -> SegmentColumns:
-    """The records of consecutive pieces as one."""
-    if len(pieces) == 1:
-        return pieces[0]
-    first = pieces[0]
-    columns = {name: None if getattr(first, name) is None else [] for name in first._fields}
-    for piece in pieces:
-        for name, column in columns.items():
-            if column is not None:
-                column += getattr(piece, name)
-    return SegmentColumns(**columns)
+def _record_tally(report: SessionReport) -> list[_Tally]:
+    """The tally of a report's per-segment record, from its runs of equal gammas."""
+    return [entry for *_, counts, priced in _gamma_runs(report)
+            for entry in _tallied(priced, counts)]  # fmt: skip
 
 
 @frozen
@@ -563,8 +577,7 @@ def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[st
     if report.segments is None:
         raise ValueError(f"the {report.mode.label} report has no per-segment record to score")
     quality.validate_for(report.ladder)
-    rung_counts = Counter(report.segments.rung)
-    return _mean_scores(report.ladder, list(rung_counts), list(rung_counts.values()), quality)
+    return _mean_scores(report.ladder, _record_tally(report), quality)
 
 
 def _energy_pct(report: SessionReport, baseline: SessionReport) -> float:

@@ -311,7 +311,7 @@ class TestSimulateSingle:
             "--initial-soc", "25", "--output", str(out),
         ])
         assert code == 0
-        assert loaded_report(out).segments.gamma == [4.0] * 20
+        assert [o.gamma_used for o in loaded_report(out).per_segment] == [4.0] * 20
 
 
 class TestNormalizeAndFit:
@@ -586,6 +586,9 @@ class TestCompareCommand:
          "'bandwidth_bps' must be finite, got an integer beyond the float range"),
         (lambda p: p["report"]["context"]["params"].update(a=10**400),
          "'a' must be finite, got an integer beyond the float range"),
+        # its download time is beyond the float range
+        (lambda p: p["report"]["per_segment"][1].update(bandwidth_bps=1e-310),
+         "download time beyond the float range: bandwidth 1e-310 bps, segment duration 6.0 s"),
         (lambda p: p["report"].update(initial_soc=100.0),
          "'initial_soc' and 'soc_after' must both be null (no battery) or both hold charges"),
         # compare would write a column for any key here
@@ -692,7 +695,8 @@ class TestCompareCommand:
                          "--battery-capacity-mah", "1000", "--reference-current-ma", "500",
                          *(["--adaptive-high", "99.9"] if mode == "adaptive" else []),
                          "--output", str(path)]) == 0  # fmt: skip
-        assert loaded_report(cand).segments.gamma == [1.5, 2.0, 2.0, 2.0, 2.0]
+        gammas = [o.gamma_used for o in loaded_report(cand).per_segment]
+        assert gammas == [1.5, 2.0, 2.0, 2.0, 2.0]
         payload = json.loads(cand.read_text())
         payload["report"]["initial_soc"] = 99.9
         cand.write_text(json.dumps(payload))
@@ -842,6 +846,27 @@ class TestErrorPaths:
         assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
                      "--segments", "2", "--mode", "all", "--params", "a=1e308,b=0,c=1e308"]) == 2
         assert capsys.readouterr().err == "error: a + c must be finite, got a=1e+308, c=1e+308\n"
+
+    @pytest.mark.parametrize("bandwidth, duration, channel", [
+        # 650 000 * 6 / 1e-310 and 5e6 * 1e308 overflow, and download_time_s was inf
+        ("1e-310", "6.0", "trace"),
+        ("22000000.0", "1e+308", "constant:22M"),
+    ])  # fmt: skip
+    def test_download_time_beyond_the_float_range_exits_two(self, tmp_path, ladder_file, capsys,
+                                                            bandwidth, duration, channel):
+        if channel == "trace":
+            trace = tmp_path / "t.csv"
+            trace.write_text(f"period,bandwidth_bps\n0,22000000\n1,{bandwidth}\n")
+            channel = f"trace:{trace}"
+        out, rows = tmp_path / "off.json", tmp_path / "off.csv"
+        assert main(["simulate", "--ladder", ladder_file, "--channel", channel,
+                     "--segments", "2", "--segment-duration", duration, "--mode", "off",
+                     "--params", "overall", "--output", str(out),
+                     "--per-segment", str(rows)]) == 2  # fmt: skip
+        assert capsys.readouterr().err == ("error: download time beyond the float range:"
+                                           f" bandwidth {bandwidth} bps, segment duration"
+                                           f" {duration} s\n")  # fmt: skip
+        assert not out.exists() and not rows.exists()
 
     @pytest.mark.parametrize("bitrate", [int(1e308), 10**309])
     def test_a_rung_beyond_2_to_the_53_exits_two(self, tmp_path, capsys, bitrate):

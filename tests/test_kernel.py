@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, groupby, repeat
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from abrenergy import (
     AdaptiveConfig,
@@ -32,12 +32,15 @@ from abrenergy import (
     Representation,
     SessionReport,
     adaptive_mode,
+    compare,
     constant,
+    parse_ladder,
     random_blocks,
     run_session,
 )
 from abrenergy._frozen import replace
 from abrenergy.simulator import _tally_mean
+from conftest import STOCK_LADDER_CSV
 from scalar_session import scalar_session
 
 
@@ -165,7 +168,7 @@ def test_energy_is_non_increasing_in_gamma(data):
     a = run_session(ladder, trace, EnergyMode("custom", lower), params)
     b = run_session(ladder, trace, EnergyMode("custom", higher), params)
     assert b.mean_ec_rel <= a.mean_ec_rel
-    assert all(y <= x for x, y in zip(a.segments.ec_rel, b.segments.ec_rel))
+    assert all(y.ec_rel <= x.ec_rel for x, y in zip(a.per_segment, b.per_segment))
 
 
 def test_long_adaptive_session_matches(ladder, overall):
@@ -175,7 +178,7 @@ def test_long_adaptive_session_matches(ladder, overall):
     battery = BatteryConfig(capacity_mah=2500.0, reference_current_ma=450.0)
     report = assert_matches_scalar(ladder, trace, adaptive_mode(), overall, battery)
     assert report.soc_depleted and report.n_segments < 4000
-    assert set(report.segments.gamma) == {1.5, 2.0, 4.0}
+    assert {o.gamma_used for o in report.per_segment} == {1.5, 2.0, 4.0}
 
 
 def test_adaptive_session_that_switches_twice_and_keeps_its_charge_matches(ladder, overall):
@@ -187,7 +190,8 @@ def test_adaptive_session_that_switches_twice_and_keeps_its_charge_matches(ladde
     quality = QualityMap(vmaf={rep.name: 40.0 + 5.0 * i for i, rep in enumerate(ladder)})
     report = assert_matches_scalar(ladder, trace, adaptive_mode(), overall, battery, quality)
     assert not report.soc_depleted and report.n_segments == len(trace)
-    assert [gamma for gamma, _ in groupby(report.segments.gamma)] == [1.5, 2.0, 4.0]
+    gammas = [o.gamma_used for o in report.per_segment]
+    assert [gamma for gamma, _ in groupby(gammas)] == [1.5, 2.0, 4.0]
 
 
 def test_a_charge_that_lands_exactly_on_zero_ends_the_session(ladder):
@@ -221,11 +225,34 @@ def test_distinct_bandwidths_that_share_a_rung_and_a_price_match(ladder, params)
     battery = BatteryConfig(capacity_mah=400.0, reference_current_ma=300.0)
     for mode in (EnergyMode("off"), EnergyMode("strict"), adaptive_mode()):
         report = assert_matches_scalar(ladder, trace, mode, params, battery, quality_map)
-        cols = report.segments
         shared = {}
-        for bw, rung, ec in zip(cols.bandwidth, cols.rung, cols.ec_rel):
-            shared.setdefault((rung, ec), set()).add(bw)
+        for o in report.per_segment:
+            shared.setdefault((o.selected, o.ec_rel), set()).add(o.bandwidth)
         assert max(map(len, shared.values())) > 1
+
+
+#: An adaptive session over the stock ladder whose battery empties in the
+#: strict band, after a run of each of the three gammas.
+EMPTIED_ADAPTIVE_SESSION = (
+    parse_ladder(STOCK_LADDER_CSV), random_blocks([1e6, 4e6, 7e6, 13e6, 22e6], 600, seed=17),
+    adaptive_mode(), ModelParams(0.9, 0.45), BatteryConfig(300.0, 450.0), None,
+)  # fmt: skip
+
+
+@settings(max_examples=200, deadline=None)
+@given(sessions())
+@example(EMPTIED_ADAPTIVE_SESSION)
+def test_compare_rescores_each_record_as_the_kernel_scored_it(session):
+    ladder, trace, mode, params, battery, quality = session
+    if quality is None:
+        quality = QualityMap(vmaf={rep.name: 20.0 + 7.25 * i for i, rep in enumerate(ladder)})
+    report = run_session(ladder, trace, mode, params, battery=battery, quality=quality)
+    assume(report.mean_ec_rel > 0)  # compare's baseline must consume
+    loaded = SessionReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
+    for scored in (report, loaded):
+        rows = compare(scored, [scored], quality=quality).rows
+        # repr spells every float exactly, so equal text is equal bits
+        assert [repr(row.quality) for row in rows] == [repr(report.mean_quality)] * 2
 
 
 def expanded_mean(values: list[float], counts: list[int]) -> float:
@@ -394,8 +421,10 @@ def test_scaling_bandwidths_and_bitrates_by_a_power_of_two_changes_nothing(data,
         a = run_session(ladder, trace, mode, params, battery=with_battery)
         b = run_session(scaled_ladder(ladder, k), bigger, mode, params, battery=with_battery)
         assert (b.n_segments, b.mean_ec_rel) == (a.n_segments, a.mean_ec_rel)
-        for name in ("rung", "ec_rel", "download_time"):
-            assert getattr(b.segments, name) == getattr(a.segments, name), name
+        # a rung's label names its position in the ladder
+        rows = [[(o.selected.label, o.ec_rel, o.download_time) for o in r.per_segment]
+                for r in (a, b)]  # fmt: skip
+        assert rows[1] == rows[0]
         if with_battery is None:
             assert a.segments.soc_after is None and b.segments.soc_after is None
         else:

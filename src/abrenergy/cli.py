@@ -47,11 +47,15 @@ def _parse_random_options(rest: str) -> tuple[list[float] | None, int, int]:
     values: list[str] | None = None
     collecting: list[str] | None = None
     options = {"block": DEFAULT_BLOCK_LEN, "seed": 0}
+    given: set[str] = set()
     for token in rest.split(",") if rest else []:
         token = token.strip()
         if "=" in token:
             key, _, raw = token.partition("=")
             key = key.strip().lower()
+            if key in given:
+                raise ValueError(f"random-channel option {key!r} given twice")
+            given.add(key)
             if key == "values":
                 values = [raw]
                 collecting = values
@@ -170,6 +174,9 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
                         f"no fit for combination {combination!r} in {path!r};"
                         f" available: {known}"
                     )
+                if len(matches) > 1:
+                    raise ValueError(f"{path!r} holds {len(matches)} fits for combination"
+                                     f" {combination!r}")  # fmt: skip
                 entry = matches[0]
             elif len(fits) == 1:
                 entry = fits[0]
@@ -190,6 +197,8 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
             key = key.strip().lower()
             if key not in ("a", "b", "c") or not raw:
                 raise ValueError(f"invalid parameter assignment {token!r}")
+            if key in fields:
+                raise ValueError(f"parameter {key!r} given twice")
             fields[key] = float(raw)
         if "a" not in fields or "b" not in fields:
             raise ValueError("explicit parameters need at least a=<value>,b=<value>")

@@ -34,9 +34,8 @@ from .simulator import (
     SessionReport,
     _aggregates,
     _float_rates,
-    _gamma_runs,
     _provenance_comment,
-    _record_tally,
+    _tally,
 )
 
 
@@ -230,6 +229,11 @@ def _read_segments(rows: object, n_segments: int, initial_soc: float | None) -> 
         if soc_after[-1] < 0.0:
             i = bisect_left(soc_after, True, key=lambda charge: charge < 0.0)
             raise ValueError(f"per_segment row {i}: 'soc_after' is {soc_after[i]!r}, below 0")
+        # a session ends with the segment that empties its battery
+        i = 1 + bisect_left(soc_after, True, key=lambda charge: charge <= 0.0)
+        if i < n_segments:
+            raise ValueError(f"per_segment row {i}: played after the battery emptied"
+                             f" at row {i - 1}")  # fmt: skip
     return SegmentColumns(bandwidth, soc_after)
 
 
@@ -241,15 +245,15 @@ def _csv_cell(text: str) -> str:
 
 
 def per_segment(report: SessionReport) -> tuple[SegmentOutcome, ...] | None:
-    """The report's per-segment record as objects, priced again from its
-    inputs (``_gamma_runs``); None when it keeps none."""
+    """The report's per-segment record as objects, from its runs of one gamma
+    (``SessionReport._runs``); None when it keeps none."""
     cols = report.segments
     if cols is None:
         return None
     # (gamma, priced row) of each segment
     priced = chain.from_iterable(
         zip(repeat(gamma), map(rows.__getitem__, cols.bandwidth[start:end]))
-        for start, end, gamma, _, rows in _gamma_runs(report)
+        for start, end, gamma, _, rows in report._runs
     )
     charges = repeat(None) if cols.soc_after is None else cols.soc_after
     return tuple(
@@ -301,13 +305,13 @@ def to_json(report: SessionReport, provenance: dict) -> str:
     """
     payload = {"provenance": provenance, "report": _json_dict(report, None)}
     text = json.dumps(payload, indent=2) + "\n"
-    if report.segments is None:
+    cols = report.segments
+    if cols is None:
         return text
-    bandwidth, charges = report._input_cells
+    charges = ["null"] * len(cols) if cols.soc_after is None else list(map(repr, cols.soc_after))
     head, _, tail = text.rpartition("null")
     # the record is the value of "per_segment", two levels deep
-    columns = (bandwidth, charges or ["null"] * len(bandwidth))
-    return head + json_array(_ROW_KEYS, columns, 2) + tail
+    return head + json_array(_ROW_KEYS, (list(map(repr, cols.bandwidth)), charges), 2) + tail
 
 
 def to_csv(report: SessionReport, provenance: dict | None = None) -> str:
@@ -317,9 +321,9 @@ def to_csv(report: SessionReport, provenance: dict | None = None) -> str:
     ``csv.writer`` quotes them, and the charge after a segment as an
     empty cell when no battery was simulated.  A row's cells from its
     bandwidth to its download time follow from its bandwidth and gamma,
-    so within each run of one gamma (``_gamma_runs``) they are formatted
-    once per distinct bandwidth, column by column, and looked up for every
-    row.
+    so within each run of one gamma (``SessionReport._runs``) they are
+    formatted once per distinct bandwidth, column by column, and looked up
+    for every row.
 
     Raises:
         ValueError: when the report carries no per-segment record.
@@ -330,25 +334,20 @@ def to_csv(report: SessionReport, provenance: dict | None = None) -> str:
     # the selected and selected_bitrate_bps cells of each rung
     rung_cells = [f"{_csv_cell(rep.name)},{rep.bitrate}" for rep in report.ladder]
     rates = _float_rates(report.ladder)
-    bandwidth_cells, charges = report._input_cells
     bodies: list[str] = []
-    for start, end, gamma, _, priced in _gamma_runs(report):
+    for start, end, gamma, _, priced in report._runs:
         bw = list(priced)
         threshold, count, rung, bw_rel, ec_rel, download_time = zip(*priced.values())
-        repeated = len(bw) < end - start  # else each row has its own bandwidth, in order
         cells = (
-            map(repr, bw) if repeated else bandwidth_cells[start:end], repeat(repr(gamma)),
-            map(rung_cells.__getitem__, rung),
+            map(repr, bw), repeat(repr(gamma)), map(rung_cells.__getitem__, rung),
             map(repr, threshold), map(repr, count),
             map(("1", "0").__getitem__, map(bool, count)),
             map(("0", "1").__getitem__, map(operator.gt, map(rates.__getitem__, rung), bw)),
             map(repr, bw_rel), map(repr, ec_rel), map(repr, download_time),
         )  # fmt: skip
-        joined = map(",".join, zip(*cells))
-        if repeated:
-            joined = map(dict(zip(bw, joined)).__getitem__, cols.bandwidth[start:end])
-        bodies += joined
-    charges = repeat("") if charges is None else charges
+        text = dict(zip(bw, map(",".join, zip(*cells))))
+        bodies += map(text.__getitem__, cols.bandwidth[start:end])
+    charges = repeat("") if cols.soc_after is None else map(repr, cols.soc_after)
     rows_text = lay_out((map(str, range(len(cols))), bodies, charges), _CSV_ROW_TEMPLATE)
     return _provenance_comment(provenance) + _CSV_HEADER + rows_text
 
@@ -374,7 +373,8 @@ def from_json_dict(data: dict) -> SessionReport:
             key), whose bandwidths are not positive, whose charges are
             null where ``initial_soc`` is not (or the other way round),
             or whose charge rises from ``initial_soc`` or from one row to
-            the next or falls below 0 (naming the row); when
+            the next, falls below 0, or is 0 on a row before the last
+            (naming the row); when
             ``ladder_digest`` is not the saved ladder's; naming an
             aggregate that differs from the one the per-segment record
             gives; naming a bandwidth whose download time is beyond the
@@ -419,8 +419,8 @@ def from_json_dict(data: dict) -> SessionReport:
         report = SessionReport(mode=mode, context=context, initial_soc=initial_soc,
                                segments=segments, **aggregates)  # fmt: skip
         final_soc = None if segments.soc_after is None else segments.soc_after[-1]
-        # the record priced again (``_gamma_runs``) must give the saved aggregates
-        derived = _aggregates(ladder, _record_tally(report), final_soc)
+        # the record priced again (``SessionReport._runs``) must give the saved aggregates
+        derived = _aggregates(ladder, _tally(report._runs), final_soc)
         for key, attr, _ in _AGGREGATE_FIELDS:
             if attr in derived and aggregates[attr] != derived[attr]:
                 raise ValueError(

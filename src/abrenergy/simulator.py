@@ -6,11 +6,13 @@ drains a battery.  It is computed with the standard library alone: each
 distinct bandwidth is selected and priced once, the aggregates are means
 over those values weighted by how many segments requested them.  A
 per-segment record, when one is kept, holds only each segment's inputs, its
-bandwidth and the charge after it; ``_gamma_runs`` prices it again wherever
-a writer or ``compare`` reads the rest.  Sessions under different modes but
-identical conditions are then compared against the energy-saving-off
-baseline.  Writing a report to a file and
-loading it back is ``reportio``'s, which only a saved report loads.
+bandwidth and the charge after it; a report walks its record's runs of one
+gamma once (``SessionReport._runs``) and prices them again for every reader
+of the rest.  One test (``_ends_run``) ends a run, in the session's drain and
+in that walk alike.  Sessions under different modes but identical conditions
+are then compared against the energy-saving-off baseline.  Writing a report
+to a file and loading it back is ``reportio``'s, which only a saved report
+loads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 
@@ -161,7 +163,7 @@ class SegmentColumns:
     ``soc_after`` is None when no battery was simulated.  Each segment's
     gamma follows from the mode and the charge before it, and its rung,
     budget, candidate count, consumption and download time from its
-    bandwidth and that gamma (``_gamma_runs``).
+    bandwidth and that gamma (``SessionReport._runs``).
     """
 
     bandwidth: list[float]
@@ -235,8 +237,8 @@ class SessionReport:
     @property
     def per_segment(self) -> tuple | None:
         """The per-segment record as ``reportio.SegmentOutcome`` objects, built
-        from the record priced again on each access; None when the report
-        keeps none."""
+        on each access from the record's runs (``_runs``); None when the
+        report keeps none."""
         from .reportio import per_segment
 
         return per_segment(self)
@@ -254,12 +256,12 @@ class SessionReport:
         return to_json(self, provenance)
 
     @cached_property
-    def _input_cells(self) -> tuple[list[str], list[str] | None]:
-        """``repr`` of each segment's bandwidth and charge (None without a
-        battery), which both writers print."""
-        cols = self.segments
-        charges = None if cols.soc_after is None else list(map(repr, cols.soc_after))
-        return list(map(repr, cols.bandwidth)), charges
+    def _runs(self) -> list[_Run]:
+        """The runs of one gamma of the per-segment record, priced again from
+        its inputs (``_gamma_runs``): walked once per report, for the
+        loader's check, ``compare --quality``, ``to_csv`` and
+        ``per_segment`` alike."""
+        return list(_gamma_runs(self))
 
     def to_csv(self, provenance: dict | None = None) -> str:
         """The per-segment record as CSV (``reportio.to_csv``)."""
@@ -385,52 +387,40 @@ def run_session(
     context = SessionContext(params, trace.period_duration, ladder, trace.digest)
     soc = battery.initial_soc if battery is not None else None
     kept = [] if include_segments and battery is not None else None
-    tally: list[_Tally] = []
+    runs: list[_Run] = []
     played = 0
-    depleted = False
-    while played < len(trace) and not depleted:
+    # the drain clamps an emptied battery's charge at 0.0, which ends the session
+    while played < len(trace) and soc != 0.0:
         gamma = mode.gamma_for(soc)
         # every distinct bandwidth of the trace: a superset of the piece's
         priced = _price(context, trace.counts, gamma)
-        end = len(trace) - played
+        end = len(trace)
         if battery is not None:
             scale = 100.0 * battery.reference_current_ma
             drain = {bw: scale * ec * context.segment_duration / 3600.0 / battery.capacity_mah
                      for bw, (*_, ec, _) in priced.items()}  # fmt: skip
             # the same sequential subtractions as soc -= drain, segment by
-            # segment, a chunk at a time up to the chunk after which the
-            # battery is empty or the mode asks for another intensity
+            # segment, a chunk at a time up to the chunk whose last charge
+            # ends the run
+            ends = _ends_run(mode, gamma)
             soc_after = []
             charge = soc
-            while len(soc_after) < end and charge > 0.0 and mode.gamma_for(charge) == gamma:
+            while played + len(soc_after) < end and not ends(charge):
                 start = played + len(soc_after)
                 costs = map(drain.__getitem__, trace.bandwidths[start : start + _DRAIN_CHUNK])
                 soc_after += islice(accumulate(costs, operator.sub, initial=charge), 1, None)
                 charge = soc_after[-1]
-            end = len(soc_after)
-            # SoC never rises, so the charges at or below zero come last
-            empty = bisect_left(soc_after, True, key=lambda charge: charge <= 0.0)
-            if empty < end:
-                end = empty + 1
-                depleted = True
-            # once the mode asks for another intensity it keeps asking; the
-            # charge before the last segment decides nothing
-            switch = bisect_left(soc_after, True, 0, end - 1,
-                                 key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
-            if switch < end - 1:
-                end = switch + 1
-                depleted = False
-            del soc_after[end:]
-            if depleted:
-                soc_after[-1] = 0.0
-            soc = soc_after[-1]
+            del soc_after[bisect_left(soc_after, True, key=ends) + 1 :]
+            soc = soc_after[-1] = max(soc_after[-1], 0.0)
+            end = played + len(soc_after)
             if kept is not None:
                 kept += soc_after
         # the piece ends here, so only its own segments are counted
-        piece = trace.bandwidths[played : played + end]
-        counts = trace.counts if end == len(trace) else Counter(piece)
-        tally += _tallied(priced, counts)
-        played += end
+        piece = trace.bandwidths[played:end]
+        counts = trace.counts if len(piece) == len(trace) else Counter(piece)
+        runs.append((played, end, gamma, counts, priced))
+        played = end
+    tally = _tally(runs)
 
     segments = None
     if include_segments:
@@ -454,7 +444,7 @@ def _price(
     bandwidth, the modelled consumption there and the download time.
     A session prices every distinct bandwidth of its trace at each gamma it
     runs, and ``_gamma_runs`` those of each run of equal gammas of a kept
-    record; ``_tallied`` counts a run's segments against the table by
+    record; ``_tally`` counts a run's segments against the table by
     bandwidth, so rows that a run does not request do no harm.
 
     The rung follows ``select``'s rule (``bisect_right`` over the bitrates,
@@ -480,26 +470,40 @@ def _price(
     return rows
 
 
+#: One run of equal gammas: its first segment, the segment after its last, its
+#: gamma, its segments per distinct bandwidth, and ``_price``'s rows for (at
+#: least) those bandwidths.
+_Run = tuple[int, int, float, Mapping[float, int], dict]
 #: One distinct bandwidth of a run of equal gammas: the bandwidth, the row
 #: ``_price`` gave for it and the number of segments that requested it.
 _Tally = tuple[float, tuple[float, int, int, float, float, float], int]
 
 
-def _tallied(priced: dict[float, tuple], counts: Mapping[float, int]) -> list[_Tally]:
-    """A run's segments as ``_Tally`` entries, from its segments per distinct bandwidth."""
-    return [(bw, priced[bw], count) for bw, count in counts.items()]
+def _ends_run(mode: EnergyMode, gamma: float) -> Callable[[float], bool]:
+    """Whether the charge after a segment ends a run at ``gamma``: the battery
+    is empty, or the mode asks for another gamma.  The charge never rises,
+    so once a charge ends the run every later one does, and ``bisect_left``
+    with this key finds the first."""
+    return lambda charge: charge <= 0.0 or mode.gamma_for(charge) != gamma
 
 
-def _gamma_runs(report: SessionReport) -> Iterator[tuple[int, int, float, Counter, dict]]:
+def _tally(runs: Iterable[_Run]) -> list[_Tally]:
+    """The segments of runs as ``_Tally`` entries, from each run's segments per
+    distinct bandwidth."""
+    return [(bw, priced[bw], count) for *_, counts, priced in runs
+            for bw, count in counts.items()]  # fmt: skip
+
+
+def _gamma_runs(report: SessionReport) -> Iterator[_Run]:
     """Each run of equal gammas of a report's per-segment record, priced
-    again from its inputs: its first segment, the segment after its last,
-    its gamma, its segments per distinct bandwidth and the rows ``_price``
-    gives for those bandwidths.
+    again from its inputs, as the session ran it.
 
     A segment's gamma is the mode's at the charge before it, the report's
-    ``initial_soc`` for the first.  The charge never rises, so once the
-    mode asks for another gamma it keeps asking.  ``_price`` is pure, so a
-    run is priced as the session priced it.
+    ``initial_soc`` for the first, and the charge after it ends its run as
+    in the session's drain (``_ends_run``).  Only the last row's charge can
+    be empty (``reportio`` refuses a record that plays on), and it decides
+    nothing.  ``_price`` is pure, so a run is priced as the session priced
+    it, though only its own bandwidths are.
     """
     bandwidth, soc_after = report.segments.bandwidth, report.segments.soc_after
     n, mode = len(bandwidth), report.mode
@@ -509,18 +513,11 @@ def _gamma_runs(report: SessionReport) -> Iterator[tuple[int, int, float, Counte
         end = n
         if soc_after is not None:
             # the charge after segment i decides the gamma of segment i + 1
-            end = 1 + bisect_left(soc_after, True, start, n - 1,
-                                  key=lambda charge: mode.gamma_for(charge) != gamma)  # fmt: skip
+            end = 1 + bisect_left(soc_after, True, start, n - 1, key=_ends_run(mode, gamma))
             before = soc_after[end - 1]
         counts = Counter(bandwidth[start:end])
         yield start, end, gamma, counts, _price(report.context, counts, gamma)
         start = end
-
-
-def _record_tally(report: SessionReport) -> list[_Tally]:
-    """The tally of a report's per-segment record, from its runs of equal gammas."""
-    return [entry for *_, counts, priced in _gamma_runs(report)
-            for entry in _tallied(priced, counts)]  # fmt: skip
 
 
 @frozen
@@ -577,7 +574,7 @@ def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[st
     if report.segments is None:
         raise ValueError(f"the {report.mode.label} report has no per-segment record to score")
     quality.validate_for(report.ladder)
-    return _mean_scores(report.ladder, _record_tally(report), quality)
+    return _mean_scores(report.ladder, _tally(report._runs), quality)
 
 
 def _energy_pct(report: SessionReport, baseline: SessionReport) -> float:

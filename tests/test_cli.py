@@ -596,6 +596,12 @@ class TestCompareCommand:
          "'mean_quality' must be null or hold scores among psnr, ssim and vmaf, got keys ['foo']"),
         (lambda p: p["report"].update(mean_quality={}),
          "'mean_quality' must be null or hold scores among psnr, ssim and vmaf, got keys []"),
+        # a session ends with the segment that empties its battery; the
+        # aggregates match the record, and a fixed mode's gamma ignores the charge
+        (lambda p: [p["report"].update(initial_soc=5.0, final_soc=0.0, soc_depleted=True),
+                    *(row.update(soc_after=soc) for row, soc in
+                      zip(p["report"]["per_segment"], [4.0, 0.0, 0.0, 0.0, 0.0]))],
+         "per_segment row 2: played after the battery emptied at row 1"),
     ])
     def test_incoherent_saved_report_exits_two(self, tmp_path, ladder_file, capsys, edit,
                                                message):
@@ -919,6 +925,31 @@ class TestErrorPaths:
                      "--mode", "off", "--params", f"fit:{path}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("channel, params, message", [
+        ("random:seed=1,seed=2", "overall", "random-channel option 'seed' given twice"),
+        ("random:values=1M,4M,values=7M", "overall", "random-channel option 'values' given twice"),
+        ("random:block=3,BLOCK=4", "overall", "random-channel option 'block' given twice"),
+        ("constant:22M", "a=1,b=1,a=2", "parameter 'a' given twice"),
+    ])  # fmt: skip
+    def test_a_repeated_key_exits_two(self, tmp_path, ladder_file, capsys, channel, params,
+                                      message):  # fmt: skip
+        out = tmp_path / "off.json"
+        assert main(["simulate", "--ladder", ladder_file, "--channel", channel,
+                     "--segments", "5", "--mode", "off", "--params", params,
+                     "--output", str(out)]) == 2  # fmt: skip
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_fit_file_with_two_fits_for_one_combination_exits_two(self, tmp_path, ladder_file,
+                                                                     capsys):  # fmt: skip
+        path, out = tmp_path / "fits.json", tmp_path / "off.json"
+        fits = [{"combination": "X", "a": a, "b": 0.5, "c": 1.0} for a in (0.9, 1.8)]
+        path.write_text(json.dumps({"schema": 2, "fits": fits}))
+        assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                     "--mode", "off", "--params", f"fit:{path}#X", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {str(path)!r} holds 2 fits for combination 'X'\n"
+        assert not out.exists()
 
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit):

@@ -38,8 +38,9 @@ from abrenergy import (
     random_blocks,
     run_session,
 )
+from abrenergy import simulator
 from abrenergy._frozen import replace
-from abrenergy.simulator import _tally_mean
+from abrenergy.simulator import _DRAIN_CHUNK, _tally_mean
 from conftest import STOCK_LADDER_CSV
 from scalar_session import scalar_session
 
@@ -202,6 +203,35 @@ def test_a_charge_that_lands_exactly_on_zero_ends_the_session(ladder):
     assert report.segments.soc_after == [2.0, 1.0, 0.0] and report.soc_depleted
 
 
+#: ec_rel 1.0 for every segment, whatever its bandwidth
+FLAT = ModelParams(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("initial_soc, threshold", [(100.0, 70.0), (60.0, 30.0)])
+def test_a_charge_that_lands_on_a_threshold_at_the_end_of_a_drain_chunk_matches(
+    ladder, initial_soc, threshold
+):
+    # each drain is exactly 15/512 points: 100 * 90 mA * ec_rel 1.0 * 6 s / 3600 / 512 mAh,
+    # so the charge after one chunk of 1024 segments is exactly 30 points lower
+    battery = BatteryConfig(capacity_mah=512.0, reference_current_ma=90.0,
+                            initial_soc=initial_soc)  # fmt: skip
+    trace = random_blocks([1e6, 4e6, 7e6, 13e6, 22e6], _DRAIN_CHUNK + 200, seed=3)
+    report = assert_matches_scalar(ladder, trace, adaptive_mode(), FLAT, battery)
+    assert report.segments.soc_after[_DRAIN_CHUNK - 1] == threshold
+    # a charge at a threshold belongs to the stricter band
+    gammas = [o.gamma_used for o in report.per_segment]
+    assert gammas[_DRAIN_CHUNK - 1] < gammas[_DRAIN_CHUNK] == gammas[-1]
+
+
+def test_a_battery_that_empties_on_the_segment_where_the_band_switches_matches(ladder):
+    # each drain is exactly 40 points: 100 * 90 mA * ec_rel 1.0 * 6 s / 3600 / 0.375 mAh,
+    # so 75 -> 35 leaves the light band, and 35 -> -5 the medium band as the battery empties
+    battery = BatteryConfig(capacity_mah=0.375, reference_current_ma=90.0, initial_soc=75.0)
+    report = assert_matches_scalar(ladder, constant(22e6, 10), adaptive_mode(), FLAT, battery)
+    assert report.segments.soc_after == [35.0, 0.0] and report.soc_depleted
+    assert [o.gamma_used for o in report.per_segment] == [1.5, 2.0]
+
+
 def test_many_distinct_bandwidths_match(ladder, overall):
     trace = ChannelTrace(6.0, tuple(3e5 + 7919.37 * i for i in range(3000)))
     battery = BatteryConfig(capacity_mah=20_000.0, reference_current_ma=300.0)
@@ -253,6 +283,25 @@ def test_compare_rescores_each_record_as_the_kernel_scored_it(session):
         rows = compare(scored, [scored], quality=quality).rows
         # repr spells every float exactly, so equal text is equal bits
         assert [repr(row.quality) for row in rows] == [repr(report.mean_quality)] * 2
+
+
+def test_compare_prices_each_run_of_two_reloaded_reports_once(monkeypatch):
+    ladder, trace, mode, params, battery, _ = EMPTIED_ADAPTIVE_SESSION
+    quality = QualityMap(vmaf={rep.name: 20.0 + 7.25 * i for i, rep in enumerate(ladder)})
+    reports = [run_session(ladder, trace, m, params, battery=battery)
+               for m in (EnergyMode("off"), mode)]  # fmt: skip
+    priced = []
+    price = simulator._price
+    monkeypatch.setattr(simulator, "_price",
+                        lambda context, bandwidths, gamma: priced.append(gamma)
+                        or price(context, bandwidths, gamma))  # fmt: skip
+    loaded = [SessionReport.from_json_dict(json.loads(json.dumps(r.to_json_dict())))
+              for r in reports]  # fmt: skip
+    compare(loaded[0], loaded[1:], quality=quality)
+    # the loader walks each record once, and every later reader reuses that walk
+    loaded[1].to_csv()
+    assert len(loaded[1].per_segment) == reports[1].n_segments
+    assert priced == [1.0, 1.5, 2.0, 4.0]
 
 
 def expanded_mean(values: list[float], counts: list[int]) -> float:
@@ -358,6 +407,20 @@ def test_writers_on_one_segment_and_on_an_emptied_battery():
     emptied = run_session(ladder, trace, adaptive_mode(), params, battery)
     assert emptied.soc_depleted and emptied.n_segments < 400
     assert_writers_match(emptied, provenance)
+
+
+@pytest.mark.parametrize("battery", [None, BatteryConfig(capacity_mah=30.0,
+                                                          reference_current_ma=300.0)])
+def test_csv_of_a_trace_of_distinct_bandwidths_equals_the_row_formatter(ladder, overall,
+                                                                        battery):  # fmt: skip
+    # each row's bandwidth is its own, so every run's rows are its distinct bandwidths in order
+    trace = ChannelTrace(6.0, tuple(3e5 + 7919.37 * i for i in range(3000)))
+    mode = EnergyMode("strict") if battery is None else adaptive_mode()
+    report = run_session(ladder, trace, mode, overall, battery=battery)
+    assert len(set(report.segments.bandwidth)) == report.n_segments > 1
+    if battery is not None:
+        assert {o.gamma_used for o in report.per_segment} == {1.5, 2.0, 4.0}
+    assert_writers_match(report, {"tool": "abrenergy"})
 
 
 #: Each per-segment key that the first report format also saved, and that the

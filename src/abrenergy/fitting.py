@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._frozen import frozen
+from .measurements import _point_fault
 from .model import ModelParams, evaluate
 
 if TYPE_CHECKING:  # fit reads only the points' attributes
@@ -183,7 +184,9 @@ def fit_columns(
         metrics are reported as 0.0 with a diagnostic instead of raising.
 
     Raises:
-        ValueError: when the columns are not 1-d and of equal length.
+        ValueError: when the columns are not 1-d and of equal length, or a
+            value of either, flagged points included, is not positive and
+            finite; the first such row (from 0) and its column are named.
         FitError: on too few usable points, unidentifiable data (all at
             one bw_rel), a non-finite objective, or a negative floor.
     """
@@ -191,6 +194,13 @@ def fit_columns(
     ec = np.asarray(ec_rel, dtype=float)
     if bw.shape != ec.shape or bw.ndim != 1:
         raise ValueError("bw_rel and ec_rel must be 1-d columns of equal length")
+    # checked before any numpy routine: LAPACK would print to stderr on a
+    # non-finite value, and a non-positive one would be fitted or fail late.
+    # The mask is RelativePoint's rule (NaN compares false); the scan that
+    # names the value runs only when it fails.
+    if not ((0.0 < bw) & (bw < math.inf) & (0.0 < ec) & (ec < math.inf)).all():
+        row, message = _point_fault(bw.tolist(), ec.tolist())
+        raise ValueError(f"row {row}: {message}")
     n_given = bw.size
     if not include_flagged:
         usable = ~(bw < 1.0)

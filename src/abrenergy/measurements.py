@@ -94,15 +94,15 @@ def _positive_and_finite(values: Sequence[float]) -> bool:
     return all(map(math.isfinite, values)) and min(values, default=1.0) > 0
 
 
-def _point_fault(bw_rel: Sequence[float], ec_rel: Sequence[float]) -> str | None:
-    """The message for the first relative value, row by row and ``bw_rel``
-    before ``ec_rel``, that is not positive and finite."""
+def _point_fault(bw_rel: Sequence[float], ec_rel: Sequence[float]) -> tuple[int, str] | None:
+    """The row and message of the first relative value, row by row and
+    ``bw_rel`` before ``ec_rel``, that is not positive and finite."""
     if _positive_and_finite(bw_rel) and _positive_and_finite(ec_rel):
         return None
-    for row in zip(bw_rel, ec_rel):
-        for name, value in zip(("bw_rel", "ec_rel"), row):
+    for row, values in enumerate(zip(bw_rel, ec_rel)):
+        for name, value in zip(("bw_rel", "ec_rel"), values):
             if not (math.isfinite(value) and value > 0):
-                return f"{name} must be positive and finite, got {value}"
+                return row, f"{name} must be positive and finite, got {value}"
     return None
 
 
@@ -157,7 +157,7 @@ class RelativePoint:
     def __post_init__(self) -> None:
         fault = _point_fault((self.bw_rel,), (self.ec_rel,))
         if fault:
-            raise ValueError(f"{self.source.label}: {fault}")
+            raise ValueError(f"{self.source.label}: {fault[1]}")
 
     @property
     def flagged(self) -> bool:
@@ -282,7 +282,7 @@ def normalize_columns(
     ec_rel = [current / reference for current in group.avg_current]
     fault = _point_fault(bw_rel, ec_rel)
     if fault:
-        raise ValueError(f"{combination.label}: {fault}")
+        raise ValueError(f"{combination.label}: {fault[1]}")
     return reference, bw_rel, ec_rel
 
 

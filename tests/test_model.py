@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from abrenergy import (
     RelativePoint,
     evaluate,
     fit,
+    fit_columns,
     normalize_codec,
     normalize_connection,
     pearson,
@@ -302,6 +304,28 @@ class TestFit:
         pts3 = points_from(ModelParams(0.8, 1.3, 1.0), [2.0, 3.0])
         with pytest.raises(FitError, match="at least 3"):
             fit(pts3, fix_c=None)
+
+    @pytest.mark.parametrize("bw_rel, ec_rel, fix_c, include_flagged, where, got", [
+        # a non-finite value used to reach numpy's routines: a NaN bw_rel
+        # made LAPACK print to stderr and raise LinAlgError
+        ([1.0, math.nan, 2.0, 3.0], [2.0, 1.8, 1.5, 1.3], 1.0, False, "row 1: bw_rel", "nan"),
+        ([1.0, 1.5, 2.0, 3.0], [2.0, 1.8, math.inf, 1.3], None, False, "row 2: ec_rel", "inf"),
+        # a flagged point is checked too, included or not: included, it used
+        # to be refined first and then fail inside evaluate
+        ([0.5, -1.0, 2.0, 3.0], [2.0, 1.8, 1.5, 1.3], 1.0, True, "row 1: bw_rel", "-1.0"),
+        ([0.5, 0.0, 2.0, 3.0], [2.0, 1.8, 1.5, 1.3], 1.0, False, "row 1: bw_rel", "0.0"),
+        # a negative consumption used to be fitted
+        ([1.0, 1.5, 2.0, 3.0], [2.0, -0.9, 1.5, 1.3], 1.0, False, "row 1: ec_rel", "-0.9"),
+        # the first bad row is named, bw_rel before ec_rel within a row
+        ([1.0, 1.5, -2.0, 3.0], [2.0, 1.8, -1.5, -1.3], 1.0, False, "row 2: bw_rel", "-2.0"),
+    ])  # fmt: skip
+    def test_fit_columns_refuses_a_value_that_is_not_positive_and_finite(
+        self, capfd, bw_rel, ec_rel, fix_c, include_flagged, where, got
+    ):
+        message = f"{where} must be positive and finite, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_columns(bw_rel, ec_rel, fix_c, include_flagged)
+        assert capfd.readouterr() == ("", "")
 
     def test_single_bandwidth_is_unidentifiable(self):
         pts = [RelativePoint(2.0, v, SYNTH) for v in (1.1, 1.2, 1.3)]

@@ -25,10 +25,9 @@ def frozen(cls: type) -> type:
     - ``__setattr__`` and ``__delattr__`` raising AttributeError;
     - a ``__repr__`` naming each field.
 
-    The fields are instance attributes, set as ``object.__setattr__`` sets
-    them, so that an instance has a ``__dict__`` for
-    ``functools.cached_property``; their names are the class attribute
-    ``_fields``.
+    The fields are instance attributes, stored in the instance ``__dict__``
+    in one update, which ``functools.cached_property`` uses too; their names
+    are the class attribute ``_fields``.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -50,8 +49,7 @@ def frozen(cls: type) -> type:
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(names):
             args = bound(args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(names, args))
         post_init = getattr(cls, "__post_init__", None)
         if post_init is not None:
             post_init(self)
@@ -92,9 +90,3 @@ def _refuse_assignment(self, name: str, value: object) -> None:
 
 def _refuse_deletion(self, name: str) -> None:
     raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
-
-
-def replace(obj: object, /, **changes: object) -> object:
-    """A new value of ``obj``'s class with ``changes`` to its fields, checked
-    again by ``__post_init__``."""
-    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})

@@ -90,6 +90,14 @@ class ChannelTrace:
         return len(self.bandwidths)
 
 
+def _check_menu(values: list[float]) -> None:
+    """Refuse a menu value that is not positive and finite, reached or not."""
+    for v in values:
+        if not 0.0 < v < math.inf:
+            rule = "positive" if v <= 0 else "finite"
+            raise ValueError(f"bandwidth values must be {rule}, got {v}")
+
+
 def constant(
     bandwidth: float, n_periods: int, period_duration: float = DEFAULT_PERIOD_S
 ) -> ChannelTrace:
@@ -120,6 +128,7 @@ def staircase(
     for lower, upper in zip(vals, vals[1:]):
         if upper <= lower:
             raise ValueError("staircase values must be strictly increasing")
+    _check_menu(vals)
     cycle = vals + vals[-2::-1]
     return ChannelTrace(
         period_duration,
@@ -142,9 +151,7 @@ def random_blocks(
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("random_blocks needs at least one value")
-    for v in vals:
-        if v <= 0:
-            raise ValueError(f"bandwidth values must be positive, got {v}")
+    _check_menu(vals)
     if block_len < 1:
         raise ValueError(f"block_len must be at least 1, got {block_len}")
     rng = Lcg64(seed)

@@ -41,6 +41,8 @@ def parse_bandwidth(token: str) -> float:
     value = float(match.group(1)) * _SCALES[match.group(2).lower()]
     if value <= 0:
         raise ValueError(f"bandwidth must be positive, got {token!r}")
+    if value == float("inf"):  # a value beyond the float range reads as inf
+        raise ValueError(f"bandwidth must be finite, got {token!r}")
     return value
 
 

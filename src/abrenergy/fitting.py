@@ -28,17 +28,6 @@ class FitError(ValueError):
     """Raised when a model cannot be fitted to the given points."""
 
 
-def evaluate_array(params: ModelParams, bw_rel: np.ndarray) -> np.ndarray:
-    """``evaluate`` over an array, called once per distinct relative bandwidth.
-
-    Every value goes through the scalar model (``math.exp``); ``np.exp``
-    rounds differently in the last place for a few percent of inputs and
-    would change the artifacts.
-    """
-    distinct, inverse = np.unique(bw_rel, return_inverse=True)
-    return np.array([evaluate(params, x) for x in distinct.tolist()], dtype=float)[inverse]
-
-
 @frozen
 class FitResult:
     """Fitted parameters plus agreement metrics on the points actually used."""
@@ -278,7 +267,9 @@ def fit_columns(
             " far out on the curve; fix the floor instead"
         )
     params = ModelParams(a=a, b=b, c=c)
-    predicted = evaluate_array(params, bw)
+    # the scalar model (``math.exp``): ``np.exp`` rounds differently in the last
+    # place for a few percent of inputs and would change the artifacts
+    predicted = np.array([evaluate(params, x) for x in bw.tolist()])
     diagnostics: list[str] = []
     if not converged:
         diagnostics.append(f"stopped after {_MAX_ITERATIONS} iterations without convergence")

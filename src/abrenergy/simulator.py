@@ -6,10 +6,10 @@ drains a battery.  It is computed with the standard library alone: each
 distinct bandwidth is selected and priced once, the aggregates are means
 over those values weighted by how many segments requested them.  A
 per-segment record, when one is kept, holds only each segment's inputs, its
-bandwidth and the charge after it; a report walks its record's runs of one
-gamma once (``SessionReport._runs``) and prices them again for every reader
-of the rest.  One test (``_ends_run``) ends a run, in the session's drain and
-in that walk alike.  Sessions under different modes but identical conditions
+bandwidth and the charge after it; every reader of the rest takes the
+record's runs of one gamma, priced, from ``SessionReport._runs``.  One test
+(``_ends_run``) ends a run, in the session's drain and in a saved record's
+walk alike.  Sessions under different modes but identical conditions
 are then compared against the energy-saving-off baseline.  Writing a report
 to a file and loading it back is ``reportio``'s, which only a saved report
 loads.
@@ -257,10 +257,10 @@ class SessionReport:
 
     @cached_property
     def _runs(self) -> list[_Run]:
-        """The runs of one gamma of the per-segment record, priced again from
-        its inputs (``_gamma_runs``): walked once per report, for the
-        loader's check, ``compare --quality``, ``to_csv`` and
-        ``per_segment`` alike."""
+        """The runs of one gamma of the per-segment record, priced: those
+        ``run_session`` priced, or else priced again from the record's
+        inputs (``_gamma_runs``) once per report, for the loader's check,
+        ``compare --quality``, ``to_csv`` and ``per_segment`` alike."""
         return list(_gamma_runs(self))
 
     def to_csv(self, provenance: dict | None = None) -> str:
@@ -356,12 +356,12 @@ def run_session(
     prices every distinct bandwidth of the trace once.  A piece that plays
     the whole trace takes its segments per distinct bandwidth from the
     trace's ``counts``, which are counted once per trace; a shorter piece
-    counts its own segments, once.  The aggregates follow from those counts
-    (``_tally_mean``), and only the battery drain is computed segment by
-    segment; it stops within ``_DRAIN_CHUNK`` segments of the piece's end.
-    Every value equals the segment-by-segment computation bit for bit.  A
-    kept per-segment record is the part of the trace played and, with a
-    battery, the charges.
+    counts its own segments and keeps their rows.  The aggregates follow
+    from those counts (``_tally_mean``), and only the battery drain is
+    computed segment by segment; it stops within ``_DRAIN_CHUNK`` segments
+    of the piece's end.  Every value equals the segment-by-segment
+    computation bit for bit.  A kept record is the part of the trace played
+    and, with a battery, the charges, and its runs (``_runs``) the pieces.
 
     Args:
         ladder: requestable representations.
@@ -415,9 +415,11 @@ def run_session(
             end = played + len(soc_after)
             if kept is not None:
                 kept += soc_after
-        # the piece ends here, so only its own segments are counted
-        piece = trace.bandwidths[played:end]
-        counts = trace.counts if len(piece) == len(trace) else Counter(piece)
+        # the piece ends here: a shorter one counts its own segments, and keeps their rows
+        counts = trace.counts
+        if end - played < len(trace):
+            counts = Counter(trace.bandwidths[played:end])
+            priced = {bw: priced[bw] for bw in counts}
         runs.append((played, end, gamma, counts, priced))
         played = end
     tally = _tally(runs)
@@ -425,7 +427,7 @@ def run_session(
     segments = None
     if include_segments:
         segments = SegmentColumns(list(trace.bandwidths[:played]), kept)
-    return SessionReport(
+    report = SessionReport(
         mode=mode,
         context=context,
         mean_quality=None if quality is None else _mean_scores(ladder, tally, quality),
@@ -433,6 +435,9 @@ def run_session(
         segments=segments,
         **_aggregates(ladder, tally, soc),
     )
+    if include_segments:  # the runs that ``_runs`` would walk, already priced
+        report.__dict__["_runs"] = runs
+    return report
 
 
 def _price(
@@ -443,9 +448,9 @@ def _price(
     best of them (the lowest as a fallback when none fits), its relative
     bandwidth, the modelled consumption there and the download time.
     A session prices every distinct bandwidth of its trace at each gamma it
-    runs, and ``_gamma_runs`` those of each run of equal gammas of a kept
-    record; ``_tally`` counts a run's segments against the table by
-    bandwidth, so rows that a run does not request do no harm.
+    runs, since its drain may look ahead of a run's end, and keeps each
+    run's own rows; ``_gamma_runs`` prices those of each run of equal
+    gammas of a saved record.
 
     The rung follows ``select``'s rule (``bisect_right`` over the bitrates,
     here as floats).
@@ -471,8 +476,8 @@ def _price(
 
 
 #: One run of equal gammas: its first segment, the segment after its last, its
-#: gamma, its segments per distinct bandwidth, and ``_price``'s rows for (at
-#: least) those bandwidths.
+#: gamma, its segments per distinct bandwidth, and ``_price``'s rows for those
+#: bandwidths, in the same order.
 _Run = tuple[int, int, float, Mapping[float, int], dict]
 #: One distinct bandwidth of a run of equal gammas: the bandwidth, the row
 #: ``_price`` gave for it and the number of segments that requested it.
@@ -495,15 +500,15 @@ def _tally(runs: Iterable[_Run]) -> list[_Tally]:
 
 
 def _gamma_runs(report: SessionReport) -> Iterator[_Run]:
-    """Each run of equal gammas of a report's per-segment record, priced
-    again from its inputs, as the session ran it.
+    """Each run of equal gammas of a saved or hand-built report's record,
+    priced again from its inputs, as the session ran it.
 
     A segment's gamma is the mode's at the charge before it, the report's
     ``initial_soc`` for the first, and the charge after it ends its run as
     in the session's drain (``_ends_run``).  Only the last row's charge can
     be empty (``reportio`` refuses a record that plays on), and it decides
     nothing.  ``_price`` is pure, so a run is priced as the session priced
-    it, though only its own bandwidths are.
+    it.
     """
     bandwidth, soc_after = report.segments.bandwidth, report.segments.soc_after
     n, mode = len(bandwidth), report.mode

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -77,6 +78,13 @@ class TestStaircase:
         with pytest.raises(ValueError, match="strictly increasing"):
             staircase([4e6, 1e6], 10)
 
+    def test_a_menu_value_the_trace_never_reaches_is_checked(self):
+        # two periods play only 1e6 and 2e6
+        assert staircase([1e6, 2e6, 3e6], 2).bandwidths == (1e6, 2e6)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^bandwidth values must be finite, got {bad}$"):
+                staircase([1e6, 2e6, bad], 2)
+
 
 class TestRandomBlocks:
     def test_blocks_hold_for_the_block_length(self):
@@ -118,8 +126,15 @@ class TestRandomBlocks:
             random_blocks([], 10, seed=0)
         with pytest.raises(ValueError):
             random_blocks([1e6], 10, seed=0, block_len=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bandwidth values must be positive, got -1000000.0$"):
             random_blocks([-1e6], 10, seed=0)
+
+    def test_a_menu_value_the_trace_never_draws_is_checked(self):
+        # at seed 2 the three one-period blocks draw only the second value
+        assert random_blocks([3e6, 1e6], 3, seed=2, block_len=1).bandwidths == (1e6,) * 3
+        for bad, rule in ((math.inf, "finite"), (math.nan, "finite"), (0.0, "positive")):
+            with pytest.raises(ValueError, match=f"^bandwidth values must be {rule}, got {bad}$"):
+                random_blocks([bad, 1e6], 3, seed=2, block_len=1)
 
 
 class TestTraceFiles:

@@ -56,6 +56,11 @@ class TestBandwidthGrammar:
             with pytest.raises(ValueError):
                 parse_bandwidth(bad)
 
+    def test_rejects_a_bandwidth_beyond_the_float_range(self):
+        for token in ("9" * 400, "1" + "0" * 300 + "G"):
+            with pytest.raises(ValueError, match="^bandwidth must be finite, got '[0-9]+G?'$"):
+                parse_bandwidth(token)
+
 
 class TestChannelGrammar:
     def test_constant(self):
@@ -112,6 +117,20 @@ class TestChannelGrammar:
         assert main(["simulate", "--ladder", ladder_file, "--channel", spec,
                      "--mode", "off", "--params", "overall", "--segments", "5"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, segments", [
+        (f"staircase:1M,2M,{'9' * 400}", "2"),
+        # at seed 0 the five periods draw only 1M
+        (f"random:values=1M,{'9' * 400},block=5,seed=0", "5"),
+    ], ids=["staircase", "random"])  # fmt: skip
+    def test_a_menu_bandwidth_beyond_the_float_range_exits_two(self, tmp_path, ladder_file,
+                                                               capsys, spec, segments):
+        out, rows = tmp_path / "off.json", tmp_path / "off.csv"
+        assert main(["simulate", "--ladder", ladder_file, "--channel", spec, "--mode", "off",
+                     "--params", "overall", "--segments", segments, "--output", str(out),
+                     "--per-segment", str(rows)]) == 2  # fmt: skip
+        assert capsys.readouterr().err == f"error: bandwidth must be finite, got '{'9' * 400}'\n"
+        assert not out.exists() and not rows.exists()
 
     @pytest.mark.parametrize("segments", [0, -1])
     def test_segments_below_one_exit_two(self, tmp_path, ladder_file, capsys, segments):

@@ -39,9 +39,10 @@ from abrenergy import (
     run_session,
 )
 from abrenergy import simulator
-from abrenergy._frozen import replace
+from abrenergy.cli import main
 from abrenergy.simulator import _DRAIN_CHUNK, _tally_mean
 from conftest import STOCK_LADDER_CSV
+from frozen_helpers import replace
 from scalar_session import scalar_session
 
 
@@ -302,6 +303,52 @@ def test_compare_prices_each_run_of_two_reloaded_reports_once(monkeypatch):
     loaded[1].to_csv()
     assert len(loaded[1].per_segment) == reports[1].n_segments
     assert priced == [1.0, 1.5, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("mode, battery, gammas", [
+    ("off", [], [1.0]),
+    ("strict", [], [4.0]),
+    # EMPTIED_ADAPTIVE_SESSION: the battery empties after a run of each gamma
+    ("adaptive", ["--battery-capacity-mah", "300", "--reference-current-ma", "450"],
+     [1.5, 2.0, 4.0]),
+])  # fmt: skip
+def test_single_mode_simulate_prices_each_run_once(tmp_path, monkeypatch, mode, battery, gammas):
+    ladder = tmp_path / "ladder.csv"
+    ladder.write_text(STOCK_LADDER_CSV)
+    priced, walked = [], []
+    price, gamma_runs = simulator._price, simulator._gamma_runs
+    monkeypatch.setattr(simulator, "_price",
+                        lambda context, bandwidths, gamma: priced.append(gamma)
+                        or price(context, bandwidths, gamma))  # fmt: skip
+    monkeypatch.setattr(simulator, "_gamma_runs",
+                        lambda report: walked.append(report) or gamma_runs(report))
+    report_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main(["simulate", "--ladder", str(ladder), "--segments", "600",
+                 "--channel", "random:values=1M,4M,7M,13M,22M,seed=17", "--mode", mode,
+                 "--params", "a=0.9,b=0.45", *battery, "--output", str(report_path),
+                 "--per-segment", str(csv_path)]) == 0  # fmt: skip
+    # the session's runs write the CSV; the record is never walked
+    assert priced == gammas and walked == []
+    saved = json.loads(report_path.read_text())
+    assert saved["report"]["soc_depleted"] == (mode == "adaptive")
+    # the walked runs write the same bytes
+    loaded = SessionReport.from_json_dict(saved["report"])
+    assert loaded.to_csv(saved["provenance"]) == csv_path.read_text()
+    assert len(walked) == 1 and priced == gammas * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(sessions())
+@example(EMPTIED_ADAPTIVE_SESSION)
+def test_a_fresh_report_keeps_the_runs_that_its_reloaded_copy_walks(session):
+    ladder, trace, mode, params, battery, quality = session
+    report = run_session(ladder, trace, mode, params, battery=battery, quality=quality)
+    loaded = SessionReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
+    # repr spells every float exactly and each table in order, priced rows included
+    assert repr(report._runs) == repr(loaded._runs)
+    assert report._runs == loaded._runs
+    for _, _, _, counts, priced in report._runs:
+        assert list(priced) == list(counts)
 
 
 def expanded_mean(values: list[float], counts: list[int]) -> float:

@@ -28,8 +28,8 @@ from abrenergy import (
     staircase,
     strict_mode,
 )
-from abrenergy._frozen import replace
 from abrenergy.simulator import _DRAIN_CHUNK
+from frozen_helpers import replace
 
 EC_AT_1_1 = 1.5480077598007158  # pooled params at bw_rel = 22/20
 EC_AT_4_4 = 1.058685310416065  # pooled params at bw_rel = 22/5

@@ -26,7 +26,8 @@ from abrenergy import (
     run_session,
     select,
 )
-from abrenergy._frozen import _refuse_assignment, frozen, replace
+from abrenergy._frozen import _refuse_assignment, frozen
+from frozen_helpers import replace
 
 
 def samples(ladder) -> dict[str, object]:

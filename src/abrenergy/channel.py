@@ -146,7 +146,9 @@ def random_blocks(
     """Capacity redrawn uniformly from ``values`` every ``block_len`` periods.
 
     Draws come from the pinned 64-bit generator, so a (values, seed,
-    block_len) triple always produces the same trace.
+    block_len) triple always produces the same trace.  A block at least as
+    long as the trace is the whole trace: each draw is repeated at most
+    ``n_periods`` times, however large ``block_len`` is.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -156,7 +158,7 @@ def random_blocks(
         raise ValueError(f"block_len must be at least 1, got {block_len}")
     rng = Lcg64(seed)
     draws = [vals[rng.next_index(len(vals))] for _ in range(-(-n_periods // block_len))]
-    blocks = chain.from_iterable(map(repeat, draws, repeat(block_len)))
+    blocks = chain.from_iterable(map(repeat, draws, repeat(min(block_len, n_periods))))
     return ChannelTrace(period_duration, tuple(islice(blocks, max(n_periods, 0))))
 
 

@@ -142,7 +142,7 @@ def parse_channel_spec(
     if kind == "trace":
         if not rest:
             raise ValueError("trace channel needs a file path, e.g. trace:capture.csv")
-        trace = load_trace(Path(rest).read_text(), segment_duration)
+        trace = load_trace(_read_input(rest), segment_duration)
         if n_segments is not None:
             if n_segments > len(trace):
                 raise ValueError(
@@ -168,7 +168,7 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
         ref = spec[4:]
         path, _, combination = ref.partition("#")
         try:
-            document = json.loads(Path(path).read_text())
+            document = json.loads(_read_input(path))
             check_schema(document, path)
             document = read_fields(_FIT_FILE_FIELDS, document, path)
             fits = [read_fields(fit_fields, fit, "fit") for fit in document["fits"]]
@@ -223,6 +223,15 @@ def _provenance(subcommand: str, config: dict) -> dict:
     }
 
 
+def _read_input(path: str) -> str:
+    """An input file's text, decoded as the writers encode (the locale's
+    encoding); a file that does not decode is named in the error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot decode {path!r}: {exc}") from None
+
+
 def _write_text(text: str, path: str | None) -> None:
     if path:
         Path(path).write_text(text)
@@ -260,7 +269,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     from ._layout import SCHEMA, json_array
     from .measurements import group_measurements, normalize_columns, read_measurements
 
-    groups = group_measurements(read_measurements(Path(args.input).read_text()))
+    groups = group_measurements(read_measurements(_read_input(args.input)))
     combinations, point_rows = [], []
     for combination in sorted(groups, key=lambda c: c.label):
         reference, bw_rel, ec_rel = normalize_columns(groups[combination], combination)
@@ -317,7 +326,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     groups = {
         combination: normalize_columns(group, combination)[1:]
         for combination, group in group_measurements(
-            read_measurements(Path(args.input).read_text())
+            read_measurements(_read_input(args.input))
         ).items()
     }
     fix_c = None if args.free_c else args.fix_c
@@ -390,10 +399,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         flag = "--adaptive-high" if high is not None else "--adaptive-low"
         raise ValueError(f"{flag} applies only when an adaptive mode runs")
     adaptive = AdaptiveConfig(**_given(high_threshold=high, low_threshold=low))
-    ladder = parse_ladder(Path(args.ladder).read_text())
+    ladder = parse_ladder(_read_input(args.ladder))
     trace, channel_desc = parse_channel_spec(args.channel, args.segments, args.segment_duration)
     params, params_desc = parse_params_spec(args.params)
-    quality = load_quality_map(Path(args.quality).read_text()) if args.quality else None
+    quality = load_quality_map(_read_input(args.quality)) if args.quality else None
     if mode_name == "all":
         modes = [EnergyMode(kind) for kind in FIXED_GAMMAS]
         if battery is not None:
@@ -456,7 +465,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     def load_report(path: str) -> tuple[SessionReport, str]:
         """A report as ``simulate`` writes it, and the kind of channel it ran over."""
         try:
-            document = read_fields(_REPORT_FILE_FIELDS, json.loads(Path(path).read_text()), path)
+            document = read_fields(_REPORT_FILE_FIELDS, json.loads(_read_input(path)), path)
             kind = document["provenance"]  # walked down to its config.channel.kind
             for key, types in (("config", (dict,)), ("channel", (dict,)), ("kind", (str,))):
                 kind = read_fields(((key, key, types),), kind, key)[key]
@@ -466,7 +475,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     baseline, channel_kind = load_report(args.baseline)
     others = [load_report(path)[0] for path in args.candidate]
-    quality = load_quality_map(Path(args.quality).read_text()) if args.quality else None
+    quality = load_quality_map(_read_input(args.quality)) if args.quality else None
     channel_label = channel_kind if args.channel_label is None else args.channel_label
     table = compare(baseline, others, quality=quality, channel=channel_label)
     provenance = _provenance(

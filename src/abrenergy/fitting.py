@@ -77,11 +77,17 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 def pearson(x, y) -> float:
     """Pearson correlation coefficient.
 
+    An input is of zero variance when its values are all equal, decided
+    from the values (numpy's mean of equal values can be off by one ulp),
+    or when its squared deviations underflow to a zero sum.
+
     Raises:
         ValueError: on length mismatch, fewer than two samples, non-finite
             input, or zero variance in either input.
     """
     xa, ya = _paired(x, y)
+    if xa.min() == xa.max() or ya.min() == ya.max():
+        raise ValueError("zero variance: correlation undefined")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx = math.sqrt(_dot(dx, dx))
@@ -108,9 +114,13 @@ def r_squared(observed, predicted) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot.
 
     Constant observations make SS_tot zero; that degenerate case reports
-    0.0 rather than raising, since tiny datasets can reach it.
+    0.0 rather than raising, since tiny datasets can reach it.  Observations
+    are constant when their values are all equal, decided from the values,
+    or when their squared deviations underflow to a zero sum.
     """
     obs, pred = _paired(observed, predicted)
+    if obs.min() == obs.max():
+        return 0.0
     residual = obs - pred
     deviation = obs - obs.mean()
     ss_tot = _dot(deviation, deviation)
@@ -126,14 +136,23 @@ _REL_TOL = 1e-12
 
 
 def _initial_guess(bw: np.ndarray, ec: np.ndarray, c: float) -> tuple[float, float]:
-    # log-linear start: ln(ec - c) regressed on bw_rel where the log exists
+    """The starting ``a`` and ``b``: a log-linear regression of ln(ec - c) on
+    bw_rel where the log exists, or the curve through the one point where it
+    does.
+
+    Raises:
+        FitError: when the starting ``a`` is beyond the float range.
+    """
     mask = ec > c + 1e-9
-    if int(mask.sum()) >= 2 and np.unique(bw[mask]).size >= 2:
-        slope, intercept = np.polyfit(bw[mask], np.log(ec[mask] - c), 1)
-        return max(math.exp(intercept), 0.0), max(-slope, 0.0)
-    if int(mask.sum()) == 1:
-        idx = int(np.flatnonzero(mask)[0])
-        return float((ec[idx] - c) * math.exp(bw[idx])), 1.0
+    try:
+        if int(mask.sum()) >= 2 and np.unique(bw[mask]).size >= 2:
+            slope, intercept = np.polyfit(bw[mask], np.log(ec[mask] - c), 1)
+            return max(math.exp(intercept), 0.0), max(-slope, 0.0)
+        if int(mask.sum()) == 1:
+            idx = int(np.flatnonzero(mask)[0])
+            return float((ec[idx] - c) * math.exp(bw[idx])), 1.0
+    except OverflowError:
+        raise FitError("the starting guess is beyond the float range") from None
     return 0.0, 1.0
 
 
@@ -148,6 +167,7 @@ def fit(
     )
 
 
+@np.errstate(over="ignore")  # an overflow makes a value infinite, which a check below refuses
 def fit_columns(
     bw_rel: Sequence[float] | np.ndarray,
     ec_rel: Sequence[float] | np.ndarray,
@@ -160,7 +180,10 @@ def fit_columns(
     Starts from a log-linear guess and refines with damped Gauss-Newton
     steps (step halved while the objective worsens), stopping when the
     relative objective change drops below 1e-12 or after 200 iterations.
-    ``a`` and ``b`` are projected to stay non-negative.
+    ``a`` and ``b`` are projected to stay non-negative.  numpy's overflow
+    warnings are silenced for the call: a value that overflows is infinite,
+    and the starting guess, the objective and the fitted parameters are
+    checked to be finite.
 
     Args:
         bw_rel: relative bandwidth of each point.
@@ -170,15 +193,21 @@ def fit_columns(
 
     Returns:
         FitResult over the points actually used; degenerate correlation
-        metrics are reported as 0.0 with a diagnostic instead of raising.
+        metrics are reported as 0.0 with a diagnostic instead of raising,
+        constant observations (all values equal) included.
 
     Raises:
-        ValueError: when the columns are not 1-d and of equal length, or a
-            value of either, flagged points included, is not positive and
-            finite; the first such row (from 0) and its column are named.
+        ValueError: on a ``fix_c`` that is NaN, infinite or negative, before
+            any numpy routine runs; when the columns are not 1-d and of
+            equal length, or a value of either, flagged points included, is
+            not positive and finite; the first such row (from 0) and its
+            column are named.
         FitError: on too few usable points, unidentifiable data (all at
-            one bw_rel), a non-finite objective, or a negative floor.
+            one bw_rel), a starting guess beyond the float range, a
+            non-finite objective, or a negative floor.
     """
+    if fix_c is not None and not 0.0 <= fix_c < math.inf:
+        raise ValueError(f"fix_c must be finite and non-negative, got {fix_c!r}")
     bw = np.asarray(bw_rel, dtype=float)
     ec = np.asarray(ec_rel, dtype=float)
     if bw.shape != ec.shape or bw.ndim != 1:
@@ -275,7 +304,7 @@ def fit_columns(
         diagnostics.append(f"stopped after {_MAX_ITERATIONS} iterations without convergence")
     r2 = r_squared(ec, predicted)
     deviation = ec - ec.mean()
-    if _dot(deviation, deviation) == 0.0:
+    if ec.min() == ec.max() or _dot(deviation, deviation) == 0.0:
         diagnostics.append("constant observations: r_squared reported as 0")
     try:
         pcc = pearson(ec, predicted)

@@ -35,7 +35,6 @@ from .simulator import (
     _aggregates,
     _float_rates,
     _provenance_comment,
-    _tally,
 )
 
 
@@ -420,7 +419,7 @@ def from_json_dict(data: dict) -> SessionReport:
                                segments=segments, **aggregates)  # fmt: skip
         final_soc = None if segments.soc_after is None else segments.soc_after[-1]
         # the record priced again (``SessionReport._runs``) must give the saved aggregates
-        derived = _aggregates(ladder, _tally(report._runs), final_soc)
+        derived = _aggregates(ladder, report._runs, final_soc)
         for key, attr, _ in _AGGREGATE_FIELDS:
             if attr in derived and aggregates[attr] != derived[attr]:
                 raise ValueError(

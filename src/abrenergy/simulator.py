@@ -179,17 +179,18 @@ def _float_rates(ladder: QualityLadder) -> list[float]:
     return [float(bitrate) for bitrate in ladder.bitrates]
 
 
-def _aggregates(ladder: QualityLadder, tally: list[_Tally], final_soc: float | None) -> dict:
-    """The aggregates of a session, by attribute, from its tally and its
-    last charge (None without a battery).
+def _aggregates(ladder: QualityLadder, runs: list[_Run], final_soc: float | None) -> dict:
+    """The aggregates of a session, by attribute, from its runs of one gamma
+    and its last charge (None without a battery).
 
-    Each mean sums every segment's value, each distinct value repeated as
-    many times as segments hold it.  A session ends with the battery
-    depleted exactly when its last charge is zero, since the drain clamps
-    the charge there and stops.
+    Each mean sums every segment's value, each distinct bandwidth's value of
+    a run repeated as many times as that run's segments request it.  A
+    session ends with the battery depleted exactly when its last charge is
+    zero, since the drain clamps the charge there and stops.
     """
     rates = _float_rates(ladder)
-    bandwidth, rows, counts = zip(*tally)
+    bandwidth, counts, rows = zip(*[(bw, count, priced[bw]) for *_, per_bw, priced in runs
+                                    for bw, count in per_bw.items()])  # fmt: skip
     _, candidates, rung, _, ec_rel, _ = zip(*rows)
     selected = list(map(rates.__getitem__, rung))
     return {
@@ -316,14 +317,13 @@ def _tally_mean(values: Sequence[float], counts: Sequence[int]) -> float:
         return units / (n << _SUBNORMAL_BITS)
 
 
-def _mean_scores(
-    ladder: QualityLadder, tally: list[_Tally], quality: QualityMap
-) -> dict[str, float]:
-    """Each scored metric's mean over the segments of a tally, from its
-    segments per rung."""
+def _mean_scores(ladder: QualityLadder, runs: list[_Run], quality: QualityMap) -> dict[str, float]:
+    """Each scored metric's mean over the segments of a session's runs of one
+    gamma, from its segments per rung."""
     per_rung = Counter()
-    for _, row, count in tally:
-        per_rung[row[2]] += count
+    for *_, counts, priced in runs:
+        for bw, count in counts.items():
+            per_rung[priced[bw][2]] += count
     return {
         metric: _tally_mean([float(scores[ladder[rung].name]) for rung in per_rung],
                             list(per_rung.values()))  # fmt: skip
@@ -356,12 +356,14 @@ def run_session(
     prices every distinct bandwidth of the trace once.  A piece that plays
     the whole trace takes its segments per distinct bandwidth from the
     trace's ``counts``, which are counted once per trace; a shorter piece
-    counts its own segments and keeps their rows.  The aggregates follow
-    from those counts (``_tally_mean``), and only the battery drain is
-    computed segment by segment; it stops within ``_DRAIN_CHUNK`` segments
-    of the piece's end.  Every value equals the segment-by-segment
-    computation bit for bit.  A kept record is the part of the trace played
-    and, with a battery, the charges, and its runs (``_runs``) the pieces.
+    counts its own segments and keeps their rows.  Each piece is one run of
+    one gamma, and the aggregates and quality means read the runs' counts
+    and rows directly (``_aggregates``, ``_mean_scores``, each mean a
+    ``_tally_mean``); only the battery drain is computed segment by
+    segment, and it stops within ``_DRAIN_CHUNK`` segments of the piece's
+    end.  Every value equals the segment-by-segment computation bit for
+    bit.  A kept record is the part of the trace played and, with a
+    battery, the charges, and its runs (``_runs``) the pieces.
 
     Args:
         ladder: requestable representations.
@@ -422,7 +424,6 @@ def run_session(
             priced = {bw: priced[bw] for bw in counts}
         runs.append((played, end, gamma, counts, priced))
         played = end
-    tally = _tally(runs)
 
     segments = None
     if include_segments:
@@ -430,10 +431,10 @@ def run_session(
     report = SessionReport(
         mode=mode,
         context=context,
-        mean_quality=None if quality is None else _mean_scores(ladder, tally, quality),
+        mean_quality=None if quality is None else _mean_scores(ladder, runs, quality),
         initial_soc=battery.initial_soc if battery is not None else None,
         segments=segments,
-        **_aggregates(ladder, tally, soc),
+        **_aggregates(ladder, runs, soc),
     )
     if include_segments:  # the runs that ``_runs`` would walk, already priced
         report.__dict__["_runs"] = runs
@@ -479,9 +480,6 @@ def _price(
 #: gamma, its segments per distinct bandwidth, and ``_price``'s rows for those
 #: bandwidths, in the same order.
 _Run = tuple[int, int, float, Mapping[float, int], dict]
-#: One distinct bandwidth of a run of equal gammas: the bandwidth, the row
-#: ``_price`` gave for it and the number of segments that requested it.
-_Tally = tuple[float, tuple[float, int, int, float, float, float], int]
 
 
 def _ends_run(mode: EnergyMode, gamma: float) -> Callable[[float], bool]:
@@ -490,13 +488,6 @@ def _ends_run(mode: EnergyMode, gamma: float) -> Callable[[float], bool]:
     so once a charge ends the run every later one does, and ``bisect_left``
     with this key finds the first."""
     return lambda charge: charge <= 0.0 or mode.gamma_for(charge) != gamma
-
-
-def _tally(runs: Iterable[_Run]) -> list[_Tally]:
-    """The segments of runs as ``_Tally`` entries, from each run's segments per
-    distinct bandwidth."""
-    return [(bw, priced[bw], count) for *_, counts, priced in runs
-            for bw, count in counts.items()]  # fmt: skip
 
 
 def _gamma_runs(report: SessionReport) -> Iterator[_Run]:
@@ -579,7 +570,7 @@ def _quality_means(report: SessionReport, quality: QualityMap | None) -> dict[st
     if report.segments is None:
         raise ValueError(f"the {report.mode.label} report has no per-segment record to score")
     quality.validate_for(report.ladder)
-    return _mean_scores(report.ladder, _tally(report._runs), quality)
+    return _mean_scores(report.ladder, report._runs, quality)
 
 
 def _energy_pct(report: SessionReport, baseline: SessionReport) -> float:

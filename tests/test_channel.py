@@ -111,6 +111,13 @@ class TestRandomBlocks:
         trace = random_blocks(DEFAULT_BANDWIDTH_VALUES, 25, seed=3, block_len=10)
         assert len(trace) == 25
 
+    @pytest.mark.parametrize("n", [1, 3, 25])
+    def test_a_block_longer_than_the_trace_is_the_whole_trace(self, n):
+        # repeat() was given the block length, which overflowed C's ssize_t
+        whole = random_blocks(DEFAULT_BANDWIDTH_VALUES, n, seed=4, block_len=n)
+        assert random_blocks(DEFAULT_BANDWIDTH_VALUES, n, seed=4, block_len=2**63) == whole
+        assert len(set(whole.bandwidths)) == 1
+
     def test_draw_frequencies_converge(self):
         # 10,000 blocks of one period each; chi-square df=7, p=0.001 -> 24.32
         trace = random_blocks(DEFAULT_BANDWIDTH_VALUES, 10_000, seed=3, block_len=1)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 
 import pytest
 
@@ -28,10 +29,15 @@ def ladder_file(tmp_path):
     return str(path)
 
 
+MEASUREMENT_HEADER = (
+    "device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma"
+)
+
+
 def make_measurements(tmp_path, a=0.9, b=0.45, ec_ref=250.0):
     """On-curve synthetic measurements; the reference rows sit far out on
     the tail so every point is exact."""
-    rows = ["device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma"]
+    rows = [MEASUREMENT_HEADER]
     for _ in range(2):
         rows.append(f"labdev,WIFI,HEVC,240p,650000,650000000,{ec_ref!r}")
     for bw_rel in (1.2, 1.8, 2.5, 3.3, 4.1, 5.5):
@@ -131,6 +137,17 @@ class TestChannelGrammar:
                      "--per-segment", str(rows)]) == 2  # fmt: skip
         assert capsys.readouterr().err == f"error: bandwidth must be finite, got '{'9' * 400}'\n"
         assert not out.exists() and not rows.exists()
+
+    def test_a_block_longer_than_the_trace_is_the_whole_trace(self, tmp_path, ladder_file):
+        # the block length went to repeat(), which overflowed C's ssize_t
+        rows = tmp_path / "off.csv"
+        assert main(["simulate", "--ladder", ladder_file, "--channel",
+                     "random:values=1M,4M,7M,block=99999999999999999999,seed=2", "--segments",
+                     "3", "--mode", "off", "--params", "overall", "--output",
+                     str(tmp_path / "off.json"), "--per-segment", str(rows)]) == 0  # fmt: skip
+        lines = [line for line in rows.read_text().splitlines() if not line.startswith("#")]
+        bandwidths = [row["bandwidth_bps"] for row in csv.DictReader(lines)]
+        assert len(bandwidths) == 3 and len(set(bandwidths)) == 1
 
     @pytest.mark.parametrize("segments", [0, -1])
     def test_segments_below_one_exit_two(self, tmp_path, ladder_file, capsys, segments):
@@ -446,6 +463,46 @@ class TestNormalizeAndFit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bw_rel must be positive and finite, got inf" in err
         assert err.count("\n") == 1 and not output.exists()
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        # math.exp of the log-linear start's intercept used to raise OverflowError
+        (["d,wifi,hevc,240p,500000,500000,1e-300", "d,wifi,hevc,480p,1000000,1000000,1e4",
+          "d,wifi,hevc,480p,1000000,2000000,1e-40", "d,wifi,hevc,480p,1000000,3000000,1e-84"],
+         [], "the starting guess is beyond the float range"),
+        (None, ["--fix-c", "nan"], "fix_c must be finite and non-negative, got nan"),
+        (None, ["--fix-c", "inf"], "fix_c must be finite and non-negative, got inf"),
+        (None, ["--fix-c", "-1"], "fix_c must be finite and non-negative, got -1.0"),
+        # the objective overflows: numpy's warning used to come first
+        (None, ["--fix-c", "1e308"], "objective is not finite at the initial guess"),
+    ])  # fmt: skip
+    def test_fit_beyond_the_float_range_exits_two_quietly(self, tmp_path, capfd, rows, flags,
+                                                          message):
+        source = make_measurements(tmp_path)
+        if rows is not None:
+            with open(source, "w") as fh:
+                fh.write("\n".join([MEASUREMENT_HEADER, *rows]) + "\n")
+        output = tmp_path / "fits.json"
+        assert main(["fit", "--input", source, "--output", str(output), *flags]) == 2
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+        assert not output.exists()
+
+    def test_constant_observations_score_zero_with_every_note(self, tmp_path, capsys):
+        # numpy's mean of the six 1.1s is one ulp off: r2 and pcc were written as 1.0
+        source = tmp_path / "flat.csv"
+        source.write_text("\n".join([MEASUREMENT_HEADER, "d,wifi,hevc,240p,500000,400000,100",
+                                     *(f"d,wifi,hevc,480p,1000000,{bw},110"
+                                       for bw in (1500000, 2000000, 3000000, 4000000, 6000000,
+                                                  9000000))]) + "\n")  # fmt: skip
+        output = tmp_path / "fits.json"
+        assert main(["fit", "--input", str(source), "--output", str(output)]) == 0
+        (entry,) = json.loads(output.read_text())["fits"]
+        assert (entry["r2"], entry["pcc"], entry["srocc"], entry["n"]) == (0.0, 0.0, 0.0, 6)
+        assert entry["a"] == pytest.approx(0.1, abs=1e-9)
+        assert capsys.readouterr().err.splitlines() == [
+            "note: d/WIFI/HEVC: constant observations: r_squared reported as 0",
+            "note: d/WIFI/HEVC: degenerate variance: pcc reported as 0",
+            "note: d/WIFI/HEVC: degenerate variance: srocc reported as 0",
+        ]
 
     @pytest.mark.parametrize("command", ["normalize", "fit"])
     def test_file_without_records_exits_two(self, tmp_path, capsys, command):
@@ -824,6 +881,36 @@ class TestErrorPaths:
         assert main(["compare", "--baseline", str(path), "--candidate", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be an object, got an array" in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--ladder", "{}"),
+        ("simulate", "--channel", "trace:{}"),
+        ("simulate", "--quality", "{}"),
+        ("simulate", "--params", "fit:{}"),
+        ("normalize", "--input", "{}"),
+        ("fit", "--input", "{}"),
+        ("compare", "--baseline", "{}"),
+        ("compare", "--candidate", "{}"),
+        ("compare", "--quality", "{}"),
+    ])  # fmt: skip
+    def test_an_input_that_cannot_be_decoded_is_named(self, tmp_path, ladder_file, capsys,
+                                                      command, flag, value):
+        undecodable = tmp_path / "undecodable.bin"
+        undecodable.write_bytes(b"\xff\xfe")
+        report, output = tmp_path / "off.json", tmp_path / "out.json"
+        assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                     "--mode", "off", "--params", "overall", "--segments", "5",
+                     "--output", str(report)]) == 0  # fmt: skip
+        given = {
+            "simulate": {"--ladder": ladder_file, "--channel": "constant:22M",
+                         "--params": "overall", "--mode": "off", "--segments": "5"},
+            "compare": {"--baseline": str(report), "--candidate": str(report)},
+        }.get(command, {})  # fmt: skip
+        given = {**given, flag: value.format(undecodable), "--output": str(output)}
+        assert main([command, *chain.from_iterable(given.items())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {str(undecodable)!r}: ")
+        assert err.count("\n") == 1 and not output.exists()
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["simulate", "--ladder", "/nonexistent.csv", "--channel",

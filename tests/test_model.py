@@ -204,12 +204,17 @@ class TestCorrelation:
     def test_r_squared_perfect_and_degenerate(self):
         assert r_squared([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
         assert r_squared([2, 2, 2], [1, 2, 3]) == 0.0
+        # numpy's mean of six 1.1s is one ulp off, so the deviations are not zero
+        assert r_squared([1.1] * 6, [1, 2, 3, 4, 5, 6]) == 0.0
+        assert r_squared([1.1] * 6, [1.1] * 6) == 0.0
 
     def test_zero_variance_raises(self):
         with pytest.raises(ValueError, match="zero variance"):
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(ValueError, match="zero variance"):
             spearman([1, 2, 3], [5, 5, 5])
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson([1.1] * 6, [1, 2, 3, 4, 5, 6])
 
     def test_length_mismatch_and_tiny_inputs(self):
         with pytest.raises(ValueError):
@@ -282,20 +287,31 @@ class TestFit:
         assert included.n_excluded == 0
         assert included.params.a != pytest.approx(truth.a, abs=1e-3)
 
-    def test_constant_data_lands_on_the_floor_offset(self):
-        # every observation at 1.3 with the floor at 1: exact optimum is
-        # a = 0.3 with no decay, and the degenerate metrics are reported
-        # as 0 with diagnostics rather than raised
-        pts = [RelativePoint(bw, 1.3, SYNTH) for bw in (1.0, 2.0, 3.0)]
+    @pytest.mark.parametrize("value, bws", [
+        (1.3, (1.0, 2.0, 3.0)),
+        # numpy's mean of these constants is one ulp off: the deviations
+        # were not zero, and r2 and pcc came out as 1.0
+        (2.7, (1.0, 2.0, 3.0)),
+        (1.1, (1.5, 2.0, 3.0, 4.0, 6.0, 9.0)),
+    ])  # fmt: skip
+    def test_constant_data_lands_on_the_floor_offset(self, value, bws):
+        # every observation at one value with the floor at 1: exact optimum
+        # is a = value - 1 with no decay, and the degenerate metrics are
+        # reported as 0 with diagnostics rather than raised
+        pts = [RelativePoint(bw, value, SYNTH) for bw in bws]
         result = fit(pts)
-        for bw in (1.0, 2.0, 3.0):
-            assert evaluate(result.params, bw) == pytest.approx(1.3, abs=1e-9)
-        assert result.params.a == pytest.approx(0.3, abs=1e-6)
+        for bw in bws:
+            assert evaluate(result.params, bw) == pytest.approx(value, abs=1e-9)
+        assert result.params.a == pytest.approx(value - 1.0, abs=1e-6)
         assert result.params.b == pytest.approx(0.0, abs=1e-6)
         assert result.r_squared == 0.0
         assert result.pcc == 0.0
         assert result.srocc == 0.0
-        assert result.diagnostics
+        assert result.diagnostics == (
+            "constant observations: r_squared reported as 0",
+            "degenerate variance: pcc reported as 0",
+            "degenerate variance: srocc reported as 0",
+        )
 
     def test_too_few_points(self):
         pts = points_from(ModelParams(0.8, 1.3, 1.0), [2.0])
@@ -325,6 +341,33 @@ class TestFit:
         message = f"{where} must be positive and finite, got {got}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_columns(bw_rel, ec_rel, fix_c, include_flagged)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("bw_rel, ec_rel, fix_c, error, message", [
+        # the starting guess's math.exp used to raise OverflowError: in the
+        # log-linear start, and in the start through the one point above the floor
+        ([1.0, 2.0, 3.0], [1e304, 1e260, 1e216], 1.0, FitError,
+         "the starting guess is beyond the float range"),
+        ([1.0, 1000.0], [1.0, 2.0], 1.0, FitError,
+         "the starting guess is beyond the float range"),
+        # a NaN or infinite floor used to fail as a non-finite objective, and
+        # a negative one only after the whole refinement
+        ([1.0, 2.0, 3.0], [2.0, 1.5, 1.3], math.nan, ValueError,
+         "fix_c must be finite and non-negative, got nan"),
+        ([1.0, 2.0, 3.0], [2.0, 1.5, 1.3], math.inf, ValueError,
+         "fix_c must be finite and non-negative, got inf"),
+        ([1.0, 2.0, 3.0], [2.0, 1.5, 1.3], -1.0, ValueError,
+         "fix_c must be finite and non-negative, got -1.0"),
+        # an objective that overflows used to print numpy's overflow warning first
+        ([1.0, 2.0], [1.0, 1e300], 1.0, FitError, "objective is not finite at the initial guess"),
+        ([1.0, 2.0, 3.0], [2.0, 1.5, 1.3], 1e308, FitError,
+         "objective is not finite at the initial guess"),
+    ])  # fmt: skip
+    def test_fit_columns_refuses_values_beyond_the_float_range_quietly(
+        self, capfd, bw_rel, ec_rel, fix_c, error, message
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            fit_columns(bw_rel, ec_rel, fix_c, False)
         assert capfd.readouterr() == ("", "")
 
     def test_single_bandwidth_is_unidentifiable(self):

@@ -165,37 +165,32 @@ def parse_params_spec(spec: str) -> tuple[ModelParams, dict]:
         from .reportio import PARAMS_FIELDS, check_schema, read_fields
 
         fit_fields = (("combination", "combination", (str,)), *PARAMS_FIELDS)
-        ref = spec[4:]
-        path, _, combination = ref.partition("#")
-        try:
-            document = json.loads(_read_input(path))
-            check_schema(document, path)
-            document = read_fields(_FIT_FILE_FIELDS, document, path)
+        path, _, combination = spec[4:].partition("#")
+
+        def read(document: object) -> tuple[ModelParams, dict]:
+            check_schema(document, "document")
+            document = read_fields(_FIT_FILE_FIELDS, document, "document")
             fits = [read_fields(fit_fields, fit, "fit") for fit in document["fits"]]
             if combination:
                 matches = [f for f in fits if f["combination"] == combination]
                 if not matches:
                     known = ", ".join(f["combination"] for f in fits)
-                    raise ValueError(
-                        f"no fit for combination {combination!r} in {path!r};"
-                        f" available: {known}"
-                    )
+                    raise ValueError(f"no fit for combination {combination!r}; available: {known}")
                 if len(matches) > 1:
-                    raise ValueError(f"{path!r} holds {len(matches)} fits for combination"
-                                     f" {combination!r}")  # fmt: skip
+                    raise ValueError(f"holds {len(matches)} fits for combination {combination!r}")
                 entry = matches[0]
             elif len(fits) == 1:
                 entry = fits[0]
             else:
                 known = ", ".join(f["combination"] for f in fits)
                 raise ValueError(
-                    f"{path!r} holds {len(fits)} fits; select one with"
-                    f" fit:{path}#<combination> (available: {known})"
+                    f"holds {len(fits)} fits; select one with"
+                    f" fit:<path>#<combination> (available: {known})"
                 )
             params = ModelParams(entry["a"], entry["b"], entry["c"])
             return params, {"source": "fit", "path": path, "combination": entry["combination"]}
-        except KeyError as exc:
-            raise ValueError(f"fit file {path!r} is missing key {exc}") from None
+
+        return _read_json(path, read)
     if "=" in spec:
         fields = {}
         for token in spec.split(","):
@@ -230,6 +225,18 @@ def _read_input(path: str) -> str:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot decode {path!r}: {exc}") from None
+
+
+def _read_json(path: str, read: Callable[[object], tuple]) -> tuple:
+    """``read`` over the JSON document in ``path``, each error from decoding
+    or reading it prefixed with the path (a missing key named as such)."""
+    text = _read_input(path)  # an OSError or undecodable text names the path already
+    try:
+        return read(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"{path!r}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path!r}: {exc}") from None
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -330,18 +337,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         ).items()
     }
     fix_c = None if args.free_c else args.fix_c
-    fits = []
-    notes = []
-    for combination in sorted(groups, key=lambda c: c.label):
-        result = fit_columns(*groups[combination], fix_c, args.include_flagged)
-        fits.append(result.to_json_dict(combination.label))
-        notes.extend(f"{combination.label}: {d}" for d in result.diagnostics)
+    labelled = [(c.label, groups[c]) for c in sorted(groups, key=lambda c: c.label)]
     if len(groups) > 1:
         # pooled in first-seen order, which the fitted bytes depend on
         pooled = [np.concatenate(column) for column in zip(*groups.values())]
-        result = fit_columns(*pooled, fix_c, args.include_flagged)
-        fits.append(result.to_json_dict("overall"))
-        notes.extend(f"overall: {d}" for d in result.diagnostics)
+        labelled.append(("overall", pooled))
+    fits = []
+    notes = []
+    for label, columns in labelled:
+        result = fit_columns(*columns, fix_c, args.include_flagged)
+        fits.append(result.to_json_dict(label))
+        notes.extend(f"{label}: {d}" for d in result.diagnostics)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     payload = {
@@ -462,19 +468,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .reportio import from_json_dict, read_fields
     from .simulator import compare, load_quality_map
 
-    def load_report(path: str) -> tuple[SessionReport, str]:
+    def read_report(document: object) -> tuple[SessionReport, str]:
         """A report as ``simulate`` writes it, and the kind of channel it ran over."""
-        try:
-            document = read_fields(_REPORT_FILE_FIELDS, json.loads(_read_input(path)), path)
-            kind = document["provenance"]  # walked down to its config.channel.kind
-            for key, types in (("config", (dict,)), ("channel", (dict,)), ("kind", (str,))):
-                kind = read_fields(((key, key, types),), kind, key)[key]
-        except KeyError as exc:
-            raise ValueError(f"{path!r} is missing key {exc}") from None
+        document = read_fields(_REPORT_FILE_FIELDS, document, "document")
+        kind = document["provenance"]  # walked down to its config.channel.kind
+        for key, types in (("config", (dict,)), ("channel", (dict,)), ("kind", (str,))):
+            kind = read_fields(((key, key, types),), kind, key)[key]
         return from_json_dict(document["report"]), kind
 
-    baseline, channel_kind = load_report(args.baseline)
-    others = [load_report(path)[0] for path in args.candidate]
+    baseline, channel_kind = _read_json(args.baseline, read_report)
+    others = [_read_json(path, read_report)[0] for path in args.candidate]
     quality = load_quality_map(_read_input(args.quality)) if args.quality else None
     channel_label = channel_kind if args.channel_label is None else args.channel_label
     table = compare(baseline, others, quality=quality, channel=channel_label)

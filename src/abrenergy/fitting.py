@@ -2,15 +2,15 @@
 
 The least-squares refinement and the metrics are numpy array programs: the
 bytes ``fit`` writes depend on numpy's ``lstsq``.  Every dot product (the
-objective, the correlations, the coefficient of determination and the
-constant-observation check) is exact: a correctly rounded sum of the
-elementwise products, whose bits do not depend on how many threads the
-BLAS library would split it across.
+objective, the correlations and the coefficient of determination) is
+exact: a correctly rounded sum of the elementwise products, whose bits do
+not depend on how many threads the BLAS library would split it across.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -113,26 +113,40 @@ def spearman(x, y) -> float:
 def r_squared(observed, predicted) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot.
 
-    Constant observations make SS_tot zero; that degenerate case reports
-    0.0 rather than raising, since tiny datasets can reach it.  Observations
-    are constant when their values are all equal, decided from the values,
-    or when their squared deviations underflow to a zero sum.
+    Two degenerate cases report 0.0 rather than raising, since tiny
+    datasets can reach them: constant observations, which make SS_tot
+    zero, and a quotient SS_res / SS_tot beyond the float range.
+    Observations are constant when their values are all equal, decided
+    from the values, or when their squared deviations underflow to a zero
+    sum.
     """
+    return _r_squared(observed, predicted)[0]
+
+
+def _r_squared(observed, predicted) -> tuple[float, str | None]:
+    """``r_squared``, and why it is reported as 0.0 where it is degenerate."""
     obs, pred = _paired(observed, predicted)
     if obs.min() == obs.max():
-        return 0.0
+        return 0.0, "constant observations"
     residual = obs - pred
     deviation = obs - obs.mean()
     ss_tot = _dot(deviation, deviation)
     if ss_tot == 0.0:
-        return 0.0
-    return 1.0 - _dot(residual, residual) / ss_tot
+        return 0.0, "constant observations"
+    ratio = _dot(residual, residual) / ss_tot
+    if not math.isfinite(ratio):
+        return 0.0, "SS_res / SS_tot is beyond the float range"
+    return 1.0 - ratio, None
 
 
 #: The refinement's iteration cap, and the relative objective change at
 #: which it has converged.
 _MAX_ITERATIONS = 200
 _REL_TOL = 1e-12
+
+#: polyfit's warning that its regression is poorly conditioned, which numpy 2
+#: keeps only in ``numpy.exceptions`` and numpy 1.24 only at the top level.
+_RankWarning = getattr(np, "exceptions", np).RankWarning
 
 
 def _initial_guess(bw: np.ndarray, ec: np.ndarray, c: float) -> tuple[float, float]:
@@ -141,18 +155,24 @@ def _initial_guess(bw: np.ndarray, ec: np.ndarray, c: float) -> tuple[float, flo
     does.
 
     Raises:
-        FitError: when the starting ``a`` is beyond the float range.
+        FitError: when the starting ``a`` is beyond the float range, or the
+            regression is poorly conditioned.
     """
     mask = ec > c + 1e-9
     try:
         if int(mask.sum()) >= 2 and np.unique(bw[mask]).size >= 2:
-            slope, intercept = np.polyfit(bw[mask], np.log(ec[mask] - c), 1)
+            # a column whose squares underflow to zero divides polyfit's scaling by zero
+            with warnings.catch_warnings(), np.errstate(divide="raise"):
+                warnings.simplefilter("error", _RankWarning)
+                slope, intercept = np.polyfit(bw[mask], np.log(ec[mask] - c), 1)
             return max(math.exp(intercept), 0.0), max(-slope, 0.0)
         if int(mask.sum()) == 1:
             idx = int(np.flatnonzero(mask)[0])
             return float((ec[idx] - c) * math.exp(bw[idx])), 1.0
     except OverflowError:
         raise FitError("the starting guess is beyond the float range") from None
+    except (_RankWarning, FloatingPointError):
+        raise FitError("the starting regression is poorly conditioned") from None
     return 0.0, 1.0
 
 
@@ -167,7 +187,8 @@ def fit(
     )
 
 
-@np.errstate(over="ignore")  # an overflow makes a value infinite, which a check below refuses
+# an overflow makes a value infinite, and infinity times zero is NaN; a check below refuses both
+@np.errstate(over="ignore", invalid="ignore")
 def fit_columns(
     bw_rel: Sequence[float] | np.ndarray,
     ec_rel: Sequence[float] | np.ndarray,
@@ -181,9 +202,10 @@ def fit_columns(
     steps (step halved while the objective worsens), stopping when the
     relative objective change drops below 1e-12 or after 200 iterations.
     ``a`` and ``b`` are projected to stay non-negative.  numpy's overflow
-    warnings are silenced for the call: a value that overflows is infinite,
-    and the starting guess, the objective and the fitted parameters are
-    checked to be finite.
+    and invalid-value warnings are silenced for the call: a value that
+    overflows is infinite, one computed from an infinity may be NaN, and the
+    starting guess, the objective, each Jacobian and the fitted parameters
+    are checked to be finite.
 
     Args:
         bw_rel: relative bandwidth of each point.
@@ -192,9 +214,10 @@ def fit_columns(
         include_flagged: also use the points with ``bw_rel < 1``.
 
     Returns:
-        FitResult over the points actually used; degenerate correlation
-        metrics are reported as 0.0 with a diagnostic instead of raising,
-        constant observations (all values equal) included.
+        FitResult over the points actually used; degenerate metrics are
+        reported as 0.0 with a diagnostic instead of raising: correlations
+        of zero variance, and an r_squared of constant observations (all
+        values equal) or whose SS_res / SS_tot is beyond the float range.
 
     Raises:
         ValueError: on a ``fix_c`` that is NaN, infinite or negative, before
@@ -203,8 +226,9 @@ def fit_columns(
             not positive and finite; the first such row (from 0) and its
             column are named.
         FitError: on too few usable points, unidentifiable data (all at
-            one bw_rel), a starting guess beyond the float range, a
-            non-finite objective, or a negative floor.
+            one bw_rel), a starting guess beyond the float range, a poorly
+            conditioned starting regression, a non-finite objective, a
+            Jacobian beyond the float range, or a negative floor.
     """
     if fix_c is not None and not 0.0 <= fix_c < math.inf:
         raise ValueError(f"fix_c must be finite and non-negative, got {fix_c!r}")
@@ -240,6 +264,7 @@ def fit_columns(
     else:
         c0 = float(fix_c)
     a0, b0 = _initial_guess(bw, ec, c0)
+    # the guess's a and b are non-negative, as each step keeps them
     theta = np.array([a0, b0, c0] if free_c else [a0, b0], dtype=float)
 
     def unpack(t: np.ndarray) -> tuple[float, float, float]:
@@ -256,7 +281,6 @@ def fit_columns(
         out[1] = max(out[1], 0.0)
         return out
 
-    theta = clamp(theta)
     residual, value = objective(theta)
     if not math.isfinite(value):
         raise FitError("objective is not finite at the initial guess")
@@ -268,6 +292,10 @@ def fit_columns(
         if free_c:
             columns.append(np.ones_like(bw))
         jacobian = np.column_stack(columns)
+        # LAPACK prints to stderr on a non-finite entry; the residual is
+        # finite, since its squares sum to the finite objective
+        if not np.isfinite(jacobian).all():
+            raise FitError("the Jacobian is beyond the float range")
         delta, *_ = np.linalg.lstsq(jacobian, residual, rcond=None)
         step = 1.0
         improved = False
@@ -283,8 +311,6 @@ def fit_columns(
             break
         change = value - cand_value
         theta, residual, value = candidate, cand_residual, cand_value
-        if not math.isfinite(value):
-            raise FitError("objective diverged during refinement")
         if change <= _REL_TOL * max(value, 1e-300):
             converged = True
             break
@@ -302,26 +328,21 @@ def fit_columns(
     diagnostics: list[str] = []
     if not converged:
         diagnostics.append(f"stopped after {_MAX_ITERATIONS} iterations without convergence")
-    r2 = r_squared(ec, predicted)
-    deviation = ec - ec.mean()
-    if ec.min() == ec.max() or _dot(deviation, deviation) == 0.0:
-        diagnostics.append("constant observations: r_squared reported as 0")
-    try:
-        pcc = pearson(ec, predicted)
-    except ValueError:
-        pcc = 0.0
-        diagnostics.append("degenerate variance: pcc reported as 0")
-    try:
-        srocc = spearman(ec, predicted)
-    except ValueError:
-        srocc = 0.0
-        diagnostics.append("degenerate variance: srocc reported as 0")
+    r2, degenerate = _r_squared(ec, predicted)
+    if degenerate:
+        diagnostics.append(f"{degenerate}: r_squared reported as 0")
+    correlations = {}
+    for name, correlation in (("pcc", pearson), ("srocc", spearman)):
+        try:
+            correlations[name] = correlation(ec, predicted)
+        except ValueError:
+            correlations[name] = 0.0
+            diagnostics.append(f"degenerate variance: {name} reported as 0")
     return FitResult(
         params=params,
         r_squared=r2,
-        pcc=pcc,
-        srocc=srocc,
         n_points=bw.size,
         n_excluded=n_given - bw.size,
         diagnostics=tuple(diagnostics),
+        **correlations,
     )

@@ -88,12 +88,19 @@ class QualityMap:
     """Per-representation quality scores, by metric.
 
     A metric is either absent or scored for every representation of the
-    ladder in use; partial coverage is rejected at session start.
+    ladder in use; partial coverage is rejected at session start.  Every
+    score is finite.
     """
 
     psnr: Mapping[str, float] | None = None
     ssim: Mapping[str, float] | None = None
     vmaf: Mapping[str, float] | None = None
+
+    def __post_init__(self) -> None:
+        for metric, scores in self.metrics().items():
+            for name, score in scores.items():
+                if not math.isfinite(score):
+                    raise ValueError(f"quality {metric} of {name!r} must be finite, got {score}")
 
     def metrics(self) -> dict[str, Mapping[str, float]]:
         present = {}
@@ -624,19 +631,11 @@ def compare(
     if baseline.mean_ec_rel <= 0:
         raise ValueError("baseline mean consumption must be positive")
 
-    base_quality = _quality_means(baseline, quality) or {}
-    rows = [
-        ComparisonRow(
-            channel=channel,
-            mode_label=baseline.mode.label,
-            energy_pct=100.0,
-            quality=dict(base_quality),
-            quality_delta={metric: 0.0 for metric in base_quality},
-            perceptible=False,
-        )
-    ]
-    for report in others:
+    rows: list[ComparisonRow] = []
+    for report in [baseline, *others]:
         mode_quality = _quality_means(report, quality) or {}
+        if not rows:
+            base_quality = mode_quality
         deltas = {
             metric: base_quality[metric] - mode_quality[metric]
             for metric in base_quality
@@ -651,7 +650,8 @@ def compare(
             ComparisonRow(
                 channel=channel,
                 mode_label=report.mode.label,
-                energy_pct=_energy_pct(report, baseline),
+                # 100 * mean / mean need not round to 100
+                energy_pct=_energy_pct(report, baseline) if rows else 100.0,
                 quality=mode_quality,
                 quality_delta=deltas,
                 perceptible=deltas.get("vmaf", 0.0) > PERCEPTIBLE_VMAF_DELTA,

@@ -504,6 +504,20 @@ class TestNormalizeAndFit:
             "note: d/WIFI/HEVC: degenerate variance: srocc reported as 0",
         ]
 
+    def test_r2_beyond_the_float_range_is_written_as_zero(self, tmp_path, capsys):
+        # the flagged row is the reference, so ec_rel is 1e-160 and 2e-160: SS_tot
+        # is subnormal, SS_res / SS_tot overflowed and r2 was written as -Infinity
+        source = tmp_path / "tiny.csv"
+        source.write_text("\n".join([MEASUREMENT_HEADER, "d,wifi,hevc,240p,500000,400000,1e160",
+                                     "d,wifi,hevc,480p,1000000,1500000,1",
+                                     "d,wifi,hevc,480p,1000000,2000000,2"]) + "\n")  # fmt: skip
+        output = tmp_path / "fits.json"
+        assert main(["fit", "--input", str(source), "--output", str(output)]) == 0
+        (entry,) = json.loads(output.read_text(), parse_constant=refuse_constant)["fits"]
+        assert (entry["r2"], entry["n"]) == (0.0, 2)
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "note: d/WIFI/HEVC: SS_res / SS_tot is beyond the float range: r_squared reported as 0")
+
     @pytest.mark.parametrize("command", ["normalize", "fit"])
     def test_file_without_records_exits_two(self, tmp_path, capsys, command):
         empty = tmp_path / "empty.csv"
@@ -785,8 +799,8 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 2
         assert capsys.readouterr().err == (
-            "error: 'mean_ec_rel' is 1.2959286761673734, but the per-segment record gives"
-            " 1.2722505495612215\n")
+            f"error: {str(cand)!r}: 'mean_ec_rel' is 1.2959286761673734, but the per-segment"
+            " record gives 1.2722505495612215\n")
 
     def test_colliding_ladder_digests_are_told_apart(self, tmp_path, capsys):
         # joining raw fields with "," and ";" gave these two ladders one digest
@@ -874,7 +888,67 @@ class TestCompareCommand:
             assert not output.exists()
 
 
+def refuse_constant(name: str) -> None:
+    """``json.loads``' ``parse_constant``: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
+def edited(edit):
+    """Writes the source document with ``edit`` applied."""
+    def write(path, document):
+        edit(document)
+        path.write_text(json.dumps(document))
+    return write
+
+
+def text(content):
+    """Writes ``content`` in place of the source document."""
+    def write(path, document):
+        path.write_text(content)
+    return write
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("role, write, message", [
+        ("baseline", text("not json"), "Expecting value: line 1 column 1 (char 0)"),
+        ("baseline", text("[]"), "'document' must be an object, got an array"),
+        ("baseline", edited(lambda d: d["report"].pop("mode")), "report is missing key 'mode'"),
+        ("candidate", edited(lambda d: d["report"].update(stall_count=1)),
+         "'stall_count' is 1, but the per-segment record gives 0"),
+        ("candidate", edited(lambda d: d.pop("provenance")), "missing key 'provenance'"),
+        ("fit", text("not json"), "Expecting value: line 1 column 1 (char 0)"),
+        ("fit", edited(lambda d: d.pop("schema")),
+         "'document' has no 'schema': it predates schema 2, the only one read"),
+        ("fit", edited(lambda d: d["fits"][0].pop("b")), "missing key 'b'"),
+        ("fit", edited(lambda d: d["fits"][0].update(combination="Y")),
+         "no fit for combination 'X'; available: Y"),
+        ("fit", edited(lambda d: d["fits"].append(d["fits"][0])),
+         "holds 2 fits for combination 'X'"),
+    ])  # fmt: skip
+    def test_errors_from_reading_a_json_input_name_the_file_once(
+        self, tmp_path, ladder_file, capsys, role, write, message
+    ):
+        simulate = ["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
+                    "--segments", "5", "--params", "overall"]  # fmt: skip
+        base, cand = tmp_path / "off.json", tmp_path / "strict.json"
+        for mode, path in (("off", base), ("strict", cand)):
+            assert main([*simulate, "--mode", mode, "--output", str(path)]) == 0
+        bad, output = tmp_path / "bad.json", tmp_path / "out.json"
+        fits = {"schema": 2, "fits": [{"combination": "X", "a": 0.9, "b": 0.5, "c": 1.0}]}
+        source, argv = {
+            "baseline": (base, ["compare", "--baseline", str(bad), "--candidate", str(cand)]),
+            "candidate": (cand, ["compare", "--baseline", str(base), "--candidate", str(cand),
+                                 "--candidate", str(bad)]),
+            "fit": (None, [*simulate[:-1], f"fit:{bad}#X", "--mode", "off"]),
+        }[role]  # fmt: skip
+        write(bad, fits if source is None else json.loads(source.read_text()))
+        capsys.readouterr()
+        assert main([*argv, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {str(bad)!r}: {message}\n"
+        assert err.count(str(bad)) == 1
+        assert not output.exists()
+
     def test_report_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text("[]")
@@ -1054,7 +1128,7 @@ class TestErrorPaths:
         path.write_text(json.dumps({"schema": 2, "fits": fits}))
         assert main(["simulate", "--ladder", ladder_file, "--channel", "constant:22M",
                      "--mode", "off", "--params", f"fit:{path}#X", "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {str(path)!r} holds 2 fits for combination 'X'\n"
+        assert capsys.readouterr().err == f"error: {str(path)!r}: holds 2 fits for combination 'X'\n"
         assert not out.exists()
 
     def test_usage_errors_raise_system_exit(self):

@@ -207,6 +207,8 @@ class TestCorrelation:
         # numpy's mean of six 1.1s is one ulp off, so the deviations are not zero
         assert r_squared([1.1] * 6, [1, 2, 3, 4, 5, 6]) == 0.0
         assert r_squared([1.1] * 6, [1.1] * 6) == 0.0
+        # SS_tot is subnormal: SS_res / SS_tot overflowed and r_squared was -inf
+        assert r_squared([1e-158, 2e-158], [1.0, 1.0]) == 0.0
 
     def test_zero_variance_raises(self):
         with pytest.raises(ValueError, match="zero variance"):
@@ -362,6 +364,12 @@ class TestFit:
         ([1.0, 2.0], [1.0, 1e300], 1.0, FitError, "objective is not finite at the initial guess"),
         ([1.0, 2.0, 3.0], [2.0, 1.5, 1.3], 1e308, FitError,
          "objective is not finite at the initial guess"),
+        # a Jacobian entry of inf times 0 used to print numpy's invalid-value
+        # warning, and LAPACK's DLASCL lines before "SVD did not converge"
+        ([100.0, 1e200], [1e200, 1e-100], 1.0, FitError, "the Jacobian is beyond the float range"),
+        # polyfit's scaled column, 1e200 / inf, is zero: its RankWarning and LAPACK's lines
+        ([1e200, 1e300], [1e10, 1e100], 1.0, FitError,
+         "the starting regression is poorly conditioned"),
     ])  # fmt: skip
     def test_fit_columns_refuses_values_beyond_the_float_range_quietly(
         self, capfd, bw_rel, ec_rel, fix_c, error, message
@@ -369,6 +377,20 @@ class TestFit:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             fit_columns(bw_rel, ec_rel, fix_c, False)
         assert capfd.readouterr() == ("", "")
+
+    def test_fit_columns_refuses_a_regression_column_that_underflows_quietly(self, capfd):
+        # the flagged points' squares underflow to zero, and polyfit divided its
+        # column by that scale: numpy's divide-by-zero warning and LAPACK's lines
+        message = "the starting regression is poorly conditioned"
+        with pytest.raises(FitError, match=f"^{message}$"):
+            fit_columns([1e-200, 2e-200], [3.0, 2.0], 1.0, True)
+        assert capfd.readouterr() == ("", "")
+
+    def test_r_squared_beyond_the_float_range_scores_zero_with_a_note(self):
+        result = fit_columns([1.0, 2.0], [1e-158, 2e-158], 1.0, False)
+        assert result.r_squared == 0.0
+        assert result.diagnostics[0] == (
+            "SS_res / SS_tot is beyond the float range: r_squared reported as 0")
 
     def test_single_bandwidth_is_unidentifiable(self):
         pts = [RelativePoint(2.0, v, SYNTH) for v in (1.1, 1.2, 1.3)]

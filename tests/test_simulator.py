@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import operator
 
 import pytest
@@ -177,6 +178,14 @@ class TestQuality:
         with pytest.raises(ParseError, match=f"^line 3: {message}$"):
             load_quality_map(f"name,psnr,ssim,vmaf\nb,31,,56\n{row}\n")
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_scores_must_be_finite(self, score):
+        # a report used to be written with "vmaf": NaN, which no loader reads
+        with pytest.raises(ValueError, match=f"^quality vmaf of 'low' must be finite, got {score}$"):
+            QualityMap(vmaf={"low": score, "high": 90.0})
+        with pytest.raises(ParseError, match="^line 2: vmaf must be finite, got '"):
+            load_quality_map(f"name,psnr,ssim,vmaf\nlow,30,,{score}\nhigh,31,,90\n")
+
     def test_loader_rejects_duplicates(self):
         with pytest.raises(Exception, match="duplicate"):
             load_quality_map("name,psnr,ssim,vmaf\na,30,,55\na,31,,56\n")
@@ -196,6 +205,15 @@ class TestCompare:
             expected = 100.0 * report.mean_ec_rel / reports[0].mean_ec_rel
             assert row.energy_pct == pytest.approx(expected, rel=1e-12)
         assert [r.channel for r in table.rows] == ["constant:22M"] * 4
+
+    def test_baseline_row_is_exact_where_its_own_ratio_is_not(self, ladder, overall):
+        reports = self.run_modes(ladder, overall, constant(13e6, 10), quality=vmaf_map(ladder))
+        base = reports[0]
+        assert 100.0 * base.mean_ec_rel / base.mean_ec_rel == 100.00000000000001
+        row = compare(base, reports[1:]).rows[0]
+        assert (row.mode_label, row.energy_pct, row.perceptible) == ("off", 100.0, False)
+        assert row.quality == base.mean_quality
+        assert row.quality_delta == {metric: 0.0 for metric in base.mean_quality}
 
     def test_quality_deltas_are_baseline_minus_mode(self, ladder, overall):
         qmap = vmaf_map(ladder)

@@ -5,10 +5,9 @@ model, applies bandwidth-budgeted request modes on a quality ladder, and
 simulates sessions over channel traces to quantify the energy/quality
 trade-off of each mode against the energy-saving-off baseline.
 
-Public names load with their module on first access.  Only fitting needs
-numpy: ``simulate`` and ``compare`` run on the standard library, and a
-program that only normalizes measurements never imports the model or the
-simulator.
+Public names load with their module on first access.  The package runs on
+the standard library alone, and a program that only normalizes measurements
+never imports the model or the simulator.
 """
 
 from __future__ import annotations

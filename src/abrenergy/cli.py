@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -18,13 +17,10 @@ from pathlib import Path
 from . import __version__
 
 # Each subcommand imports the modules it computes with when it runs, so that
-# only fit loads numpy, fit loads no simulator, and only a command that
-# writes or reads a saved report loads its I/O.
+# fit loads no simulator, and only a command that writes or reads a saved
+# report loads its I/O.
 
 DEFAULT_SEGMENTS = 360
-
-#: The variables OpenBLAS reads its thread count from, in its order.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _FIT_FILE_FIELDS = (("fits", "fits", (list,)),)
 _REPORT_FILE_FIELDS = (("provenance", "provenance", (dict,)), ("report", "report", (dict,)))
@@ -310,19 +306,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    # One BLAS thread unless the user chose a count.  fit's only BLAS call is
-    # lstsq on a tall n x 2 or n x 3 matrix, and its dot products are
-    # math.fsum, so more threads change neither its speed nor its bytes.  Yet
-    # the thread pool that `import numpy` starts spins on the other cores: on
-    # a 2-core x86 host a process that only imports numpy used 205 ms CPU
-    # with the pool and 118 ms on one thread, in about the same wall time
-    # (127 and 118 ms).  OpenBLAS reads the variable when numpy loads, so it is
-    # set only before the first import; a program that calls fit_columns
-    # itself keeps numpy as it configured it.
-    chosen = any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
-    if not chosen and "numpy" not in sys.modules:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    import numpy as np
+    from itertools import chain
 
     from ._layout import SCHEMA
     from .measurements import group_measurements, normalize_columns, read_measurements
@@ -340,7 +324,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     labelled = [(c.label, groups[c]) for c in sorted(groups, key=lambda c: c.label)]
     if len(groups) > 1:
         # pooled in first-seen order, which the fitted bytes depend on
-        pooled = [np.concatenate(column) for column in zip(*groups.values())]
+        pooled = [list(chain.from_iterable(column)) for column in zip(*groups.values())]
         labelled.append(("overall", pooled))
     fits = []
     notes = []

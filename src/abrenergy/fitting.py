@@ -1,24 +1,24 @@
 """Fitting the consumption model to relative points, and fit-quality metrics.
 
-The least-squares refinement and the metrics are numpy array programs: the
-bytes ``fit`` writes depend on numpy's ``lstsq``.  Every dot product (the
-objective, the correlations and the coefficient of determination) is
-exact: a correctly rounded sum of the elementwise products, whose bits do
-not depend on how many threads the BLAS library would split it across.
+Standard library only.  Every sum of floats is ``math.fsum``: correctly
+rounded, so its bits depend neither on the order of its terms nor on the
+Python version (the built-in ``sum`` compensates float sums from Python 3.12
+on).  The bytes ``fit`` writes then rest on the platform's ``math.exp`` and
+``math.log`` alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
+from itertools import compress, islice, repeat
+from operator import add, eq, le, mul, sub
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ._frozen import frozen
 from .measurements import _point_fault
-from .model import ModelParams, evaluate
+from .model import ModelParams
 
 if TYPE_CHECKING:  # fit reads only the points' attributes
     from .measurements import RelativePoint
@@ -54,60 +54,124 @@ class FitResult:
         }
 
 
-def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Two inputs as float arrays, checked to be 1-d, equally long, finite and
-    of two samples or more."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("inputs must be 1-d sequences of equal length")
-    if xa.size < 2:
+def _floats(x, y, message: str) -> tuple[list[float], list[float]]:
+    """Two inputs as lists of floats; ``ValueError(message)`` unless both are
+    1-d and equally long."""
+    try:
+        xs = list(map(float, x))
+        ys = list(map(float, y))
+    except TypeError:  # a scalar, or a sequence of sequences
+        raise ValueError(message) from None
+    if len(xs) != len(ys):
+        raise ValueError(message)
+    return xs, ys
+
+
+def _paired(x, y) -> tuple[list[float], list[float]]:
+    """Two inputs as lists of floats, checked to be 1-d, equally long, finite
+    and of two samples or more."""
+    xs, ys = _floats(x, y, "inputs must be 1-d sequences of equal length")
+    if len(xs) < 2:
         raise ValueError("need at least two samples")
-    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
         raise ValueError("inputs must be finite")
-    return xa, ya
+    return xs, ys
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """``x @ y`` as the correctly rounded sum (``math.fsum``) of the elementwise
-    products, which does not depend on the order they are summed in."""
-    return math.fsum((x * y).tolist())
+def _sum(values: Iterable[float]) -> float:
+    """The correctly rounded sum (``math.fsum``), or a value that is not
+    finite where no finite sum exists: finite terms whose partial sums pass
+    the float range read as infinite, and ``inf - inf`` as NaN."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+def _dot(x: Iterable[float], y: Iterable[float]) -> float:
+    """``x @ y`` as the ``_sum`` of the elementwise products."""
+    return _sum(map(mul, x, y))
+
+
+def _deviations(values: list[float]) -> tuple[list[float], float] | None:
+    """Each value less the mean, and the sum of their squares; ``None`` for
+    values of zero variance: all equal, decided from the values (a mean of
+    equal values can be off by one ulp), or of squared deviations that
+    underflow to a zero sum."""
+    if min(values) == max(values):
+        return None
+    deviations = list(map(sub, values, repeat(_sum(values) / len(values))))
+    total = _dot(deviations, deviations)
+    return (deviations, total) if total != 0.0 else None
+
+
+def _correlation(
+    x: tuple[list[float], float] | None, y: tuple[list[float], float] | None
+) -> float | None:
+    """Pearson's r from the ``_deviations`` of two inputs, or ``None`` where
+    either is of zero variance or a sum is beyond the float range."""
+    if x is None or y is None:
+        return None
+    scale = math.sqrt(x[1]) * math.sqrt(y[1])  # zero where the product underflows
+    r = _dot(x[0], y[0]) / scale if 0.0 < scale < math.inf else math.nan
+    # rounding can push |r| a hair past 1
+    return min(1.0, max(-1.0, r)) if math.isfinite(r) else None
+
+
+def _checked(r: float | None) -> float:
+    if r is None:
+        raise ValueError("zero variance or a sum beyond the float range: correlation undefined")
+    return r
 
 
 def pearson(x, y) -> float:
     """Pearson correlation coefficient.
 
     An input is of zero variance when its values are all equal, decided
-    from the values (numpy's mean of equal values can be off by one ulp),
-    or when its squared deviations underflow to a zero sum.
+    from the values (a mean of equal values can be off by one ulp), or when
+    its squared deviations underflow to a zero sum.
 
     Raises:
         ValueError: on length mismatch, fewer than two samples, non-finite
-            input, or zero variance in either input.
+            input, zero variance in either input, or a variance or
+            covariance beyond the float range.
     """
-    xa, ya = _paired(x, y)
-    if xa.min() == xa.max() or ya.min() == ya.max():
-        raise ValueError("zero variance: correlation undefined")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = math.sqrt(_dot(dx, dx))
-    sy = math.sqrt(_dot(dy, dy))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("zero variance: correlation undefined")
-    # rounding can push |r| a hair past 1
-    return min(1.0, max(-1.0, _dot(dx, dy) / (sx * sy)))
+    return _checked(_correlation(*map(_deviations, _paired(x, y))))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of the ranks they span."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+def _doubled_ranks(values: Sequence[float]) -> list[int]:
+    """Twice each value's 1-based average rank, an integer: tied values share
+    the sum of the first and the last position they span."""
+    ordered = sorted(values)
+    size = len(ordered)
+    # twice each value's last position: a later equal key overwrites it
+    rank = dict(zip(ordered, range(2, 2 * size + 1, 2)))
+    if len(rank) < size:
+        for value in set(compress(ordered, map(eq, ordered, islice(ordered, 1, None)))):
+            rank[value] = rank[value] // 2 + bisect_left(ordered, value) + 1
+    return list(map(rank.__getitem__, values))
+
+
+def _rank_correlation(x: Sequence[float], y: Sequence[float]) -> float | None:
+    """Spearman's rho, Pearson's r over the average ranks, or ``None`` where
+    either input is constant.  The ranks' sums are exact integers, so only
+    the closing square root and division round."""
+    rx, ry = _doubled_ranks(x), _doubled_ranks(y)
+    size = len(rx)
+    total = size * (size + 1)  # the doubled ranks' sum, ties or not
+    sxx = size * sum(map(mul, rx, rx)) - total * total
+    syy = size * sum(map(mul, ry, ry)) - total * total
+    if sxx == 0 or syy == 0:
+        return None
+    sxy = size * sum(map(mul, rx, ry)) - total * total
+    return min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
 
 
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson over average ranks (ties averaged)."""
-    xa, ya = _paired(x, y)
-    return pearson(_average_ranks(xa), _average_ranks(ya))
+    return _checked(_rank_correlation(*_paired(x, y)))
 
 
 def r_squared(observed, predicted) -> float:
@@ -120,20 +184,21 @@ def r_squared(observed, predicted) -> float:
     from the values, or when their squared deviations underflow to a zero
     sum.
     """
-    return _r_squared(observed, predicted)[0]
-
-
-def _r_squared(observed, predicted) -> tuple[float, str | None]:
-    """``r_squared``, and why it is reported as 0.0 where it is degenerate."""
     obs, pred = _paired(observed, predicted)
-    if obs.min() == obs.max():
+    residual = list(map(sub, obs, pred))
+    return _r_squared(_deviations(obs), _dot(residual, residual))[0]
+
+
+def _r_squared(
+    observed: tuple[list[float], float] | None, ss_res: float
+) -> tuple[float, str | None]:
+    """``r_squared`` from the ``_deviations`` of the observations and the
+    residuals' sum of squares, and why it is reported as 0.0 where it is
+    degenerate."""
+    if observed is None:
         return 0.0, "constant observations"
-    residual = obs - pred
-    deviation = obs - obs.mean()
-    ss_tot = _dot(deviation, deviation)
-    if ss_tot == 0.0:
-        return 0.0, "constant observations"
-    ratio = _dot(residual, residual) / ss_tot
+    ss_tot = observed[1]
+    ratio = ss_res / ss_tot if ss_tot < math.inf else math.nan
     if not math.isfinite(ratio):
         return 0.0, "SS_res / SS_tot is beyond the float range"
     return 1.0 - ratio, None
@@ -144,12 +209,32 @@ def _r_squared(observed, predicted) -> tuple[float, str | None]:
 _MAX_ITERATIONS = 200
 _REL_TOL = 1e-12
 
-#: polyfit's warning that its regression is poorly conditioned, which numpy 2
-#: keeps only in ``numpy.exceptions`` and numpy 1.24 only at the top level.
-_RankWarning = getattr(np, "exceptions", np).RankWarning
+#: A pivot of the normal equations at most this share of its diagonal marks
+#: its column as a combination of the columns before it.
+_PIVOT_TOL = 1e-13
 
 
-def _initial_guess(bw: np.ndarray, ec: np.ndarray, c: float) -> tuple[float, float]:
+def _line(x: list[float], y: list[float]) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through the points.
+
+    Raises:
+        FitError: when the centred ``x`` has no spread in floats (its squares
+            underflow to zero or sum past the float range), or the line is
+            beyond the float range.
+    """
+    x_mean, y_mean = _sum(x) / len(x), _sum(y) / len(y)
+    dx = list(map(sub, x, repeat(x_mean)))
+    sxx = _dot(dx, dx)
+    if not 0.0 < sxx < math.inf:
+        raise FitError("the starting regression is poorly conditioned")
+    slope = _dot(dx, map(sub, y, repeat(y_mean))) / sxx
+    intercept = y_mean - slope * x_mean
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise FitError("the starting guess is beyond the float range")
+    return slope, intercept
+
+
+def _initial_guess(bw: list[float], ec: list[float], c: float) -> tuple[float, float]:
     """The starting ``a`` and ``b``: a log-linear regression of ln(ec - c) on
     bw_rel where the log exists, or the curve through the one point where it
     does.
@@ -158,22 +243,45 @@ def _initial_guess(bw: np.ndarray, ec: np.ndarray, c: float) -> tuple[float, flo
         FitError: when the starting ``a`` is beyond the float range, or the
             regression is poorly conditioned.
     """
-    mask = ec > c + 1e-9
+    floor = c + 1e-9
+    x = [u for u, y in zip(bw, ec) if y > floor]
     try:
-        if int(mask.sum()) >= 2 and np.unique(bw[mask]).size >= 2:
-            # a column whose squares underflow to zero divides polyfit's scaling by zero
-            with warnings.catch_warnings(), np.errstate(divide="raise"):
-                warnings.simplefilter("error", _RankWarning)
-                slope, intercept = np.polyfit(bw[mask], np.log(ec[mask] - c), 1)
+        if len(x) >= 2 and min(x) != max(x):
+            log = math.log
+            slope, intercept = _line(x, [log(y - c) for y in ec if y > floor])
             return max(math.exp(intercept), 0.0), max(-slope, 0.0)
-        if int(mask.sum()) == 1:
-            idx = int(np.flatnonzero(mask)[0])
-            return float((ec[idx] - c) * math.exp(bw[idx])), 1.0
+        if len(x) == 1:
+            return next(y - c for y in ec if y > floor) * math.exp(x[0]), 1.0
     except OverflowError:
         raise FitError("the starting guess is beyond the float range") from None
-    except (_RankWarning, FloatingPointError):
-        raise FitError("the starting regression is poorly conditioned") from None
     return 0.0, 1.0
+
+
+def _solve(gram: list[list[float]], rhs: list[float]) -> list[float]:
+    """A solution of the normal equations ``gram @ x = rhs``.
+
+    Gauss-Jordan elimination, pivoting in column order.  A pivot at most
+    ``_PIVOT_TOL`` times its diagonal marks its column as a combination of
+    the columns before it: its unknown is held at zero.  The d/db column is
+    zero where ``a`` is, and the floor's column repeats the decay column
+    where ``b`` is 0.
+    """
+    size = len(rhs)
+    rows = [[*row, value] for row, value in zip(gram, rhs)]
+    independent = []
+    for k in range(size):
+        pivot = rows[k][k]
+        if not pivot > _PIVOT_TOL * gram[k][k]:
+            continue
+        independent.append(k)
+        for i in range(size):
+            if i != k and rows[i][k] != 0.0:
+                factor = rows[i][k] / pivot
+                rows[i] = list(map(sub, rows[i], map(mul, repeat(factor), rows[k])))
+    x = [0.0] * size
+    for k in independent:
+        x[k] = rows[k][size] / rows[k][k]
+    return x
 
 
 def fit(
@@ -187,11 +295,9 @@ def fit(
     )
 
 
-# an overflow makes a value infinite, and infinity times zero is NaN; a check below refuses both
-@np.errstate(over="ignore", invalid="ignore")
 def fit_columns(
-    bw_rel: Sequence[float] | np.ndarray,
-    ec_rel: Sequence[float] | np.ndarray,
+    bw_rel: Sequence[float],
+    ec_rel: Sequence[float],
     fix_c: float | None,
     include_flagged: bool,
 ) -> FitResult:
@@ -201,11 +307,11 @@ def fit_columns(
     Starts from a log-linear guess and refines with damped Gauss-Newton
     steps (step halved while the objective worsens), stopping when the
     relative objective change drops below 1e-12 or after 200 iterations.
-    ``a`` and ``b`` are projected to stay non-negative.  numpy's overflow
-    and invalid-value warnings are silenced for the call: a value that
-    overflows is infinite, one computed from an infinity may be NaN, and the
-    starting guess, the objective, each Jacobian and the fitted parameters
-    are checked to be finite.
+    Each step solves the normal equations, whose entries are correctly
+    rounded dot products.  ``a`` and ``b`` are projected to stay
+    non-negative.  A value that overflows is infinite and one computed from
+    an infinity may be NaN: the starting guess, the objective, each step's
+    normal equations and the fitted parameters are checked to be finite.
 
     Args:
         bw_rel: relative bandwidth of each point.
@@ -220,11 +326,10 @@ def fit_columns(
         values equal) or whose SS_res / SS_tot is beyond the float range.
 
     Raises:
-        ValueError: on a ``fix_c`` that is NaN, infinite or negative, before
-            any numpy routine runs; when the columns are not 1-d and of
-            equal length, or a value of either, flagged points included, is
-            not positive and finite; the first such row (from 0) and its
-            column are named.
+        ValueError: on a ``fix_c`` that is NaN, infinite or negative; when
+            the columns are not 1-d and of equal length, or a value of
+            either, flagged points included, is not positive and finite; the
+            first such row (from 0) and its column are named.
         FitError: on too few usable points, unidentifiable data (all at
             one bw_rel), a starting guess beyond the float range, a poorly
             conditioned starting regression, a non-finite objective, a
@@ -232,117 +337,111 @@ def fit_columns(
     """
     if fix_c is not None and not 0.0 <= fix_c < math.inf:
         raise ValueError(f"fix_c must be finite and non-negative, got {fix_c!r}")
-    bw = np.asarray(bw_rel, dtype=float)
-    ec = np.asarray(ec_rel, dtype=float)
-    if bw.shape != ec.shape or bw.ndim != 1:
-        raise ValueError("bw_rel and ec_rel must be 1-d columns of equal length")
-    # checked before any numpy routine: LAPACK would print to stderr on a
-    # non-finite value, and a non-positive one would be fitted or fail late.
-    # The mask is RelativePoint's rule (NaN compares false); the scan that
-    # names the value runs only when it fails.
-    if not ((0.0 < bw) & (bw < math.inf) & (0.0 < ec) & (ec < math.inf)).all():
-        row, message = _point_fault(bw.tolist(), ec.tolist())
-        raise ValueError(f"row {row}: {message}")
-    n_given = bw.size
+    bw, ec = _floats(bw_rel, ec_rel, "bw_rel and ec_rel must be 1-d columns of equal length")
+    fault = _point_fault(bw, ec)
+    if fault:
+        raise ValueError(f"row {fault[0]}: {fault[1]}")
+    n_given = len(bw)
     if not include_flagged:
-        usable = ~(bw < 1.0)
-        bw, ec = bw[usable], ec[usable]
+        usable = list(map(le, repeat(1.0), bw))
+        bw, ec = list(compress(bw, usable)), list(compress(ec, usable))
     needed = 2 if fix_c is not None else 3
-    if bw.size < needed:
+    if len(bw) < needed:
         raise FitError(
             f"need at least {needed} usable points"
-            f" ({'fixed' if fix_c is not None else 'free'} floor), got {bw.size}"
+            f" ({'fixed' if fix_c is not None else 'free'} floor), got {len(bw)}"
         )
-    if np.unique(bw).size == 1:
+    if min(bw) == max(bw):
         raise FitError("all points share one bw_rel; decay rate is unidentifiable")
 
     free_c = fix_c is None
     if free_c:
         # floor guess just under the smallest observation
-        spread = float(ec.max() - ec.min())
-        c0 = float(ec.min()) - max(spread, 1e-3) * 1e-3
+        spread = max(ec) - min(ec)
+        c0 = min(ec) - max(spread, 1e-3) * 1e-3
     else:
         c0 = float(fix_c)
     a0, b0 = _initial_guess(bw, ec, c0)
     # the guess's a and b are non-negative, as each step keeps them
-    theta = np.array([a0, b0, c0] if free_c else [a0, b0], dtype=float)
+    theta = [a0, b0, c0] if free_c else [a0, b0]
+    size = float(len(bw))
 
-    def unpack(t: np.ndarray) -> tuple[float, float, float]:
-        return float(t[0]), float(t[1]), (float(t[2]) if free_c else c0)
+    def objective(t: list[float]) -> tuple[list[float], list[float], float]:
+        """The decay column exp(-b bw), the residuals, and their sum of squares."""
+        exp, rate, a, c = math.exp, -t[1], t[0], t[2] if free_c else c0
+        decay = [exp(rate * x) for x in bw]
+        residual = [y - (a * d + c) for y, d in zip(ec, decay)]
+        return decay, residual, _dot(residual, residual)
 
-    def objective(t: np.ndarray) -> tuple[np.ndarray, float]:
-        a, b, c = unpack(t)
-        residual = ec - (a * np.exp(-b * bw) + c)
-        return residual, _dot(residual, residual)
-
-    def clamp(t: np.ndarray) -> np.ndarray:
-        out = t.copy()
-        out[0] = max(out[0], 0.0)
-        out[1] = max(out[1], 0.0)
-        return out
-
-    residual, value = objective(theta)
+    decay, residual, value = objective(theta)
     if not math.isfinite(value):
         raise FitError("objective is not finite at the initial guess")
     converged = False
     for _ in range(_MAX_ITERATIONS):
-        a, b, _ = unpack(theta)
-        decay = np.exp(-b * bw)
-        columns = [decay, -a * bw * decay]
+        # the Jacobian's columns: d/da, d/db and, with a free floor, d/dc = 1
+        scale = -theta[0]
+        slope = [scale * x * d for x, d in zip(bw, decay)]
+        dd, ds, ss = _dot(decay, decay), _dot(decay, slope), _dot(slope, slope)
+        rhs = [_dot(decay, residual), _dot(slope, residual)]
         if free_c:
-            columns.append(np.ones_like(bw))
-        jacobian = np.column_stack(columns)
-        # LAPACK prints to stderr on a non-finite entry; the residual is
-        # finite, since its squares sum to the finite objective
-        if not np.isfinite(jacobian).all():
+            d1, s1 = _sum(decay), _sum(slope)
+            gram = [[dd, ds, d1], [ds, ss, s1], [d1, s1, size]]
+            rhs.append(_sum(residual))
+        else:
+            gram = [[dd, ds], [ds, ss]]
+        # a non-finite entry, or products with it that sum past the float
+        # range; the residual is finite, since its squares sum to the objective
+        if not all(map(math.isfinite, [*gram[0], *gram[1], *rhs])):
             raise FitError("the Jacobian is beyond the float range")
-        delta, *_ = np.linalg.lstsq(jacobian, residual, rcond=None)
+        delta = _solve(gram, rhs)
         step = 1.0
-        improved = False
         for _ in range(60):
-            candidate = clamp(theta + step * delta)
-            cand_residual, cand_value = objective(candidate)
+            candidate = list(map(add, theta, map(mul, repeat(step), delta)))
+            candidate[0] = max(candidate[0], 0.0)
+            candidate[1] = max(candidate[1], 0.0)
+            cand_decay, cand_residual, cand_value = objective(candidate)
             if math.isfinite(cand_value) and cand_value <= value:
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:
             converged = True  # no descent direction left at this scale
             break
         change = value - cand_value
-        theta, residual, value = candidate, cand_residual, cand_value
+        theta, decay, residual, value = candidate, cand_decay, cand_residual, cand_value
         if change <= _REL_TOL * max(value, 1e-300):
             converged = True
             break
 
-    a, b, c = unpack(theta)
+    a, b = theta[0], theta[1]
+    c = theta[2] if free_c else c0
     if c < 0:
         raise FitError(
             f"floor c={c!r} is negative: predicted consumption would fall below zero"
             " far out on the curve; fix the floor instead"
         )
     params = ModelParams(a=a, b=b, c=c)
-    # the scalar model (``math.exp``): ``np.exp`` rounds differently in the last
-    # place for a few percent of inputs and would change the artifacts
-    predicted = np.array([evaluate(params, x) for x in bw.tolist()])
+    # the model's values, as ``evaluate`` computes each
+    predicted = [a * d + c for d in decay]
     diagnostics: list[str] = []
     if not converged:
         diagnostics.append(f"stopped after {_MAX_ITERATIONS} iterations without convergence")
-    r2, degenerate = _r_squared(ec, predicted)
+    observed = _deviations(ec)
+    r2, degenerate = _r_squared(observed, value)
     if degenerate:
         diagnostics.append(f"{degenerate}: r_squared reported as 0")
-    correlations = {}
-    for name, correlation in (("pcc", pearson), ("srocc", spearman)):
-        try:
-            correlations[name] = correlation(ec, predicted)
-        except ValueError:
+    correlations = {
+        "pcc": _correlation(observed, _deviations(predicted)),
+        "srocc": _rank_correlation(ec, predicted),
+    }
+    for name, r in correlations.items():
+        if r is None:
             correlations[name] = 0.0
             diagnostics.append(f"degenerate variance: {name} reported as 0")
     return FitResult(
         params=params,
         r_squared=r2,
-        n_points=bw.size,
-        n_excluded=n_given - bw.size,
+        n_points=len(bw),
+        n_excluded=n_given - len(bw),
         diagnostics=tuple(diagnostics),
         **correlations,
     )

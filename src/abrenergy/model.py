@@ -8,7 +8,7 @@ bandwidth grows:
 ``a`` scales the surcharge paid when bandwidth barely covers the requested
 bitrate, ``b`` controls how quickly that surcharge decays, and ``c`` is the
 asymptotic floor (1.0 by construction of the normalization).  Fitting the
-curve to measurements lives in ``fitting``, the one module that needs numpy.
+curve to measurements lives in ``fitting``.
 """
 
 from __future__ import annotations

@@ -474,6 +474,13 @@ class TestNormalizeAndFit:
         (None, ["--fix-c", "-1"], "fix_c must be finite and non-negative, got -1.0"),
         # the objective overflows: numpy's warning used to come first
         (None, ["--fix-c", "1e308"], "objective is not finite at the initial guess"),
+        # finite squared residuals that sum past the float range: math.fsum's
+        # OverflowError used to end the command with a traceback
+        (["d,wifi,hevc,240p,1000,9.593136414167423e-113,1",
+          "d,wifi,hevc,240p,2000,11071.699917600408,8.232369080118979e+157",
+          "d,wifi,hevc,240p,3000,1.0553569061709188e-55,7.340664028979894",
+          "d,wifi,hevc,240p,4000,23597.25186304226,9.282524265072906"],
+         ["--free-c", "--include-flagged"], "objective is not finite at the initial guess"),
     ])  # fmt: skip
     def test_fit_beyond_the_float_range_exits_two_quietly(self, tmp_path, capfd, rows, flags,
                                                           message):

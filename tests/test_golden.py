@@ -180,12 +180,11 @@ MEASUREMENT_COMMANDS = [
      "--output", "fits_free.json"),
 ]  # fmt: skip
 
-#: Recorded with schema 2; the fits with exact dot products, which changed
-#: the last bit of some ``pcc`` values.  The fit digests also pin the last
-#: bits of numpy's least-squares solver.
+#: Recorded with schema 2; the fits with the standard-library solver, whose
+#: bits rest on ``math.exp`` and correctly rounded sums alone.
 MEASUREMENT_SHA256 = {
-    'fits.json': '970c47459bbc6c007e986cb7266a59b21bf71c15552bd71e8e7810174c91fb17',
-    'fits_free.json': 'f8ca4d85f67df77ac76c194d838a561003bd63233aecc419343236a8816d59c1',
+    'fits.json': '7a1236f3b9781ef557d10f02489786cf3deae9ea124c83722c37000d7344a0f9',
+    'fits_free.json': '2bcd3146712ab7466faa82a9d6ab1527481b45ca39bc5ccdfd9371563f88b94b',
     'points.json': '56bad8228a9bac02790d53404b232c6926332aff4a14a61cccba1d9420f0f068',
 }
 
@@ -207,8 +206,7 @@ def test_normalize_and_fit_are_byte_identical(tmp_path, monkeypatch, capsys):
 
 def _large_measurements_csv(per_group: int = 5_001) -> str:
     """Two groups on known curves with multiplicative noise and no flagged
-    record, so that the pooled fit runs over 10 002 points: more than the
-    10 000 at which OpenBLAS splits a dot product across its threads."""
+    record, so that the pooled fit runs over 10 002 points."""
     rng = random.Random(14)
     rungs = (("240p", 400_000), ("720p", 2_500_000), ("1080p", 5_000_000))
     rows = ["device,connection,codec,resolution,bitrate_bps,avg_bandwidth_bps,avg_current_ma"]
@@ -223,9 +221,7 @@ def _large_measurements_csv(per_group: int = 5_001) -> str:
     return "\n".join(rows) + "\n"
 
 
-#: The same bytes under any BLAS thread count (CI runs this file under one
-#: and two OpenBLAS threads).
-LARGE_FIT_SHA256 = "7e52046b176684d68da0ca20adf8a81474db496d98d217e64d2b9ee52873cbea"
+LARGE_FIT_SHA256 = "14aa8b2575d33ae0c3049126982c4053163891a621d9eb8795032c759bd94eb7"
 
 
 def test_a_fit_over_more_than_ten_thousand_points_is_byte_identical(tmp_path, monkeypatch,

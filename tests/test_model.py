@@ -30,7 +30,7 @@ from abrenergy import (
 )
 from abrenergy.ladder import _CODEC_ALIASES
 from abrenergy.ladder import _CONNECTION_ALIASES
-from abrenergy.fitting import _average_ranks
+from abrenergy.fitting import _doubled_ranks, _sum
 
 SYNTH = Combination("synth", "WIFI", "HEVC")
 
@@ -135,18 +135,18 @@ class TestPresets:
                 assert preset(f" spc/{connection.lower()}/{codec.lower()} ") == expected
 
 
-def loop_average_ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks by walking the sorted runs of equal values: the
-    reference ``_average_ranks`` must match byte for byte."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    ordered = values[order]
+def loop_average_ranks(values: list[float]) -> list[float]:
+    """Average ranks by walking the sorted runs of equal values: twice each,
+    ``_doubled_ranks`` must match exactly."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
     i = 0
-    while i < values.size:
+    while i < len(values):
         j = i
-        while j + 1 < values.size and ordered[j + 1] == ordered[i]:
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        for k in order[i : j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
 
@@ -160,10 +160,9 @@ class TestCorrelation:
     )
     def test_average_ranks_match_the_loop(self, values):
         # the small pool makes long runs of ties, -0.0 and 0.0 among them
-        array = np.array(values, dtype=float)
-        ranks = _average_ranks(array)
-        assert ranks.dtype == np.float64
-        assert ranks.tobytes() == loop_average_ranks(array).tobytes()
+        doubled = _doubled_ranks(values)
+        assert all(type(rank) is int for rank in doubled)
+        assert doubled == [2.0 * rank for rank in loop_average_ranks(values)]
 
     def test_perfect_linear(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
@@ -209,6 +208,22 @@ class TestCorrelation:
         assert r_squared([1.1] * 6, [1.1] * 6) == 0.0
         # SS_tot is subnormal: SS_res / SS_tot overflowed and r_squared was -inf
         assert r_squared([1e-158, 2e-158], [1.0, 1.0]) == 0.0
+
+    def test_sums_past_the_float_range_are_not_finite(self):
+        # math.fsum raises OverflowError when finite terms sum past the float
+        # range, and ValueError on inf - inf
+        assert _sum([1e308, 1e308, -1e308]) == math.inf
+        assert math.isnan(_sum([math.inf, -math.inf]))
+        # each squared deviation is finite, their sum is not: r_squared raised
+        assert r_squared([1.3e154, -1.3e154, 0.0], [0.0, 0.0, 0.0]) == 0.0
+        # an SS_tot beyond the float range made SS_res / SS_tot zero and r2 one
+        assert r_squared([1.3e154, -1.3e154, 0.0], [1.3e154, -1.3e154, 1.0]) == 0.0
+        # products of inf and -inf: fsum's own "-inf + inf" ValueError; a
+        # variance beyond the float range made the correlation -0.0
+        for x, y in (([1e300, -1e300, 0.0], [1e300, 1e300, -2e300]),
+                     ([1e200, -1e200, 0.0], [1.0, 2.0, 4.0])):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                pearson(x, y)
 
     def test_zero_variance_raises(self):
         with pytest.raises(ValueError, match="zero variance"):
@@ -376,6 +391,17 @@ class TestFit:
     ):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             fit_columns(bw_rel, ec_rel, fix_c, False)
+        assert capfd.readouterr() == ("", "")
+
+    def test_fit_columns_refuses_squares_that_sum_past_the_float_range(self, capfd):
+        # finite squared residuals whose sum overflows: math.fsum raised
+        # OverflowError, which is not a ValueError
+        bw_rel = [9.593136414167422e-116, 5.535849958800204, 3.5178563539030628e-59,
+                  5.899312965760565]
+        ec_rel = [1.0, 8.232369080118979e157, 7.340664028979894, 9.282524265072906]
+        message = "objective is not finite at the initial guess"
+        with pytest.raises(FitError, match=f"^{message}$"):
+            fit_columns(bw_rel, ec_rel, None, True)
         assert capfd.readouterr() == ("", "")
 
     def test_fit_columns_refuses_a_regression_column_that_underflows_quietly(self, capfd):
